@@ -22,7 +22,6 @@ from .experiment import (
     CellSummary,
     ExperimentConfig,
     TrialRecord,
-    first_nonadjacent_triple,
     probe_threshold,
     run_trial,
 )
@@ -35,6 +34,7 @@ from .graphs import (
     colour_random,
     colour_three_stars,
     dumps,
+    first_nonadjacent_triple,
     generate_gnp,
     load,
     loads,

@@ -30,6 +30,7 @@ from .graphs import (
     colour_random,
     colour_three_stars,
     dumps,
+    first_nonadjacent_triple,
     generate_gnp,
     iter_bits,
     load,
@@ -77,8 +78,6 @@ def _csv_floats(text: str) -> tuple[float, ...]:
 def _cmd_gen(args) -> int:
     g = generate_gnp(args.n, args.p, args.seed)
     if args.colouring == "three-star":
-        from .experiment import first_nonadjacent_triple
-
         triple = first_nonadjacent_triple(g)
         if triple is None:
             print("error: no pairwise non-adjacent triple in the sample", file=sys.stderr)
@@ -228,7 +227,10 @@ def _cmd_probe(args) -> int:
             print("error: provide --p or --p-exp with --p-scale", file=sys.stderr)
             return 2
         p_values = ()
-        p_exponent = float(Fraction(args.p_exp))
+        try:
+            p_exponent = float(Fraction(args.p_exp))
+        except ZeroDivisionError:
+            raise ValueError(f"--p-exp {args.p_exp} has a zero denominator") from None
         p_scales = _csv_floats(args.p_scale)
     cfg = ExperimentConfig(
         n_values=_csv_ints(args.n),

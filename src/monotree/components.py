@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import COLOURS, Colour, ColouredGraph, SimpleGraph
+from .graphs import (
+    COLOURS,
+    Colour,
+    ColouredGraph,
+    SimpleGraph,
+    first_nonadjacent_triple,
+    iter_bits,
+)
 
 
 @dataclass(frozen=True)
@@ -30,9 +37,6 @@ class ComponentLabelling:
     def id_of(self, colour: Colour, v: int) -> int:
         return self.comp_id[colour][v]
 
-    def mask_of(self, colour: Colour, cid: int) -> int:
-        return self.members[colour][cid]
-
     def component_ids(self, colour: Colour) -> list[int]:
         return sorted(self.members[colour])
 
@@ -45,33 +49,24 @@ class ComponentLabelling:
 
 
 def _colour_components(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, int]]:
-    # Union-find with path halving over one colour's edge list.
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(n):
-        high = rows[u] >> (u + 1)
-        base = u + 1
-        while high:
-            low = high & -high
-            v = base + low.bit_length() - 1
-            high ^= low
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[rv] = ru
+    # Frontier walk over one colour's bitset rows.  Each walk starts from
+    # the smallest unlabelled vertex and collects its whole component
+    # before the next walk starts, so every id is the smallest member.
     ids = [0] * n
-    id_of_root: dict[int, int] = {}
     members: dict[int, int] = {}
-    for v in range(n):
-        root = find(v)
-        cid = id_of_root.setdefault(root, v)  # ascending scan: first hit is smallest
-        ids[v] = cid
-        members[cid] = members.get(cid, 0) | (1 << v)
+    unlabelled = (1 << n) - 1
+    while unlabelled:
+        cid = (unlabelled & -unlabelled).bit_length() - 1
+        comp = frontier = 1 << cid
+        while frontier:
+            reach = 0
+            for v in iter_bits(frontier):
+                ids[v] = cid
+                reach |= rows[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        unlabelled &= ~comp
+        members[cid] = comp
     return tuple(ids), members
 
 
@@ -90,14 +85,13 @@ class ShortcutGraph:
     """Closure of a coloured graph under single-colour connectivity.
 
     `base` has an edge uv iff u and v lie in one component of some colour
-    of `source`; a direct edge keeps its source colour, a new edge takes
-    the smallest colour whose component joins the pair.  With that rule
-    the per-colour component partitions of `base` and `source` coincide,
-    so `labelling` serves both.
+    of the input graph; a direct edge keeps its input colour, a new edge
+    takes the smallest colour whose component joins the pair.  With that
+    rule the per-colour component partitions of `base` and the input
+    coincide, so `labelling` serves both.
     """
 
     base: ColouredGraph
-    source: ColouredGraph
     labelling: ComponentLabelling
 
 
@@ -122,7 +116,7 @@ def shortcut_graph(cg: ColouredGraph) -> ShortcutGraph:
         for v in range(n)
     )
     closure = SimpleGraph(n, tuple(red[v] | green[v] | blue[v] for v in range(n)))
-    return ShortcutGraph(ColouredGraph(closure, (red, green, blue)), cg, lab)
+    return ShortcutGraph(ColouredGraph(closure, (red, green, blue)), lab)
 
 
 @dataclass(frozen=True)
@@ -145,17 +139,7 @@ def alpha_class(f: ShortcutGraph) -> AlphaClass:
     full = g.full_mask
     if all(g.adj[v] | (1 << v) == full for v in range(n)):
         return AlphaClass("one")
-    for u in range(n - 2):
-        non_u = ~g.adj[u] & full & ~(1 << u)
-        cand = non_u >> (u + 1)
-        base = u + 1
-        while cand:
-            low = cand & -cand
-            v = base + low.bit_length() - 1
-            cand ^= low
-            above_v = full & ~((1 << (v + 1)) - 1)
-            third = non_u & ~g.adj[v] & above_v
-            if third:
-                w = (third & -third).bit_length() - 1
-                return AlphaClass("three_plus", (u, v, w))
+    triple = first_nonadjacent_triple(g)
+    if triple is not None:
+        return AlphaClass("three_plus", triple)
     return AlphaClass("two")

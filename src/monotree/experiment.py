@@ -22,42 +22,27 @@ from .components import monochromatic_components
 from .graphs import (
     Colour,
     ColouredGraph,
-    SimpleGraph,
     colour_random,
     colour_three_stars,
+    first_nonadjacent_triple,
     generate_gnp,
 )
 from .hypergraph import build_component_hypergraph, tau_exact
 from .rng import MASK64, finalise64
-from .solver import (
-    BRANCH_ALPHA3,
-    BRANCH_CASE1,
-    BRANCH_CASE2,
-    BRANCH_CASE3,
-    BRANCH_EGP,
-    BRANCH_FALLBACK,
-    BRANCH_KONIG,
-    SolverConfig,
-    solve_cover,
-)
+from .solver import BRANCH_ALPHA3, BRANCHES, SolverConfig, solve_cover
 
 MODE_RANDOM = "random"
 MODE_THREE_STAR = "three-star"
 MODES = (MODE_RANDOM, MODE_THREE_STAR)
 
-CSV_HEADER = (
-    "n,p,mode,trials,frac_le3,mean_size,branch_egp,branch_a3,branch_konig,"
-    "branch_case1,branch_case2,branch_case3,branch_fallback,exact_available"
+# One count column per solver branch, in BRANCHES order; the column for
+# alpha-ge3 is named a3.
+_BRANCH_KEYS = tuple(
+    "branch_" + ("a3" if name == BRANCH_ALPHA3 else name) for name in BRANCHES
 )
 
-_BRANCH_COLUMNS = (
-    BRANCH_EGP,
-    BRANCH_ALPHA3,
-    BRANCH_KONIG,
-    BRANCH_CASE1,
-    BRANCH_CASE2,
-    BRANCH_CASE3,
-    BRANCH_FALLBACK,
+CSV_HEADER = ",".join(
+    ("n", "p", "mode", "trials", "frac_le3", "mean_size", *_BRANCH_KEYS, "exact_available")
 )
 
 THREADS_ENV = "MONOTREE_THREADS"
@@ -157,25 +142,6 @@ def trial_seed(master: int, n: int, p: float, mode: str, trial: int) -> int:
     return _mix(s, trial)
 
 
-def first_nonadjacent_triple(g: SimpleGraph) -> tuple[int, int, int] | None:
-    """Lexicographically smallest pairwise non-adjacent triple, if any."""
-    full = g.full_mask
-    for u in range(g.n - 2):
-        non_u = ~g.adj[u] & full & ~(1 << u)
-        cand = non_u >> (u + 1)
-        base = u + 1
-        while cand:
-            low = cand & -cand
-            v = base + low.bit_length() - 1
-            cand ^= low
-            above = full & ~((1 << (v + 1)) - 1)
-            third = non_u & ~g.adj[v] & above
-            if third:
-                w = (third & -third).bit_length() - 1
-                return (u, v, w)
-    return None
-
-
 def run_trial(cfg: ExperimentConfig, n: int, p: float, mode: str, trial: int) -> TrialRecord:
     """One sampled instance of a cell, fully determined by (seed, cell,
     trial index).  Degenerate three-star cells (no non-adjacent triple)
@@ -216,7 +182,7 @@ class CellSummary:
     trials: int  # completed (non-skipped) trials
     frac_le3: float
     mean_size: float
-    branch_counts: tuple[int, ...]  # aligned with _BRANCH_COLUMNS
+    branch_counts: tuple[int, ...]  # aligned with solver.BRANCHES
     exact_available: bool
 
     def csv_row(self) -> str:
@@ -242,25 +208,13 @@ class CellSummary:
             "mean_size": round(self.mean_size, 6),
             "exact_available": self.exact_available,
         }
-        for name, count in zip(_BRANCH_COLUMNS, self.branch_counts):
-            out[f"branch_{_COLUMN_SUFFIX[name]}"] = count
+        out.update(zip(_BRANCH_KEYS, self.branch_counts))
         return out
-
-
-_COLUMN_SUFFIX = {
-    BRANCH_EGP: "egp",
-    BRANCH_ALPHA3: "a3",
-    BRANCH_KONIG: "konig",
-    BRANCH_CASE1: "case1",
-    BRANCH_CASE2: "case2",
-    BRANCH_CASE3: "case3",
-    BRANCH_FALLBACK: "fallback",
-}
 
 
 def _summarise(n: int, p: float, mode: str, records: list[TrialRecord]) -> CellSummary:
     done = [r for r in sorted(records, key=lambda r: r.trial) if not r.skipped]
-    counts = {name: 0 for name in _BRANCH_COLUMNS}
+    counts = dict.fromkeys(BRANCHES, 0)
     le3 = 0
     total = 0
     for r in done:
@@ -277,7 +231,7 @@ def _summarise(n: int, p: float, mode: str, records: list[TrialRecord]) -> CellS
         trials,
         le3 / trials if trials else 0.0,
         total / trials if trials else 0.0,
-        tuple(counts[name] for name in _BRANCH_COLUMNS),
+        tuple(counts[name] for name in BRANCHES),
         bool(done) and all(r.exact_size is not None for r in done),
     )
 

@@ -112,6 +112,25 @@ class SimpleGraph:
         return cls(n, tuple(rows))
 
 
+def first_nonadjacent_triple(g: SimpleGraph) -> tuple[int, int, int] | None:
+    """Lexicographically smallest pairwise non-adjacent triple, if any."""
+    full = g.full_mask
+    for u in range(g.n - 2):
+        non_u = ~g.adj[u] & full & ~(1 << u)
+        cand = non_u >> (u + 1)
+        base = u + 1
+        while cand:
+            low = cand & -cand
+            v = base + low.bit_length() - 1
+            cand ^= low
+            above = full & ~((1 << (v + 1)) - 1)
+            third = non_u & ~g.adj[v] & above
+            if third:
+                w = (third & -third).bit_length() - 1
+                return (u, v, w)
+    return None
+
+
 def generate_gnp(n: int, p: float, seed: int) -> SimpleGraph:
     """Sample the binomial random graph: every unordered pair is an edge
     independently with probability p, driven by the splitmix64 stream of

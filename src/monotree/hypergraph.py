@@ -35,9 +35,6 @@ class ComponentHypergraph:
     edges: tuple[tuple[int, int, int], ...]
     witness: dict[tuple[int, int, int], int]
 
-    def vertex_count(self) -> int:
-        return sum(len(p) for p in self.parts)
-
     def refs_of(self, edge: tuple[int, int, int]) -> tuple[CompRef, CompRef, CompRef]:
         return ((0, edge[0]), (1, edge[1]), (2, edge[2]))
 
@@ -60,7 +57,7 @@ class CoverCertificate:
     """
 
     cover: tuple[CompRef, ...]
-    method: str  # "exact" | "konig" | "case-analysis"
+    method: str  # "exact" | "konig"
 
     @property
     def size(self) -> int:

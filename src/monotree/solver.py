@@ -94,7 +94,11 @@ class TreeCover:
 
 @dataclass
 class TraceReport:
-    """Which proof branch fired and the evidence it used."""
+    """Which proof branch fired and the evidence it used.
+
+    The strategy that ran fills in its own evidence; `solve_cover` adds
+    the alpha class, the counts and the final cover.
+    """
 
     alpha: str = ""
     branch: str = ""
@@ -194,7 +198,7 @@ def egp_partition_search(f: ShortcutGraph) -> tuple[CompRef, ...]:
 
 def strategy_alpha_ge3(
     cg: ColouredGraph, f: ShortcutGraph, triple: tuple[int, int, int]
-) -> tuple[tuple[CompRef, ...] | None, dict]:
+) -> tuple[tuple[CompRef, ...] | None, TraceReport]:
     """Cover attempt from an independent triple of the closure graph.
 
     Groups the common neighbourhood of the triple by the colour pattern it
@@ -204,31 +208,31 @@ def strategy_alpha_ge3(
     it names: each triple vertex with its pattern colour plus the two
     swapped components of the second and third vertex.
 
-    Returns (cover, details); cover is None when the neighbourhood
+    Returns (cover, trace); cover is None when the neighbourhood
     degenerates, which signals the exact fallback.
     """
     v1, v2, v3 = triple
-    details: dict = {"triple": triple, "notes": []}
+    trace = TraceReport(triple=triple)
     for a, b in ((v1, v2), (v1, v3), (v2, v3)):
         if f.base.graph.has_edge(a, b):
             raise ValueError(f"vertices {a} and {b} are adjacent in the closure graph")
     common = cg.graph.common_neighbourhood(triple)
     if common == 0:
-        details["notes"].append("triple has no common neighbour")
-        return None, details
+        trace.notes.append("triple has no common neighbour")
+        return None, trace
     groups: dict[tuple[Colour, Colour, Colour], int] = {}
     for w in iter_bits(common):
         pat = (cg.colour_of(w, v1), cg.colour_of(w, v2), cg.colour_of(w, v3))
         if len(set(pat)) == 3:
             groups[pat] = groups.get(pat, 0) | (1 << w)
     if not groups:
-        details["notes"].append("no rainbow colour pattern in the common neighbourhood")
-        return None, details
+        trace.notes.append("no rainbow colour pattern in the common neighbourhood")
+        return None, trace
     pattern = min(groups, key=lambda p: (-groups[p].bit_count(), p))
     x_mask = groups[pattern]
     c1, c2, c3 = pattern
-    details["x_size"] = x_mask.bit_count()
-    details["colour_pattern"] = tuple(c.name.lower() for c in pattern)
+    trace.x_size = x_mask.bit_count()
+    trace.colour_pattern = tuple(c.name.lower() for c in pattern)
     lab = f.labelling
     five = _dedupe(
         [
@@ -244,10 +248,11 @@ def strategy_alpha_ge3(
     for combo in combinations(five, size):
         if _union_mask(lab, combo) == full:
             winner = tuple(sorted(combo))
-            details["winning_candidate"] = winner
-            return winner, details
-    details["notes"].append("no covering triple among the five candidate components")
-    return None, details
+            trace.branch = BRANCH_ALPHA3
+            trace.winning_candidate = winner
+            return winner, trace
+    trace.notes.append("no covering triple among the five candidate components")
+    return None, trace
 
 
 def _covering_candidate(
@@ -293,7 +298,7 @@ def _case1_candidates(
 
 def strategy_alpha2(
     cg: ColouredGraph, f: ShortcutGraph, h: ComponentHypergraph
-) -> tuple[tuple[CompRef, ...] | None, dict]:
+) -> tuple[tuple[CompRef, ...] | None, TraceReport]:
     """Cover attempt through the union of red-component link graphs.
 
     With matching number at most 3 the matching-sized bipartite cover
@@ -304,15 +309,13 @@ def strategy_alpha2(
     case tests its explicit candidate family.  The 4+0 case first tries to
     re-route to 3+1 through a hyperedge of another red component.
 
-    Returns (cover, details); None signals the exact fallback.
+    Returns (cover, trace); None signals the exact fallback.
     """
     lab = f.labelling
     full = cg.graph.full_mask
-    details: dict = {"notes": []}
     link = link_union(h, Colour.RED)
     m = max_matching_bipartite(link)
-    details["nu_link"] = m.size
-    details["matching"] = m.edges
+    trace = TraceReport(nu_link=m.size, matching=m.edges)
     if m.size <= 3:
         cover = konig_cover(link, m)
         refs = tuple(
@@ -324,9 +327,9 @@ def strategy_alpha2(
         # always covers the whole vertex set.
         if _union_mask(lab, refs) != full:
             raise RuntimeError("link cover failed to cover the vertex set")
-        details["branch"] = BRANCH_KONIG
-        details["winning_candidate"] = refs
-        return refs, details
+        trace.branch = BRANCH_KONIG
+        trace.winning_candidate = refs
+        return refs, trace
 
     edges4 = list(m.edges[:4])
     origin = link.origin or {}
@@ -343,18 +346,18 @@ def strategy_alpha2(
             *[os for e, os in zip(edges4, origins) if r1 not in os]
         )
         if not shared:
-            details["notes"].append(
+            trace.notes.append(
                 "matching spans more than two red-component links"
             )
-            return None, details
+            return None, trace
         r2 = min(shared)
     else:
         r2 = None
 
     if len(rest) == 2:
-        details["case"] = 1
+        trace.case = 1
         ordered = assigned + rest  # positions 1,2 in the r1 link; 3,4 in r2
-        details["j_witnesses"] = {
+        trace.j_witnesses = {
             "J1": h.witness[(r1, ordered[0][0], ordered[0][1])],
             "J2": h.witness[(r1, ordered[1][0], ordered[1][1])],
             "J3": h.witness[(r2, ordered[2][0], ordered[2][1])],
@@ -362,46 +365,46 @@ def strategy_alpha2(
         }
         winner = _covering_candidate(lab, full, _case1_candidates(r1, r2, ordered))
         if winner is None:
-            details["notes"].append("2+2 case candidates exhausted")
-            return None, details
-        details["branch"] = BRANCH_CASE1
-        details["winning_candidate"] = winner
-        return winner, details
+            trace.notes.append("2+2 case candidates exhausted")
+            return None, trace
+        trace.branch = BRANCH_CASE1
+        trace.winning_candidate = winner
+        return winner, trace
 
     if len(rest) == 1:
-        details["case"] = 2
+        trace.case = 2
         three, fourth = assigned, rest[0]
-        details["j_witnesses"] = {
+        trace.j_witnesses = {
             f"J{i + 1}": h.witness[(r1, e[0], e[1])] for i, e in enumerate(three)
         }
-        details["j_witnesses"]["J4"] = h.witness[(r2, fourth[0], fourth[1])]
+        trace.j_witnesses["J4"] = h.witness[(r2, fourth[0], fourth[1])]
         winner = _covering_candidate(
             lab, full, _case2_candidates(lab, r1, r2, fourth)
         )
         if winner is None:
-            details["notes"].append("3+1 case candidates exhausted")
-            return None, details
-        details["branch"] = BRANCH_CASE2
-        details["winning_candidate"] = winner
-        return winner, details
+            trace.notes.append("3+1 case candidates exhausted")
+            return None, trace
+        trace.branch = BRANCH_CASE2
+        trace.winning_candidate = winner
+        return winner, trace
 
     if len(rest) > 2:
-        details["notes"].append("matching spans more than two red-component links")
-        return None, details
+        trace.notes.append("matching spans more than two red-component links")
+        return None, trace
 
     # 4+0: all four matching edges in the r1 link.
-    details["case"] = 3
-    details["j_witnesses"] = {
+    trace.case = 3
+    trace.j_witnesses = {
         f"J{i + 1}": h.witness[(r1, e[0], e[1])] for i, e in enumerate(edges4)
     }
     others = [e for e in h.edges if e[0] != r1]
     if not others:
         # Every hyperedge passes through r1, so r1 alone covers everything.
         winner = ((0, r1),)
-        details["notes"].append("all hyperedges share the pivot red component")
-        details["branch"] = BRANCH_CASE3
-        details["winning_candidate"] = winner
-        return winner, details
+        trace.notes.append("all hyperedges share the pivot red component")
+        trace.branch = BRANCH_CASE3
+        trace.winning_candidate = winner
+        return winner, trace
     greens = [g for g, _ in edges4]
     blues = [b for _, b in edges4]
     for r2x, gx, bx in others:
@@ -409,19 +412,19 @@ def strategy_alpha2(
             k = greens.index(gx)
             if bx in [b for i, b in enumerate(blues) if i != k]:
                 continue  # this hyperedge only re-meets matched components
-        details["j_witnesses"]["J4'"] = h.witness[(r2x, gx, bx)]
+        trace.j_witnesses["J4'"] = h.witness[(r2x, gx, bx)]
         winner = _covering_candidate(
             lab, full, _case2_candidates(lab, r1, r2x, (gx, bx))
         )
         if winner is not None:
-            details["notes"].append("4+0 case re-routed through a 3+1 analysis")
-            details["branch"] = BRANCH_CASE3
-            details["winning_candidate"] = winner
-            return winner, details
+            trace.notes.append("4+0 case re-routed through a 3+1 analysis")
+            trace.branch = BRANCH_CASE3
+            trace.winning_candidate = winner
+            return winner, trace
     # No re-route: the first hyperedge outside the r1 link meets a matched
     # green component and a matched blue component of a different edge.
     r2x, gx, bx = others[0]
-    details["j_witnesses"]["J5"] = h.witness[(r2x, gx, bx)]
+    trace.j_witnesses["J5"] = h.witness[(r2x, gx, bx)]
     cands: list[tuple[CompRef, ...]] = []
     green_ids = sorted(lab.members[1])
     blue_ids = sorted(lab.members[2])
@@ -436,11 +439,11 @@ def strategy_alpha2(
     cands.append(((0, r1), (2, bx), (1, gx)))
     winner = _covering_candidate(lab, full, cands)
     if winner is None:
-        details["notes"].append("4+0 case candidates exhausted")
-        return None, details
-    details["branch"] = BRANCH_CASE3
-    details["winning_candidate"] = winner
-    return winner, details
+        trace.notes.append("4+0 case candidates exhausted")
+        return None, trace
+    trace.branch = BRANCH_CASE3
+    trace.winning_candidate = winner
+    return winner, trace
 
 
 def components_to_trees(
@@ -553,29 +556,23 @@ def solve_cover(
     The cover size is the smaller of the strategy result and the exact
     result.
     """
-    trace = TraceReport()
     f = shortcut_graph(cg)
     lab = f.labelling
-    trace.component_count = lab.component_count()
     ac = alpha_class(f)
-    trace.alpha = ac.kind
 
-    strategy_cover: tuple[CompRef, ...] | None = None
-    branch = BRANCH_FALLBACK
+    strategy_cover: tuple[CompRef, ...] | None
     h: ComponentHypergraph | None = None
     if ac.kind == "one":
         strategy_cover = egp_partition_search(f)
-        branch = BRANCH_EGP
+        trace = TraceReport(branch=BRANCH_EGP)
     elif ac.kind == "three_plus":
         assert ac.witness is not None
-        strategy_cover, details = strategy_alpha_ge3(cg, f, ac.witness)
-        _merge_details(trace, details)
-        branch = BRANCH_ALPHA3
+        strategy_cover, trace = strategy_alpha_ge3(cg, f, ac.witness)
     else:
         h = build_component_hypergraph(lab)
-        strategy_cover, details = strategy_alpha2(cg, f, h)
-        _merge_details(trace, details)
-        branch = details.get("branch", BRANCH_FALLBACK)
+        strategy_cover, trace = strategy_alpha2(cg, f, h)
+    trace.alpha = ac.kind
+    trace.component_count = lab.component_count()
     if strategy_cover is not None:
         trace.strategy_size = len(strategy_cover)
 
@@ -591,14 +588,13 @@ def solve_cover(
     if strategy_cover is None:
         assert exact_cover is not None
         final = exact_cover
-        branch = BRANCH_FALLBACK
+        trace.branch = BRANCH_FALLBACK
         trace.notes.append("strategy degenerated; exact cover used")
     elif exact_cover is not None and len(exact_cover) < len(strategy_cover):
         final = exact_cover
         trace.notes.append("exact cover smaller than strategy candidate")
     else:
         final = strategy_cover
-    trace.branch = branch
     trace.cover_refs = tuple(sorted(final))
 
     trees = components_to_trees(cg, final, lab)
@@ -606,20 +602,3 @@ def solve_cover(
     if violations:
         raise AssertionError(f"solver produced an invalid cover: {violations}")
     return trees, trace
-
-
-def _merge_details(trace: TraceReport, details: dict) -> None:
-    for note in details.get("notes", []):
-        trace.notes.append(note)
-    for key in (
-        "triple",
-        "x_size",
-        "colour_pattern",
-        "nu_link",
-        "matching",
-        "case",
-        "j_witnesses",
-        "winning_candidate",
-    ):
-        if key in details:
-            setattr(trace, key, details[key])

@@ -153,6 +153,12 @@ class TestErrors:
         assert code == 2
         assert "line 2" in err
 
+    def test_zero_denominator_exponent_reports_error(self, capsys):
+        code = main(["probe", "--n", "20", "--p-exp", "1/0", "--trials", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "1/0" in err
+
     def test_missing_file_reports_error(self, capsys):
         code = main(["solve", "/nonexistent/file.txt"])
         assert code == 2

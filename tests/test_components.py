@@ -1,3 +1,6 @@
+import math
+
+import pytest
 from hypothesis import given, settings
 
 from monotree import (
@@ -11,12 +14,18 @@ from monotree import (
     monochromatic_components,
     shortcut_graph,
 )
+from monotree.rng import SplitMix64
 
 import support
 
 
 def cg_from(n, items):
     return ColouredGraph.from_edge_colours(n, items)
+
+
+def shuffled_red_path(n, seed):
+    order = SplitMix64(seed).sample(n, n)
+    return cg_from(n, [(order[i], order[i + 1], Colour.RED) for i in range(n - 1)])
 
 
 class TestMonochromaticComponents:
@@ -54,6 +63,32 @@ class TestMonochromaticComponents:
             ours = {frozenset(support.adjacency_sets([m])[0]) for m in lab.members[c].values()}
             theirs = {frozenset(comp) for comp in oracle[c]}
             assert ours == theirs
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: colour_random(generate_gnp(200, 0.01, seed=11), seed=12),
+            lambda: colour_random(generate_gnp(200, 0.02, seed=13), seed=14),
+            lambda: colour_random(
+                generate_gnp(300, 1.5 * (math.log(300) / 300) ** (1 / 6), seed=15),
+                seed=16,
+            ),
+            # one vertex joins the frontier per round: the most rounds a
+            # walk can take
+            lambda: shuffled_red_path(300, seed=17),
+        ],
+        ids=["gnp-200-0.01", "gnp-200-0.02", "gnp-300-dense", "shuffled-path"],
+    )
+    def test_matches_bfs_oracle_at_scale(self, make):
+        cg = make()
+        lab = monochromatic_components(cg)
+        oracle = support.bfs_colour_components(cg)
+        for c in COLOURS:
+            ours = {frozenset(support.adjacency_sets([m])[0]) for m in lab.members[c].values()}
+            assert ours == {frozenset(comp) for comp in oracle[c]}
+            for comp in oracle[c]:
+                smallest = min(comp)
+                assert all(lab.comp_id[c][v] == smallest for v in comp)
 
     @settings(max_examples=40)
     @given(support.coloured_graphs(max_n=12))

@@ -132,8 +132,8 @@ class TestStrategyAlphaGe3:
         cg = k6_star_instance()
         f = shortcut_graph(cg)
         refs, details = strategy_alpha_ge3(cg, f, (0, 1, 2))
-        assert details["x_size"] == 3
-        assert details["colour_pattern"] == ("red", "green", "blue")
+        assert details.x_size == 3
+        assert details.colour_pattern == ("red", "green", "blue")
         assert refs is not None
         assert set(refs) == {(0, 0), (1, 1), (2, 2)}
 
@@ -145,7 +145,7 @@ class TestStrategyAlphaGe3:
         assert ac.kind == "three_plus"
         refs, details = strategy_alpha_ge3(cg, f, ac.witness)
         assert refs is None
-        assert any("common neighbour" in note for note in details["notes"])
+        assert any("common neighbour" in note for note in details.notes)
 
     def test_three_isolated_vertices_degenerate(self):
         cg = cg_from(3, [])
@@ -175,8 +175,8 @@ class TestStrategyAlpha2:
 
     def test_single_vertex_konig_path(self):
         (refs, details), _ = self._run(cg_from(1, []))
-        assert details["nu_link"] == 1
-        assert details["branch"] == BRANCH_KONIG
+        assert details.nu_link == 1
+        assert details.branch == BRANCH_KONIG
         assert refs is not None and len(refs) == 1
 
     def test_single_green_component_hub(self):
@@ -184,15 +184,15 @@ class TestStrategyAlpha2:
         # cover has size 1
         items = [(0, v, G) for v in range(1, 5)]
         (refs, details), f = self._run(cg_from(5, items))
-        assert details["nu_link"] == 1
+        assert details.nu_link == 1
         assert refs == ((1, 0),)
 
     def test_case1_two_plus_two(self):
         cg = cg_from(4, [(0, 1, R), (2, 3, R)])
         (refs, details), f = self._run(cg)
         assert alpha_class(f).kind == "two"
-        assert details["case"] == 1
-        assert details["j_witnesses"] == {"J1": 0, "J2": 1, "J3": 2, "J4": 3}
+        assert details.case == 1
+        assert details.j_witnesses == {"J1": 0, "J2": 1, "J3": 2, "J4": 3}
         assert refs is not None
         cover, trace = solve_cover(cg)
         assert trace.branch == BRANCH_CASE1
@@ -202,8 +202,8 @@ class TestStrategyAlpha2:
         cg = cg_from(5, [(0, 1, R), (1, 2, R), (3, 4, R)])
         (refs, details), f = self._run(cg)
         assert alpha_class(f).kind == "two"
-        assert details["case"] == 2
-        assert details["nu_link"] == 5
+        assert details.case == 2
+        assert details.nu_link == 5
         assert refs is not None
         cover, trace = solve_cover(cg)
         assert trace.branch == BRANCH_CASE2
@@ -213,9 +213,9 @@ class TestStrategyAlpha2:
         cg = cg_from(5, [(0, 1, R), (1, 2, R), (2, 3, R), (0, 4, G)])
         (refs, details), f = self._run(cg)
         assert alpha_class(f).kind == "two"
-        assert details["case"] == 3
+        assert details.case == 3
         assert refs is not None
-        assert any("re-routed" in note for note in details["notes"])
+        assert any("re-routed" in note for note in details.notes)
         cover, trace = solve_cover(cg)
         assert trace.branch == BRANCH_CASE3
         assert cover.size == support.min_component_cover_size(cg) == 2
@@ -228,9 +228,9 @@ class TestStrategyAlpha2:
         )
         (refs, details), f = self._run(cg)
         assert alpha_class(f).kind == "two"
-        assert details["case"] == 3
-        assert "J5" in details["j_witnesses"]
-        assert details["j_witnesses"]["J5"] == 4
+        assert details.case == 3
+        assert "J5" in details.j_witnesses
+        assert details.j_witnesses["J5"] == 4
         assert refs is not None
         cover, trace = solve_cover(cg)
         assert verify_cover(cg, cover) == []
@@ -243,7 +243,7 @@ class TestStrategyAlpha2:
         items += [(0, 2, G), (1, 3, G), (0, 3, B), (1, 4, B)]
         cg = cg_from(5, items)
         (refs, details), f = self._run(cg)
-        if details.get("case") == 3 and refs is not None:
+        if details.case == 3 and refs is not None:
             assert support.min_component_cover_size(cg) <= len(refs)
 
     def test_dense_random_instances_within_three(self):
@@ -370,3 +370,105 @@ class TestVerifyCover:
         bad = TreeCover((Tree(R, 0, {0: None, 1: 2, 2: 1}),))
         issues = verify_cover(cg, bad)
         assert any("cycle" in i for i in issues)
+
+
+# solve_cover traces of the hand-built branch instances above, pinned
+# literally so that a dropped note, witness or field shows up.
+TRACE_PINS = [
+    (
+        "alpha-ge3",
+        k6_star_instance,
+        {
+            "alpha": "three_plus", "branch": "alpha-ge3",
+            "colour_pattern": ["red", "green", "blue"], "component_count": 9,
+            "cover": [["red", 0], ["green", 1], ["blue", 2]], "exact_size": 3,
+            "notes": [], "strategy_size": 3, "triple": [0, 1, 2],
+            "winning_candidate": [["red", 0], ["green", 1], ["blue", 2]],
+            "x_size": 3,
+        },
+    ),
+    (
+        "fallback",
+        lambda: cg_from(5, [(0, 3, R), (1, 4, G)]),
+        {
+            "alpha": "three_plus", "branch": "fallback", "component_count": 13,
+            "cover": [["red", 0], ["red", 2], ["green", 1]], "exact_size": 3,
+            "notes": [
+                "triple has no common neighbour",
+                "strategy degenerated; exact cover used",
+            ],
+            "triple": [0, 1, 2],
+        },
+    ),
+    (
+        "konig",
+        lambda: cg_from(4, [(0, 1, R), (2, 3, G)]),
+        {
+            "alpha": "two", "branch": "konig", "component_count": 10,
+            "cover": [["red", 0], ["green", 2]], "exact_size": 2,
+            "matching": [[0, 0], [1, 1], [2, 2]],
+            "notes": ["exact cover smaller than strategy candidate"],
+            "nu_link": 3, "strategy_size": 3,
+            "winning_candidate": [["green", 0], ["green", 1], ["green", 2]],
+        },
+    ),
+    (
+        "case1",
+        lambda: cg_from(4, [(0, 1, R), (2, 3, R)]),
+        {
+            "alpha": "two", "branch": "case1", "case": 1, "component_count": 10,
+            "cover": [["red", 0], ["red", 2]], "exact_size": 2,
+            "j_witnesses": {"J1": 0, "J2": 1, "J3": 2, "J4": 3},
+            "matching": [[0, 0], [1, 1], [2, 2], [3, 3]],
+            "notes": ["exact cover smaller than strategy candidate"],
+            "nu_link": 4, "strategy_size": 3,
+            "winning_candidate": [["red", 0], ["red", 2], ["blue", 0]],
+        },
+    ),
+    (
+        "case2",
+        lambda: cg_from(5, [(0, 1, R), (1, 2, R), (3, 4, R)]),
+        {
+            "alpha": "two", "branch": "case2", "case": 2, "component_count": 12,
+            "cover": [["red", 0], ["red", 3]], "exact_size": 2,
+            "j_witnesses": {"J1": 0, "J2": 1, "J3": 2, "J4": 3},
+            "matching": [[0, 0], [1, 1], [2, 2], [3, 3], [4, 4]],
+            "notes": [], "nu_link": 5, "strategy_size": 2,
+            "winning_candidate": [["red", 0], ["red", 3]],
+        },
+    ),
+    (
+        "case3-reroute",
+        lambda: cg_from(5, [(0, 1, R), (1, 2, R), (2, 3, R), (0, 4, G)]),
+        {
+            "alpha": "two", "branch": "case3", "case": 3, "component_count": 11,
+            "cover": [["red", 0], ["red", 4]], "exact_size": 2,
+            "j_witnesses": {"J1": 0, "J2": 1, "J3": 2, "J4": 3, "J4'": 4},
+            "matching": [[0, 0], [1, 1], [2, 2], [3, 3]],
+            "notes": ["4+0 case re-routed through a 3+1 analysis"],
+            "nu_link": 4, "strategy_size": 2,
+            "winning_candidate": [["red", 0], ["red", 4]],
+        },
+    ),
+    (
+        "case3-J5",
+        lambda: cg_from(5, [(0, 1, R), (1, 2, R), (2, 3, R), (3, 4, G), (2, 4, B)]),
+        {
+            "alpha": "two", "branch": "case3", "case": 3, "component_count": 10,
+            "cover": [["red", 0], ["red", 4]], "exact_size": 2,
+            "j_witnesses": {"J1": 0, "J2": 1, "J3": 2, "J4": 3, "J5": 4},
+            "matching": [[0, 0], [1, 1], [2, 2], [3, 3]],
+            "notes": ["exact cover smaller than strategy candidate"],
+            "nu_link": 4, "strategy_size": 3,
+            "winning_candidate": [["red", 0], ["green", 0], ["blue", 2]],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, expected", [pin[1:] for pin in TRACE_PINS], ids=[pin[0] for pin in TRACE_PINS]
+)
+def test_trace_json_pinned(make, expected):
+    _, trace = solve_cover(make())
+    assert trace.to_json() == expected

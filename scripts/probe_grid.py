@@ -20,7 +20,6 @@ def main() -> None:
     ap.add_argument("--trials", default=100, type=int)
     ap.add_argument("--mode", default="both", choices=["random", "three-star", "both"])
     ap.add_argument("--seed", default=42, type=int)
-    ap.add_argument("--threads", default=None, type=int)
     ap.add_argument("--out", default="results.csv")
     args = ap.parse_args()
 
@@ -33,7 +32,7 @@ def main() -> None:
         modes=("random", "three-star") if args.mode == "both" else (args.mode,),
         out_path=args.out,
     )
-    rows = probe_threshold(cfg, threads=args.threads)
+    rows = probe_threshold(cfg)
     for row in rows:
         print(
             f"n={row.n:5d} p={row.p:.4f} {row.mode:10s} "

@@ -22,9 +22,10 @@ import sys
 from fractions import Fraction
 
 from .components import monochromatic_components, shortcut_graph
-from .experiment import ExperimentConfig, probe_threshold
+from .experiment import CSV_HEADER, ExperimentConfig, probe_threshold
 from .graphs import (
     COLOURS,
+    LETTER_TO_COLOUR,
     Colour,
     GraphFormatError,
     colour_random,
@@ -82,7 +83,7 @@ def _cmd_gen(args) -> int:
         if triple is None:
             print("error: no pairwise non-adjacent triple in the sample", file=sys.stderr)
             return 2
-        cg = colour_three_stars(g, *triple, base=Colour(args.base))
+        cg = colour_three_stars(g, *triple, base=LETTER_TO_COLOUR[args.base])
     else:
         cg = colour_random(g, derive_seed(args.seed, 1))
     _write_text(args.out, dumps(cg))
@@ -112,13 +113,14 @@ def _cmd_hyper(args) -> int:
     cg = load(args.file)
     lab = monochromatic_components(cg)
     h = build_component_hypergraph(lab)
-    link = link_union(h, Colour(args.pivot))
+    pivot = LETTER_TO_COLOUR[args.pivot]
+    link = link_union(h, pivot)
     matching = max_matching_bipartite(link)
     cover = konig_cover(link, matching)
     tau = tau_exact(h)
     nu = nu_exact(h)
     assert tau is not None
-    sides = [c for c in COLOURS if c != Colour(args.pivot)]
+    sides = [c for c in COLOURS if c != pivot]
     out = {
         "parts": {
             _COLOUR_NAMES[c]: list(h.parts[c]) for c in COLOURS
@@ -136,7 +138,7 @@ def _cmd_hyper(args) -> int:
         "tau_cover": [[_COLOUR_NAMES[Colour(c)], cid] for c, cid in tau.cover],
         "nu": nu.size,
         "nu_matching": [list(e) for e in nu.edges],
-        "link_pivot": _COLOUR_NAMES[Colour(args.pivot)],
+        "link_pivot": _COLOUR_NAMES[pivot],
         "nu_link": matching.size,
         "konig_cover": [
             [_COLOUR_NAMES[sides[side]], cid] for side, cid in cover.cover
@@ -244,10 +246,8 @@ def _cmd_probe(args) -> int:
         exact_component_limit=args.exact_limit,
         out_path=args.out,
     )
-    rows = probe_threshold(cfg, threads=args.threads)
+    rows = probe_threshold(cfg)
     if args.out is None:
-        from .experiment import CSV_HEADER
-
         print(CSV_HEADER)
         for row in rows:
             print(row.csv_row())
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["random", "three-star", "both"], default="random")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--no-exact", action="store_true")
     p.add_argument("--exact-limit", type=int, default=60)
     p.set_defaults(func=_cmd_probe)
@@ -324,16 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_BASE_TO_COLOUR = {"r": 0, "g": 1, "b": 2}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "base"):
-        args.base = _BASE_TO_COLOUR[args.base]
-    if hasattr(args, "pivot"):
-        args.pivot = _BASE_TO_COLOUR[args.pivot]
     try:
         return args.func(args)
     except (GraphFormatError, ValueError, OSError) as exc:

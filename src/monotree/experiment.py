@@ -2,20 +2,17 @@
 
 Sweeps a grid of (n, p, colouring-mode) cells, solves `trials` sampled
 instances per cell, and aggregates per-cell summaries.  Every trial's seed
-is derived from (master seed, n, p, mode, trial index) alone, so trials
-are order-independent and a run with any thread count produces the same
-records; aggregation folds records in sorted order, making the output
-files byte-identical across serial and parallel execution.
+is derived from (master seed, n, p, mode, trial index) alone, so a trial's
+record does not depend on which trials ran before it, and the output files
+depend only on the config.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .components import monochromatic_components
@@ -44,9 +41,6 @@ _BRANCH_KEYS = tuple(
 CSV_HEADER = ",".join(
     ("n", "p", "mode", "trials", "frac_le3", "mean_size", *_BRANCH_KEYS, "exact_available")
 )
-
-THREADS_ENV = "MONOTREE_THREADS"
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -79,9 +73,14 @@ class ExperimentConfig:
                 raise ValueError(f"unknown colouring mode {mode!r}")
         if MODE_THREE_STAR in self.modes and min(self.n_values) < 4:
             raise ValueError("three-star mode needs n >= 4")
-        for n, p, _ in self.cells():
+        cells = self.cells()
+        for n, p, _ in cells:
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"cell (n={n}) has p={p} outside (0, 1]")
+        for cell, following in zip(cells, cells[1:]):
+            if cell == following:
+                n, p, mode = cell
+                raise ValueError(f"cell (n={n}, p={p}, mode={mode}) is listed more than once")
 
     def p_for(self, n: int) -> tuple[float, ...]:
         if self.p_values:
@@ -213,7 +212,7 @@ class CellSummary:
 
 
 def _summarise(n: int, p: float, mode: str, records: list[TrialRecord]) -> CellSummary:
-    done = [r for r in sorted(records, key=lambda r: r.trial) if not r.skipped]
+    done = [r for r in records if not r.skipped]
     counts = dict.fromkeys(BRANCHES, 0)
     le3 = 0
     total = 0
@@ -236,31 +235,19 @@ def _summarise(n: int, p: float, mode: str, records: list[TrialRecord]) -> CellS
     )
 
 
-def probe_threshold(
-    cfg: ExperimentConfig, threads: int | None = None
-) -> list[CellSummary]:
-    """Run the full grid and return per-cell summaries sorted by (n, p,
-    mode); writes them to cfg.out_path (CSV, or JSON for a .json path)
-    when set.  Output bytes depend only on the config."""
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+def probe_threshold(cfg: ExperimentConfig) -> list[CellSummary]:
+    """Run the grid one cell at a time, trials in index order, and return
+    per-cell summaries sorted by (n, p, mode); writes them to cfg.out_path
+    (CSV, or JSON for a .json path) when set.  Output bytes depend only on
+    the config."""
     sink = None
     if cfg.out_path is not None:
         sink = open(cfg.out_path, "w", encoding="utf-8", newline="\n")
     try:
-        cells = cfg.cells()
-        tasks = [(n, p, mode, t) for (n, p, mode) in cells for t in range(cfg.trials)]
-        if threads == 1:
-            records = [run_trial(cfg, *task) for task in tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                records = list(pool.map(lambda t: run_trial(cfg, *t), tasks))
-        by_cell: dict[tuple[int, float, str], list[TrialRecord]] = {c: [] for c in cells}
-        for rec in records:
-            by_cell[(rec.n, rec.p, rec.mode)].append(rec)
-        rows = [_summarise(n, p, mode, by_cell[(n, p, mode)]) for (n, p, mode) in cells]
+        rows = []
+        for n, p, mode in cfg.cells():
+            records = [run_trial(cfg, n, p, mode, t) for t in range(cfg.trials)]
+            rows.append(_summarise(n, p, mode, records))
         if sink is not None:
             if cfg.out_path.endswith(".json"):
                 json.dump([r.to_json() for r in rows], sink, indent=2, sort_keys=True)

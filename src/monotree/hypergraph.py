@@ -126,14 +126,10 @@ def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> CoverCertific
     best: list[CompRef] = greedy
     bound = min(len(greedy), cap)
 
-    incidence: dict[CompRef, frozenset[int]] = {}
+    incidence: dict[CompRef, set[int]] = {}
     for i, refs in enumerate(edge_refs):
         for r in refs:
-            incidence.setdefault(r, frozenset())
-    for r in incidence:
-        incidence[r] = frozenset(
-            i for i, refs in enumerate(edge_refs) if r in refs
-        )
+            incidence.setdefault(r, set()).add(i)
 
     memo: dict[frozenset[int], int] = {}
     all_indices = frozenset(range(len(edge_refs)))

@@ -13,6 +13,7 @@ pass in such a regime.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .graphs import SimpleGraph
@@ -97,6 +98,32 @@ class CheckReport:
 _MAX_WITNESSES = 8
 
 
+def _tally(
+    label: str,
+    observed: Iterable[tuple],
+    mean: float,
+    epsilon: float,
+    min_count: float = 0.0,
+    notes: tuple[str, ...] = (),
+) -> CheckOutcome:
+    """Fold (witness key, count) pairs into an "ok" outcome: a count passes
+    inside max((1 - epsilon) * mean, min_count) .. (1 + epsilon) * mean."""
+    lo, hi = max((1 - epsilon) * mean, min_count), (1 + epsilon) * mean
+    passes = fails = 0
+    worst = 0.0
+    witnesses: list[tuple] = []
+    for key, count in observed:
+        deviation = abs(count - mean) / mean if mean else float(count)
+        worst = max(worst, deviation)
+        if lo <= count <= hi:
+            passes += 1
+        else:
+            fails += 1
+            if len(witnesses) < _MAX_WITNESSES:
+                witnesses.append((key, count))
+    return CheckOutcome(label, "ok", passes, fails, worst, tuple(witnesses), notes)
+
+
 def _qualifying_size(n: int, p: float, cfg: PseudorandomConfig) -> int | None:
     if cfg.pair_size is not None:
         return cfg.pair_size
@@ -128,33 +155,17 @@ def check_edge_density(
             )
         )
     mean = p * size * size
-    lo, hi = (1 - cfg.epsilon) * mean, (1 + cfg.epsilon) * mean
-    passes = fails = 0
-    worst = 0.0
-    witnesses: list[tuple] = []
-    for s in range(cfg.density_samples):
-        rng = SplitMix64(derive_seed(seed, s))
-        picked = rng.sample(n, 2 * size)
-        xs, ys = picked[:size], picked[size:]
+
+    def span(s: int) -> int:
+        picked = SplitMix64(derive_seed(seed, s)).sample(n, 2 * size)
         y_mask = 0
-        for v in ys:
+        for v in picked[size:]:
             y_mask |= 1 << v
-        count = sum((g.adj[u] & y_mask).bit_count() for u in xs)
-        deviation = abs(count - mean) / mean if mean else float(count)
-        worst = max(worst, deviation)
-        if lo <= count <= hi and count >= 1:
-            passes += 1
-        else:
-            fails += 1
-            if len(witnesses) < _MAX_WITNESSES:
-                witnesses.append((s, count))
-    return CheckReport(
-        (
-            CheckOutcome(
-                "edge-density", "ok", passes, fails, worst, tuple(witnesses)
-            ),
-        )
-    )
+        return sum((g.adj[u] & y_mask).bit_count() for u in picked[:size])
+
+    observed = ((s, span(s)) for s in range(cfg.density_samples))
+    outcome = _tally("edge-density", observed, mean, cfg.epsilon, min_count=1)
+    return CheckReport((outcome,))
 
 
 def check_degrees(g: SimpleGraph, p: float, cfg: PseudorandomConfig) -> CheckReport:
@@ -165,30 +176,11 @@ def check_degrees(g: SimpleGraph, p: float, cfg: PseudorandomConfig) -> CheckRep
             (CheckOutcome("degrees", "vacuous", notes=("empty graph",)),)
         )
     mean = p * n
-    lo, hi = (1 - cfg.epsilon) * mean, (1 + cfg.epsilon) * mean
     notes: tuple[str, ...] = ()
     if p >= 1.0 and cfg.epsilon < 1.0 / n:
         notes = (f"complete-graph degree n-1 needs epsilon >= 1/n = {1.0 / n:.3g}",)
-    passes = fails = 0
-    worst = 0.0
-    witnesses: list[tuple] = []
-    for v in range(n):
-        d = g.degree(v)
-        deviation = abs(d - mean) / mean if mean else float(d)
-        worst = max(worst, deviation)
-        if lo <= d <= hi:
-            passes += 1
-        else:
-            fails += 1
-            if len(witnesses) < _MAX_WITNESSES:
-                witnesses.append((v, d))
-    return CheckReport(
-        (
-            CheckOutcome(
-                "degrees", "ok", passes, fails, worst, tuple(witnesses), notes
-            ),
-        )
-    )
+    observed = ((v, g.degree(v)) for v in range(n))
+    return CheckReport((_tally("degrees", observed, mean, cfg.epsilon, notes=notes),))
 
 
 def check_common_neighbourhoods(
@@ -220,23 +212,14 @@ def check_common_neighbourhoods(
                 )
             )
             continue
-        lo, hi = (1 - cfg.epsilon) * mean, (1 + cfg.epsilon) * mean
-        passes = fails = 0
-        worst = 0.0
-        witnesses: list[tuple] = []
-        for s in range(cfg.neighbourhood_samples):
-            rng = SplitMix64(derive_seed(seed, i * cfg.neighbourhood_samples + s))
-            tup = rng.sample(n, i)
-            count = g.common_neighbourhood(tup).bit_count()
-            deviation = abs(count - mean) / mean
-            worst = max(worst, deviation)
-            if lo <= count <= hi:
-                passes += 1
-            else:
-                fails += 1
-                if len(witnesses) < _MAX_WITNESSES:
-                    witnesses.append((tuple(sorted(tup)), count))
-        outcomes.append(
-            CheckOutcome(label, "ok", passes, fails, worst, tuple(witnesses))
+        first = i * cfg.neighbourhood_samples
+        tuples = (
+            SplitMix64(derive_seed(seed, first + s)).sample(n, i)
+            for s in range(cfg.neighbourhood_samples)
         )
+        observed = (
+            (tuple(sorted(tup)), g.common_neighbourhood(tup).bit_count())
+            for tup in tuples
+        )
+        outcomes.append(_tally(label, observed, mean, cfg.epsilon))
     return CheckReport(tuple(outcomes))

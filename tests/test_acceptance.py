@@ -8,8 +8,12 @@ each criterion.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 from monotree import (
     Colour,
@@ -43,6 +47,7 @@ from monotree.rng import SplitMix64, derive_seed
 import support
 
 MASTER_SEED = 20260808
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -332,27 +337,38 @@ def test_criterion_8_regularity_statistics():
 
 
 def test_criterion_9_probe_determinism(tmp_path):
-    """A fixed probe config run serially and with 8 threads produces
-    byte-identical CSV output."""
+    """A fixed probe config gives byte-identical CSV output in this process
+    and from `python -m monotree probe` in two subprocesses with different
+    string-hash seeds."""
     start = time.perf_counter()
-
-    def config(path):
-        return ExperimentConfig(
+    in_process = tmp_path / "in-process.csv"
+    probe_threshold(
+        ExperimentConfig(
             n_values=(24, 36),
             trials=6,
             seed=11,
             p_values=(0.5, 0.9),
             modes=("random", "three-star"),
-            out_path=path,
+            out_path=str(in_process),
         )
-
-    serial = str(tmp_path / "serial.csv")
-    threaded = str(tmp_path / "threaded.csv")
-    probe_threshold(config(serial), threads=1)
-    probe_threshold(config(threaded), threads=8)
-    a = open(serial, "rb").read()
-    b = open(threaded, "rb").read()
+    )
+    outputs = [in_process.read_bytes()]
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hashseed-{hash_seed}.csv"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "monotree", "probe", "--n", "24,36",
+             "--p", "0.5,0.9", "--mode", "both", "--trials", "6", "--seed", "11",
+             "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
     elapsed = time.perf_counter() - start
-    ok = a == b and len(a) > 0
+    a = outputs[0]
+    ok = all(b == a for b in outputs) and len(a) > 0
     report(9, "probe determinism", ok, f"{len(a)} bytes each, {elapsed:.1f}s")
     assert ok

@@ -159,6 +159,15 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error: ") and "1/0" in err
 
+    def test_repeated_cell_reports_error(self, capsys):
+        code = main(["probe", "--n", "20", "--p", "0.5,0.5", "--trials", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cell (n=20, p=0.5, mode=random) is listed more than once\n"
+        )
+
     def test_missing_file_reports_error(self, capsys):
         code = main(["solve", "/nonexistent/file.txt"])
         assert code == 2

@@ -56,6 +56,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(n_values=(3,))  # three-star needs n >= 4
 
+    def test_rejects_repeated_cell(self):
+        repeated = r"cell \(n=20, p=0\.5, mode=random\) is listed more than once"
+        with pytest.raises(ValueError, match=repeated):
+            ExperimentConfig(n_values=(20,), trials=3, seed=1, p_values=(0.5, 0.5))
+        with pytest.raises(ValueError, match=repeated):
+            ExperimentConfig(n_values=(20, 20), trials=3, seed=1, p_values=(0.5,))
+        with pytest.raises(ValueError, match="n=20, p=.*, mode=three-star"):
+            ExperimentConfig(
+                n_values=(20,), trials=3, seed=1, p_exponent=1 / 6,
+                p_scales=(1.0, 1.0), modes=(MODE_THREE_STAR,),
+            )
+
     def test_exponent_and_values_mutually_exclusive(self):
         with pytest.raises(ValueError):
             ExperimentConfig(
@@ -189,13 +201,6 @@ class TestProbeThreshold:
         probe_threshold(small_config(out_path=b))
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_thread_count_invisible(self, tmp_path):
-        a = str(tmp_path / "a.csv")
-        b = str(tmp_path / "b.csv")
-        probe_threshold(small_config(out_path=a), threads=1)
-        probe_threshold(small_config(out_path=b), threads=4)
-        assert open(a, "rb").read() == open(b, "rb").read()
-
     def test_json_output(self, tmp_path):
         out = str(tmp_path / "rows.json")
         rows = probe_threshold(small_config(out_path=out))
@@ -214,15 +219,6 @@ class TestProbeThreshold:
             for rec in cell_records:
                 if rec.exact_size is not None and rec.size is not None:
                     assert rec.size >= rec.exact_size
-
-    def test_threads_env_variable_honoured(self, tmp_path, monkeypatch):
-        a = str(tmp_path / "a.csv")
-        b = str(tmp_path / "b.csv")
-        monkeypatch.setenv("MONOTREE_THREADS", "3")
-        probe_threshold(small_config(out_path=a))  # env-driven thread count
-        monkeypatch.delenv("MONOTREE_THREADS")
-        probe_threshold(small_config(out_path=b))
-        assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_probability_sweep_fractions_reported(self):
         # fraction of trials covered by <= 3 trees is expected to rise

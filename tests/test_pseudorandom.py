@@ -187,3 +187,127 @@ class TestCompleteGraphBoundary:
         report = check_common_neighbourhoods(g, 1.0, cfg, seed=3)
         for out in report.outcomes:
             assert out.all_passed
+
+
+def _report_cases():
+    gnp = generate_gnp
+    return {
+        "degrees-witnesses": check_degrees(gnp(60, 0.3, seed=1), 0.3, PseudorandomConfig()),
+        "degrees-complete-note": check_degrees(
+            SimpleGraph.complete(20), 1.0, PseudorandomConfig(epsilon=0.01)
+        ),
+        "degrees-vacuous": check_degrees(SimpleGraph.empty(0), 0.5, PseudorandomConfig()),
+        "density-witnesses": check_edge_density(
+            gnp(200, 0.3, seed=2), 0.3,
+            PseudorandomConfig(pair_size=20, density_samples=12), seed=5,
+        ),
+        "density-vacuous": check_edge_density(
+            SimpleGraph.complete(10), 1.0, PseudorandomConfig(pair_size=8), seed=0
+        ),
+        # mean 0.5 and epsilon 1.5: an empty pair lies inside the band and
+        # fails only because a pair must span at least one edge
+        "density-epsilon-1.5": check_edge_density(
+            gnp(100, 0.02, seed=3), 0.02,
+            PseudorandomConfig(epsilon=1.5, pair_size=5, density_samples=12), seed=7,
+        ),
+        "common-witnesses": check_common_neighbourhoods(
+            star(40), 0.5,
+            PseudorandomConfig(epsilon=0.25, max_tuple=2, neighbourhood_samples=10),
+            seed=4,
+        ),
+        "common-mixed": check_common_neighbourhoods(
+            gnp(80, 0.4, seed=3), 0.4,
+            PseudorandomConfig(epsilon=0.2, max_tuple=4, neighbourhood_samples=10),
+            seed=9,
+        ),
+        "common-vacuous": check_common_neighbourhoods(
+            SimpleGraph.complete(3), 1.0,
+            PseudorandomConfig(max_tuple=3, neighbourhood_samples=5), seed=0,
+        ),
+    }
+
+
+# Literal `to_json()["outcomes"]` of each case above, generated before the
+# three checks shared one tally.
+REPORT_PINS = {
+    "degrees-witnesses": [
+        {"label": "degrees", "status": "ok", "passes": 23, "fails": 37,
+         "worst_deviation": 0.4444444444444444,
+         "witnesses": [[0, 14], [2, 22], [5, 13], [6, 16], [8, 24], [10, 22], [12, 25],
+                       [14, 20]],
+         "notes": []},
+    ],
+    "degrees-complete-note": [
+        {"label": "degrees", "status": "ok", "passes": 0, "fails": 20,
+         "worst_deviation": 0.05,
+         "witnesses": [[0, 19], [1, 19], [2, 19], [3, 19], [4, 19], [5, 19], [6, 19],
+                       [7, 19]],
+         "notes": ["complete-graph degree n-1 needs epsilon >= 1/n = 0.05"]},
+    ],
+    "degrees-vacuous": [
+        {"label": "degrees", "status": "vacuous", "passes": 0, "fails": 0,
+         "worst_deviation": 0.0, "witnesses": [], "notes": ["empty graph"]},
+    ],
+    "density-witnesses": [
+        {"label": "edge-density", "status": "ok", "passes": 11, "fails": 1,
+         "worst_deviation": 0.11666666666666667, "witnesses": [[6, 106]], "notes": []},
+    ],
+    "density-vacuous": [
+        {"label": "edge-density", "status": "vacuous", "passes": 0, "fails": 0,
+         "worst_deviation": 0.0, "witnesses": [],
+         "notes": ["no two disjoint sets of size 8 fit in 10 vertices"]},
+    ],
+    "density-epsilon-1.5": [
+        {"label": "edge-density", "status": "ok", "passes": 3, "fails": 9,
+         "worst_deviation": 1.0,
+         "witnesses": [[1, 0], [2, 0], [3, 0], [4, 0], [5, 0], [8, 0], [9, 0], [10, 0]],
+         "notes": []},
+    ],
+    "common-witnesses": [
+        {"label": "common-neighbourhood i=1", "status": "ok", "passes": 0, "fails": 10,
+         "worst_deviation": 0.95,
+         "witnesses": [[(11,), 1], [(1,), 1], [(39,), 1], [(17,), 1], [(37,), 1],
+                       [(37,), 1], [(0,), 39], [(1,), 1]],
+         "notes": []},
+        {"label": "common-neighbourhood i=2", "status": "ok", "passes": 0, "fails": 10,
+         "worst_deviation": 0.9,
+         "witnesses": [[(13, 24), 1], [(13, 25), 1], [(6, 37), 1], [(32, 38), 1],
+                       [(23, 29), 1], [(8, 29), 1], [(5, 35), 1], [(6, 18), 1]],
+         "notes": []},
+    ],
+    "common-mixed": [
+        {"label": "common-neighbourhood i=1", "status": "ok", "passes": 8, "fails": 2,
+         "worst_deviation": 0.25, "witnesses": [[(18,), 40], [(55,), 24]], "notes": []},
+        {"label": "common-neighbourhood i=2", "status": "ok", "passes": 6, "fails": 4,
+         "worst_deviation": 0.6406249999999997,
+         "witnesses": [[(50, 77), 16], [(10, 61), 9], [(17, 48), 21], [(47, 75), 16]],
+         "notes": []},
+        {"label": "common-neighbourhood i=3", "status": "ok", "passes": 3, "fails": 7,
+         "worst_deviation": 0.9531249999999997,
+         "witnesses": [[(9, 26, 27), 3], [(15, 60, 68), 10], [(24, 65, 68), 3],
+                       [(24, 44, 50), 3], [(22, 53, 66), 7], [(12, 46, 67), 1],
+                       [(14, 25, 37), 3]],
+         "notes": []},
+        {"label": "common-neighbourhood i=4", "status": "regime-invalid", "passes": 0,
+         "fails": 0, "worst_deviation": 0.0, "witnesses": [],
+         "notes": ["expected count 2.05 below 1/epsilon"]},
+    ],
+    "common-vacuous": [
+        {"label": "common-neighbourhood i=1", "status": "regime-invalid", "passes": 0,
+         "fails": 0, "worst_deviation": 0.0, "witnesses": [],
+         "notes": ["expected count 3 below 1/epsilon"]},
+        {"label": "common-neighbourhood i=2", "status": "regime-invalid", "passes": 0,
+         "fails": 0, "worst_deviation": 0.0, "witnesses": [],
+         "notes": ["expected count 3 below 1/epsilon"]},
+        {"label": "common-neighbourhood i=3", "status": "vacuous", "passes": 0,
+         "fails": 0, "worst_deviation": 0.0, "witnesses": [],
+         "notes": ["need more than 3 vertices"]},
+    ],
+}
+
+
+def test_reports_pinned():
+    cases = _report_cases()
+    assert cases.keys() == REPORT_PINS.keys()
+    for name, report in cases.items():
+        assert report.to_json()["outcomes"] == REPORT_PINS[name], name

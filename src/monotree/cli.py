@@ -26,7 +26,6 @@ from .experiment import CSV_HEADER, ExperimentConfig, probe_threshold
 from .graphs import (
     COLOURS,
     LETTER_TO_COLOUR,
-    Colour,
     GraphFormatError,
     colour_random,
     colour_three_stars,
@@ -42,6 +41,7 @@ from .hypergraph import (
     link_union,
     max_matching_bipartite,
     nu_exact,
+    refs_json,
     tau_exact,
 )
 from .pseudorandom import (
@@ -135,7 +135,7 @@ def _cmd_hyper(args) -> int:
             for e in h.edges
         ],
         "tau": tau.size,
-        "tau_cover": [[_COLOUR_NAMES[Colour(c)], cid] for c, cid in tau.cover],
+        "tau_cover": refs_json(tau.cover),
         "nu": nu.size,
         "nu_matching": [list(e) for e in nu.edges],
         "link_pivot": _COLOUR_NAMES[pivot],
@@ -185,8 +185,8 @@ def _cmd_oracle(args) -> int:
     _print_json(
         {
             "tau": cert.size,
-            "cover": [[_COLOUR_NAMES[Colour(c)], cid] for c, cid in cert.cover],
-            "method": cert.method,
+            "cover": refs_json(cert.cover),
+            "method": "exact",
         }
     )
     return 0
@@ -221,6 +221,9 @@ def _cmd_check_pseudo(args) -> int:
 
 def _cmd_probe(args) -> int:
     if args.p is not None:
+        if args.p_exp is not None or args.p_scale is not None:
+            print("error: --p cannot be combined with --p-exp or --p-scale", file=sys.stderr)
+            return 2
         p_values: tuple[float, ...] = _csv_floats(args.p)
         p_exponent = None
         p_scales: tuple[float, ...] = ()
@@ -233,7 +236,7 @@ def _cmd_probe(args) -> int:
             p_exponent = float(Fraction(args.p_exp))
         except ZeroDivisionError:
             raise ValueError(f"--p-exp {args.p_exp} has a zero denominator") from None
-        p_scales = _csv_floats(args.p_scale)
+        p_scales = _csv_floats(args.p_scale) if args.p_scale is not None else (1.0,)
     cfg = ExperimentConfig(
         n_values=_csv_ints(args.n),
         trials=args.trials,
@@ -242,7 +245,6 @@ def _cmd_probe(args) -> int:
         p_exponent=p_exponent,
         p_scales=p_scales,
         modes=("random", "three-star") if args.mode == "both" else (args.mode,),
-        exact_oracle=not args.no_exact,
         exact_component_limit=args.exact_limit,
         out_path=args.out,
     )
@@ -311,12 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="comma-separated n values")
     p.add_argument("--p", default=None, help="comma-separated explicit p values")
     p.add_argument("--p-exp", default=None, help="exponent fraction, e.g. 1/6")
-    p.add_argument("--p-scale", default="1.0", help="comma-separated scales")
+    p.add_argument("--p-scale", default=None, help="comma-separated scales (default 1.0)")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--mode", choices=["random", "three-star", "both"], default="random")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--no-exact", action="store_true")
     p.add_argument("--exact-limit", type=int, default=60)
     p.set_defaults(func=_cmd_probe)
 

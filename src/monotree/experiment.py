@@ -46,7 +46,7 @@ CSV_HEADER = ",".join(
 class ExperimentConfig:
     """Grid definition: n values, p given either explicitly or as
     scale * (ln n / n) ** exponent per n, trials per cell, colouring
-    modes, master seed, and the exact-oracle policy."""
+    modes, master seed, and the exact-oracle component limit."""
 
     n_values: tuple[int, ...]
     trials: int
@@ -55,7 +55,6 @@ class ExperimentConfig:
     p_exponent: float | None = None
     p_scales: tuple[float, ...] = ()
     modes: tuple[str, ...] = (MODE_RANDOM,)
-    exact_oracle: bool = True
     exact_component_limit: int = 60
     out_path: str | None = None
 
@@ -161,7 +160,7 @@ def run_trial(cfg: ExperimentConfig, n: int, p: float, mode: str, trial: int) ->
         cg = colour_random(g, _mix(base_seed, 1))
     cover, trace = solve_cover(cg, SolverConfig())
     exact_size: int | None = None
-    if cfg.exact_oracle and trace.component_count <= cfg.exact_component_limit:
+    if trace.component_count <= cfg.exact_component_limit:
         if trace.exact_size is not None:
             exact_size = trace.exact_size
         else:

@@ -22,6 +22,11 @@ from .graphs import COLOURS, Colour
 CompRef = tuple[int, int]
 
 
+def refs_json(refs: Iterable[CompRef]) -> list[list]:
+    """Component references as JSON: [colour name, component id] pairs."""
+    return [[Colour(c).name.lower(), cid] for c, cid in refs]
+
+
 @dataclass(frozen=True)
 class ComponentHypergraph:
     """3-partite 3-uniform hypergraph of component triples.
@@ -57,7 +62,6 @@ class CoverCertificate:
     """
 
     cover: tuple[CompRef, ...]
-    method: str  # "exact" | "konig"
 
     @property
     def size(self) -> int:
@@ -119,12 +123,11 @@ def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> CoverCertific
         raise ValueError("k_max must be non-negative")
     edge_refs = [h.refs_of(e) for e in h.edges]
     if not edge_refs:
-        return CoverCertificate((), "exact")
+        return CoverCertificate(())
 
     greedy = _greedy_cover(edge_refs)
-    cap = k_max + 1 if k_max is not None else len(greedy) + 1
     best: list[CompRef] = greedy
-    bound = min(len(greedy), cap)
+    bound = len(greedy) if k_max is None else min(len(greedy), k_max + 1)
 
     incidence: dict[CompRef, set[int]] = {}
     for i, refs in enumerate(edge_refs):
@@ -158,9 +161,7 @@ def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> CoverCertific
     search(all_indices, [])
     if k_max is not None and len(best) > k_max:
         return None
-    if len(best) >= cap:
-        return None
-    return CoverCertificate(tuple(sorted(best)), "exact")
+    return CoverCertificate(tuple(sorted(best)))
 
 
 def nu_exact(h: ComponentHypergraph) -> MatchingCertificate:
@@ -358,7 +359,7 @@ def konig_cover(l: BipartiteGraph, m: MatchingCertificate) -> CoverCertificate:
                 raise RuntimeError(
                     f"edge ({a}, {b}) uncovered; matching not maximum"
                 )
-    return CoverCertificate(cover, "konig")
+    return CoverCertificate(cover)
 
 
 def matching_to_independent_set(

@@ -2,10 +2,12 @@
 
 The generator is splitmix64 (Steele, Lea and Flood's splittable generator),
 chosen because it is tiny, widely documented, and exactly reproducible with
-plain integer arithmetic on any platform.  Child streams for cells, trials
-and sub-operations are always derived with `derive_seed`, never by
-continuing a parent stream, so adding a consumer somewhere never shifts the
-draws seen elsewhere.
+plain integer arithmetic on any platform.  Child streams are always
+derived, never taken by continuing a parent stream, so adding a consumer
+somewhere never shifts the draws seen elsewhere.  Sub-operations derive
+theirs with `derive_seed`; the experiment driver's per-trial seeds come
+from its own mix chain over the cell coordinates (`experiment.trial_seed`,
+built on `finalise64`).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ verified before they leave `solve_cover`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .components import (
@@ -39,6 +39,7 @@ from .hypergraph import (
     konig_cover,
     link_union,
     max_matching_bipartite,
+    refs_json,
     tau_exact,
 )
 
@@ -123,7 +124,7 @@ class TraceReport:
             "alpha": self.alpha,
             "branch": self.branch,
             "component_count": self.component_count,
-            "cover": [[Colour(c).name.lower(), i] for c, i in self.cover_refs],
+            "cover": refs_json(self.cover_refs),
             "notes": list(self.notes),
         }
         if self.strategy_size is not None:
@@ -145,9 +146,7 @@ class TraceReport:
         if self.j_witnesses is not None:
             out["j_witnesses"] = dict(self.j_witnesses)
         if self.winning_candidate is not None:
-            out["winning_candidate"] = [
-                [Colour(c).name.lower(), i] for c, i in self.winning_candidate
-            ]
+            out["winning_candidate"] = refs_json(self.winning_candidate)
         return out
 
 
@@ -169,6 +168,36 @@ def _dedupe(refs: Iterable[CompRef]) -> tuple[CompRef, ...]:
     return tuple(dict.fromkeys(refs))
 
 
+def _covering_candidate(
+    lab: ComponentLabelling,
+    full: int,
+    candidates: Iterable[tuple[CompRef, ...]],
+) -> tuple[CompRef, ...] | None:
+    """The first candidate whose components cover `full`, deduplicated and
+    sorted, or None when no candidate covers."""
+    for cand in candidates:
+        refs = _dedupe(cand)
+        if _union_mask(lab, refs) == full:
+            return tuple(sorted(refs))
+    return None
+
+
+def _finish(
+    trace: TraceReport,
+    winner: tuple[CompRef, ...] | None,
+    branch: str = "",
+    failure: str = "",
+) -> tuple[tuple[CompRef, ...] | None, TraceReport]:
+    """Every strategy's exit: record the winner and the branch that found
+    it, or, when there is no winner, the `failure` note saying why."""
+    if winner is None:
+        trace.notes.append(failure)
+        return None, trace
+    trace.branch = branch
+    trace.winning_candidate = winner
+    return winner, trace
+
+
 def egp_partition_search(f: ShortcutGraph) -> tuple[CompRef, ...]:
     """Exact search for at most two covering components of a complete
     closure graph: all single components first, then all pairs, in colour
@@ -181,19 +210,15 @@ def egp_partition_search(f: ShortcutGraph) -> tuple[CompRef, ...]:
     full = f.base.graph.full_mask
     if full == 0:
         return ()
-    comps: list[tuple[CompRef, int]] = []
-    for c in COLOURS:
-        for cid in lab.component_ids(c):
-            comps.append(((c, cid), lab.members[c][cid]))
-    for ref, mask in comps:
-        if mask == full:
-            return (ref,)
-    for (ref_a, mask_a), (ref_b, mask_b) in combinations(comps, 2):
-        if mask_a | mask_b == full:
-            return (ref_a, ref_b)
-    raise RuntimeError(
-        "no covering pair of components; input closure graph is not complete"
+    refs = [(c, cid) for c in COLOURS for cid in lab.component_ids(c)]
+    winner = _covering_candidate(
+        lab, full, chain(((ref,) for ref in refs), combinations(refs, 2))
     )
+    if winner is None:
+        raise RuntimeError(
+            "no covering pair of components; input closure graph is not complete"
+        )
+    return winner
 
 
 def strategy_alpha_ge3(
@@ -202,7 +227,7 @@ def strategy_alpha_ge3(
     """Cover attempt from an independent triple of the closure graph.
 
     Groups the common neighbourhood of the triple by the colour pattern it
-    sends to the three vertices, keeps the rainbow patterns (a repeated
+    sends to the three vertices (every pattern is rainbow: a repeated
     colour would be a single-colour path between two triple vertices),
     takes the largest group, and tests all triples of the five components
     it names: each triple vertex with its pattern colour plus the two
@@ -218,16 +243,14 @@ def strategy_alpha_ge3(
             raise ValueError(f"vertices {a} and {b} are adjacent in the closure graph")
     common = cg.graph.common_neighbourhood(triple)
     if common == 0:
-        trace.notes.append("triple has no common neighbour")
-        return None, trace
+        return _finish(trace, None, failure="triple has no common neighbour")
+    # Every pattern is rainbow: a common neighbour sending one colour c to two
+    # triple vertices would put both in its c-component, making them adjacent
+    # in the closure, which was ruled out above.
     groups: dict[tuple[Colour, Colour, Colour], int] = {}
     for w in iter_bits(common):
         pat = (cg.colour_of(w, v1), cg.colour_of(w, v2), cg.colour_of(w, v3))
-        if len(set(pat)) == 3:
-            groups[pat] = groups.get(pat, 0) | (1 << w)
-    if not groups:
-        trace.notes.append("no rainbow colour pattern in the common neighbourhood")
-        return None, trace
+        groups[pat] = groups.get(pat, 0) | (1 << w)
     pattern = min(groups, key=lambda p: (-groups[p].bit_count(), p))
     x_mask = groups[pattern]
     c1, c2, c3 = pattern
@@ -243,28 +266,13 @@ def strategy_alpha_ge3(
             (int(c2), lab.id_of(c2, v3)),
         ]
     )
-    full = cg.graph.full_mask
-    size = min(3, len(five))
-    for combo in combinations(five, size):
-        if _union_mask(lab, combo) == full:
-            winner = tuple(sorted(combo))
-            trace.branch = BRANCH_ALPHA3
-            trace.winning_candidate = winner
-            return winner, trace
-    trace.notes.append("no covering triple among the five candidate components")
-    return None, trace
-
-
-def _covering_candidate(
-    lab: ComponentLabelling,
-    full: int,
-    candidates: Sequence[tuple[CompRef, ...]],
-) -> tuple[CompRef, ...] | None:
-    for cand in candidates:
-        refs = _dedupe(cand)
-        if _union_mask(lab, refs) == full:
-            return tuple(sorted(refs))
-    return None
+    winner = _covering_candidate(
+        lab, cg.graph.full_mask, combinations(five, min(3, len(five)))
+    )
+    return _finish(
+        trace, winner, BRANCH_ALPHA3,
+        "no covering triple among the five candidate components",
+    )
 
 
 def _case2_candidates(
@@ -327,9 +335,7 @@ def strategy_alpha2(
         # always covers the whole vertex set.
         if _union_mask(lab, refs) != full:
             raise RuntimeError("link cover failed to cover the vertex set")
-        trace.branch = BRANCH_KONIG
-        trace.winning_candidate = refs
-        return refs, trace
+        return _finish(trace, refs, BRANCH_KONIG)
 
     edges4 = list(m.edges[:4])
     origin = link.origin or {}
@@ -341,70 +347,41 @@ def strategy_alpha2(
     r1 = min(coverage, key=lambda r: (-coverage[r], r))
     assigned = [e for e, os in zip(edges4, origins) if r1 in os]
     rest = [e for e, os in zip(edges4, origins) if r1 not in os]
+    r2 = None
     if rest:
-        shared = set.intersection(
-            *[os for e, os in zip(edges4, origins) if r1 not in os]
-        )
+        shared = set.intersection(*[os for os in origins if r1 not in os])
         if not shared:
-            trace.notes.append(
-                "matching spans more than two red-component links"
+            return _finish(
+                trace, None, failure="matching spans more than two red-component links"
             )
-            return None, trace
         r2 = min(shared)
-    else:
-        r2 = None
 
-    if len(rest) == 2:
-        trace.case = 1
-        ordered = assigned + rest  # positions 1,2 in the r1 link; 3,4 in r2
-        trace.j_witnesses = {
-            "J1": h.witness[(r1, ordered[0][0], ordered[0][1])],
-            "J2": h.witness[(r1, ordered[1][0], ordered[1][1])],
-            "J3": h.witness[(r2, ordered[2][0], ordered[2][1])],
-            "J4": h.witness[(r2, ordered[3][0], ordered[3][1])],
-        }
+    # rest never holds more than two edges: r1 has the largest coverage and
+    # r2 lies on every edge of rest, so
+    # 4 - len(rest) = coverage[r1] >= coverage[r2] >= len(rest).
+    # Its 2, 1 or 0 edges give the 2+2, 3+1 and 4+0 cases; the witnesses
+    # number the edges in the r1 link first, then those in the r2 link.
+    trace.case = 3 - len(rest)
+    ordered = assigned + rest
+    trace.j_witnesses = {
+        f"J{i + 1}": h.witness[(r1 if i < len(assigned) else r2, *e)]
+        for i, e in enumerate(ordered)
+    }
+    if trace.case == 1:
         winner = _covering_candidate(lab, full, _case1_candidates(r1, r2, ordered))
-        if winner is None:
-            trace.notes.append("2+2 case candidates exhausted")
-            return None, trace
-        trace.branch = BRANCH_CASE1
-        trace.winning_candidate = winner
-        return winner, trace
-
-    if len(rest) == 1:
-        trace.case = 2
-        three, fourth = assigned, rest[0]
-        trace.j_witnesses = {
-            f"J{i + 1}": h.witness[(r1, e[0], e[1])] for i, e in enumerate(three)
-        }
-        trace.j_witnesses["J4"] = h.witness[(r2, fourth[0], fourth[1])]
+        return _finish(trace, winner, BRANCH_CASE1, "2+2 case candidates exhausted")
+    if trace.case == 2:
         winner = _covering_candidate(
-            lab, full, _case2_candidates(lab, r1, r2, fourth)
+            lab, full, _case2_candidates(lab, r1, r2, rest[0])
         )
-        if winner is None:
-            trace.notes.append("3+1 case candidates exhausted")
-            return None, trace
-        trace.branch = BRANCH_CASE2
-        trace.winning_candidate = winner
-        return winner, trace
-
-    if len(rest) > 2:
-        trace.notes.append("matching spans more than two red-component links")
-        return None, trace
+        return _finish(trace, winner, BRANCH_CASE2, "3+1 case candidates exhausted")
 
     # 4+0: all four matching edges in the r1 link.
-    trace.case = 3
-    trace.j_witnesses = {
-        f"J{i + 1}": h.witness[(r1, e[0], e[1])] for i, e in enumerate(edges4)
-    }
     others = [e for e in h.edges if e[0] != r1]
     if not others:
         # Every hyperedge passes through r1, so r1 alone covers everything.
-        winner = ((0, r1),)
         trace.notes.append("all hyperedges share the pivot red component")
-        trace.branch = BRANCH_CASE3
-        trace.winning_candidate = winner
-        return winner, trace
+        return _finish(trace, ((0, r1),), BRANCH_CASE3)
     greens = [g for g, _ in edges4]
     blues = [b for _, b in edges4]
     for r2x, gx, bx in others:
@@ -418,9 +395,7 @@ def strategy_alpha2(
         )
         if winner is not None:
             trace.notes.append("4+0 case re-routed through a 3+1 analysis")
-            trace.branch = BRANCH_CASE3
-            trace.winning_candidate = winner
-            return winner, trace
+            return _finish(trace, winner, BRANCH_CASE3)
     # No re-route: the first hyperedge outside the r1 link meets a matched
     # green component and a matched blue component of a different edge.
     r2x, gx, bx = others[0]
@@ -438,12 +413,7 @@ def strategy_alpha2(
         cands.append(((0, r1), (1, gx), (2, c)))
     cands.append(((0, r1), (2, bx), (1, gx)))
     winner = _covering_candidate(lab, full, cands)
-    if winner is None:
-        trace.notes.append("4+0 case candidates exhausted")
-        return None, trace
-    trace.branch = BRANCH_CASE3
-    trace.winning_candidate = winner
-    return winner, trace
+    return _finish(trace, winner, BRANCH_CASE3, "4+0 case candidates exhausted")
 
 
 def components_to_trees(

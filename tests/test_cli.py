@@ -1,9 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from monotree import Colour, ColouredGraph, dumps, loads
-from monotree.cli import main
+from monotree.cli import build_parser, main
 
 R, G, B = Colour.RED, Colour.GREEN, Colour.BLUE
 
@@ -143,6 +145,12 @@ class TestProbe:
         assert code == 0
         assert len(open(out_path).read().strip().split("\n")) == 2
 
+    def test_probe_scale_defaults_to_one(self, capsys):
+        args = ("probe", "--n", "30", "--p-exp", "1/6", "--trials", "2", "--seed", "4")
+        code, default = run(capsys, *args)
+        assert code == 0
+        assert run(capsys, *args, "--p-scale", "1.0") == (0, default)
+
 
 class TestErrors:
     def test_malformed_file_reports_error(self, capsys, tmp_path):
@@ -168,6 +176,58 @@ class TestErrors:
             "error: cell (n=20, p=0.5, mode=random) is listed more than once\n"
         )
 
+    def test_infeasible_grid_reports_error(self, capsys):
+        code = main(
+            ["probe", "--n", "30,40", "--p-exp", "1/6", "--p-scale", "1.0,1.5", "--trials", "3"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: cell (n=30) has p=1.0435414142893742 outside (0, 1]\n"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [("--p-exp", "1/6"), ("--p-scale", "1.0,2.0"), ("--p-exp", "1/6", "--p-scale", "1.0,2.0")],
+        ids=["p-exp", "p-scale", "both"],
+    )
+    def test_explicit_p_rejects_exponent_options(self, capsys, extra):
+        code = main(["probe", "--n", "20", "--p", "0.5", *extra, "--trials", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --p cannot be combined with --p-exp or --p-scale\n"
+
     def test_missing_file_reports_error(self, capsys):
         code = main(["solve", "/nonexistent/file.txt"])
         assert code == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """Argument lists of the `monotree ...` lines in README's Command line
+    block, with backslash continuations joined and comments dropped."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["monotree"]:
+            commands.append(words[1:])
+    return commands
+
+
+README_COMMANDS = readme_commands()
+
+
+def test_readme_lists_every_subcommand():
+    assert sorted(argv[0] for argv in README_COMMANDS) == sorted(
+        ["gen", "components", "shortcut", "hyper", "solve", "oracle", "check-pseudo", "probe"]
+    )
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
+def test_readme_command_parses(argv):
+    # a flag that the parser no longer knows exits with status 2
+    build_parser().parse_args(argv)

@@ -127,7 +127,7 @@ class TestRunTrial:
     def test_exact_oracle_disabled(self):
         cfg = ExperimentConfig(
             n_values=(30,), trials=1, seed=5, p_values=(0.5,),
-            modes=(MODE_RANDOM,), exact_oracle=False,
+            modes=(MODE_RANDOM,), exact_component_limit=0,
         )
         rec = run_trial(cfg, 30, 0.5, MODE_RANDOM, 0)
         assert rec.exact_size is None

@@ -1,11 +1,9 @@
-"""Smoke runs of the experiment scripts on tiny grids."""
+"""Smoke runs of the experiment scripts on tiny inputs."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
-
-from monotree import CSV_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,19 +17,6 @@ def run_script(name, *args, cwd):
         [sys.executable, str(ROOT / "scripts" / name), *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
-
-
-def test_probe_grid(tmp_path):
-    out = tmp_path / "grid.csv"
-    proc = run_script(
-        "probe_grid.py", "--n", "30", "--scales", "1.0", "--trials", "2",
-        "--out", str(out), cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = out.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert [line.split(",")[2] for line in lines[1:]] == ["random", "three-star"]
-    assert proc.stdout.endswith(f"wrote {out}\n")
 
 
 def test_threestar_oracle(tmp_path):

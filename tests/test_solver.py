@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -237,12 +240,20 @@ class TestStrategyAlpha2:
         assert cover.size == support.min_component_cover_size(cg) == 2
 
     def test_case3_single_red_component_covers(self):
-        # every vertex lies in the one red component: its link holds a
-        # 4-matching but the red component alone is a cover
+        # every vertex lies in the one red component; the link matching has
+        # only three edges, so the konig route fires before any case split
         items = [(v, v + 1, R) for v in range(4)]
         items += [(0, 2, G), (1, 3, G), (0, 3, B), (1, 4, B)]
         cg = cg_from(5, items)
         (refs, details), f = self._run(cg)
+        assert (refs, details.to_json()) == (
+            ((1, 0), (1, 1), (1, 4)),
+            {
+                "alpha": "", "branch": "konig", "component_count": 0, "cover": [],
+                "matching": [[0, 2], [1, 0], [4, 1]], "notes": [], "nu_link": 3,
+                "winning_candidate": [["green", 0], ["green", 1], ["green", 4]],
+            },
+        )
         if details.case == 3 and refs is not None:
             assert support.min_component_cover_size(cg) <= len(refs)
 
@@ -277,10 +288,17 @@ class TestEgpPartitionSearch:
         # the acceptance suite runs all 3^10 colourings; a sample here
         pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
         rng = SplitMix64(31337)
+        found = []
         for _ in range(500):
             items = [(u, v, Colour(rng.randrange(3))) for u, v in pairs]
             refs = egp_partition_search(shortcut_graph(cg_from(5, items)))
             assert 1 <= len(refs) <= 2
+            found.append(refs)
+        # 408 single components and 92 pairs, pinned by their JSON digest
+        assert sum(len(refs) == 2 for refs in found) == 92
+        assert hashlib.sha256(json.dumps(found).encode()).hexdigest() == (
+            "bacd46a5a463ba803f546773bad4fdf386bec189388dec69dbeae6b589bae55e"
+        )
 
     def test_incomplete_input_raises(self):
         # three isolated vertices need three singleton components, so the
@@ -375,6 +393,16 @@ class TestVerifyCover:
 # solve_cover traces of the hand-built branch instances above, pinned
 # literally so that a dropped note, witness or field shows up.
 TRACE_PINS = [
+    (
+        "egp",
+        lambda: cg_from(
+            4, [(0, 1, R), (2, 3, R), (0, 2, B), (0, 3, B), (1, 2, B), (1, 3, B)]
+        ),
+        {
+            "alpha": "one", "branch": "egp", "component_count": 7,
+            "cover": [["blue", 0]], "exact_size": 1, "notes": [], "strategy_size": 1,
+        },
+    ),
     (
         "alpha-ge3",
         k6_star_instance,

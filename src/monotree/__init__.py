@@ -12,7 +12,6 @@ instances.
 from .components import (
     AlphaClass,
     ComponentLabelling,
-    ShortcutGraph,
     alpha_class,
     monochromatic_components,
     shortcut_graph,

@@ -104,8 +104,7 @@ def _cmd_components(args) -> int:
 
 def _cmd_shortcut(args) -> int:
     cg = load(args.file)
-    f = shortcut_graph(cg)
-    _write_text(args.out, dumps(f.base))
+    _write_text(args.out, dumps(shortcut_graph(cg)))
     return 0
 
 
@@ -318,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["random", "three-star", "both"], default="random")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--exact-limit", type=int, default=60)
+    p.add_argument(
+        "--exact-limit", type=int, default=60,
+        help="report an exact cover size on trials with at most this many components",
+    )
     p.set_defaults(func=_cmd_probe)
 
     return parser

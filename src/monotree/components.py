@@ -3,8 +3,9 @@
 Covers three things: the per-colour partition of the vertex set into
 connected components of each colour class (isolated vertices count as
 singleton components in every colour), the closure of a coloured graph
-under single-colour connectivity together with its inherited colouring,
-and the independence-number trichotomy on that closure.
+under single-colour connectivity, read off that labelling, and the
+independence-number trichotomy on the closure.  The closure's inherited
+colouring is built only on request, by `shortcut_graph`.
 """
 
 from __future__ import annotations
@@ -47,6 +48,18 @@ class ComponentLabelling:
     def component_count(self) -> int:
         return sum(len(self.members[c]) for c in range(3))
 
+    def closure(self) -> SimpleGraph:
+        """The closure graph: u and v are adjacent iff some colour puts
+        them in one component."""
+        (red, green, blue), (m_red, m_green, m_blue) = self.comp_id, self.members
+        return SimpleGraph(
+            self.n,
+            tuple(
+                (m_red[red[v]] | m_green[green[v]] | m_blue[blue[v]]) & ~(1 << v)
+                for v in range(self.n)
+            ),
+        )
+
 
 def _colour_components(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, int]]:
     # Frontier walk over one colour's bitset rows.  Each walk starts from
@@ -80,43 +93,21 @@ def monochromatic_components(cg: ColouredGraph) -> ComponentLabelling:
     )
 
 
-@dataclass(frozen=True)
-class ShortcutGraph:
-    """Closure of a coloured graph under single-colour connectivity.
-
-    `base` has an edge uv iff u and v lie in one component of some colour
-    of the input graph; a direct edge keeps its input colour, a new edge
-    takes the smallest colour whose component joins the pair.  With that
-    rule the per-colour component partitions of `base` and the input
-    coincide, so `labelling` serves both.
-    """
-
-    base: ColouredGraph
-    labelling: ComponentLabelling
-
-
-def shortcut_graph(cg: ColouredGraph) -> ShortcutGraph:
-    """Build the single-colour-connectivity closure of cg."""
+def shortcut_graph(cg: ColouredGraph) -> ColouredGraph:
+    """The single-colour-connectivity closure of cg with its inherited
+    colouring: a direct edge keeps its input colour, a new edge takes the
+    smallest colour whose component joins the pair.  With that rule the
+    per-colour component partitions of the closure and cg coincide."""
     lab = monochromatic_components(cg)
-    n = cg.n
-    same = [
-        [lab.members[c][lab.comp_id[c][v]] & ~(1 << v) for v in range(n)]
-        for c in COLOURS
-    ]
-    adj = cg.graph.adj
-    red = tuple(
-        cg.colour_adj[0][v] | (same[0][v] & ~adj[v]) for v in range(n)
-    )
-    green = tuple(
-        cg.colour_adj[1][v] | (same[1][v] & ~adj[v] & ~same[0][v]) for v in range(n)
-    )
-    blue = tuple(
-        cg.colour_adj[2][v]
-        | (same[2][v] & ~adj[v] & ~same[0][v] & ~same[1][v])
-        for v in range(n)
-    )
-    closure = SimpleGraph(n, tuple(red[v] | green[v] | blue[v] for v in range(n)))
-    return ShortcutGraph(ColouredGraph(closure, (red, green, blue)), lab)
+    closure = lab.closure()
+    rows: tuple[list[int], list[int], list[int]] = ([], [], [])
+    for v in range(cg.n):
+        new = closure.adj[v] & ~cg.graph.adj[v]
+        for c in COLOURS:
+            joined = new & lab.members[c][lab.comp_id[c][v]]
+            rows[c].append(cg.colour_adj[c][v] | joined)
+            new &= ~joined
+    return ColouredGraph(closure, tuple(tuple(r) for r in rows))  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -132,9 +123,9 @@ class AlphaClass:
     witness: tuple[int, int, int] | None = None
 
 
-def alpha_class(f: ShortcutGraph) -> AlphaClass:
-    """Exact trichotomy on the independence number of f.base."""
-    g = f.base.graph
+def alpha_class(lab: ComponentLabelling) -> AlphaClass:
+    """Exact trichotomy on the independence number of the closure graph."""
+    g = lab.closure()
     n = g.n
     full = g.full_mask
     if all(g.adj[v] | (1 << v) == full for v in range(n)):

@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise ValueError("specify exactly one of p_values or p_exponent")
         if self.p_exponent is not None and not self.p_scales:
             raise ValueError("p_exponent requires p_scales")
+        if self.p_values and self.p_scales:
+            raise ValueError("p_scales requires p_exponent, not p_values")
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown colouring mode {mode!r}")

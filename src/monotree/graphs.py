@@ -330,50 +330,55 @@ def dumps(cg: ColouredGraph) -> str:
 def loads(text: str) -> ColouredGraph:
     """Parse the text interchange format; raises GraphFormatError with the
     offending line number on malformed input."""
-    n: int | None = None
-    items: list[tuple[int, int, Colour]] = []
-    seen: dict[tuple[int, int], Colour] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise GraphFormatError(f"line {lineno}: expected header 'n <count>'")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: vertex count is not an integer")
-            if n < 0:
-                raise GraphFormatError(f"line {lineno}: vertex count must be >= 0")
-            continue
-        if len(parts) != 3:
-            raise GraphFormatError(f"line {lineno}: expected 'u v c'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: endpoints are not integers")
-        if parts[2] not in LETTER_TO_COLOUR:
-            raise GraphFormatError(f"line {lineno}: colour must be one of r, g, b")
-        c = LETTER_TO_COLOUR[parts[2]]
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop {u} {v}")
-        if not 0 <= u < v:
-            raise GraphFormatError(f"line {lineno}: need 0 <= u < v, got {u} {v}")
-        if v >= n:
-            raise GraphFormatError(f"line {lineno}: vertex {v} out of range for n={n}")
-        if (u, v) in seen:
-            if seen[(u, v)] != c:
-                raise GraphFormatError(
-                    f"line {lineno}: edge {u} {v} already declared with another colour"
-                )
-            continue
-        seen[(u, v)] = c
-        items.append((u, v, c))
-    if n is None:
+    lines = (
+        (lineno, parts)
+        for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1)
+        if parts and not parts[0].startswith("#")
+    )
+    lineno, parts = next(lines, (1, None))
+    if parts is None:
         raise GraphFormatError("line 1: missing header 'n <count>'")
-    return ColouredGraph.from_edge_colours(n, items)
+    if len(parts) != 2 or parts[0] != "n":
+        raise GraphFormatError(f"line {lineno}: expected header 'n <count>'")
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: vertex count is not an integer")
+    if n < 0:
+        raise GraphFormatError(f"line {lineno}: vertex count must be >= 0")
+    last = (0, 0, 0)  # (line, u, v) of the edge handed over last
+
+    def edges() -> Iterator[tuple[int, int, Colour]]:
+        nonlocal last
+        for lineno, parts in lines:
+            if len(parts) != 3:
+                raise GraphFormatError(f"line {lineno}: expected 'u v c'")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: endpoints are not integers")
+            if parts[2] not in LETTER_TO_COLOUR:
+                raise GraphFormatError(f"line {lineno}: colour must be one of r, g, b")
+            if u == v:
+                raise GraphFormatError(f"line {lineno}: self-loop {u} {v}")
+            if not 0 <= u < v:
+                raise GraphFormatError(f"line {lineno}: need 0 <= u < v, got {u} {v}")
+            if v >= n:
+                raise GraphFormatError(f"line {lineno}: vertex {v} out of range for n={n}")
+            last = (lineno, u, v)
+            yield u, v, LETTER_TO_COLOUR[parts[2]]
+
+    try:
+        return ColouredGraph.from_edge_colours(n, edges())
+    except GraphFormatError:
+        raise
+    except ValueError:
+        # Every edge was validated above, so only the two-colour rule of
+        # from_edge_colours can reject one.
+        lineno, u, v = last
+        raise GraphFormatError(
+            f"line {lineno}: edge {u} {v} already declared with another colour"
+        ) from None
 
 
 def store(path: str, cg: ColouredGraph) -> None:

@@ -1,7 +1,9 @@
 """End-to-end cover pipeline.
 
-Build the single-colour-connectivity closure of the input, classify its
-independence number, and run the matching constructive strategy:
+Label the single-colour components of the input, classify the
+independence number of the closure they define (u ~ v when some colour
+puts u and v in one component), and run the matching constructive
+strategy on the components:
 
 * complete closure: exact search for one or two covering components;
 * independent triple: rainbow-pattern analysis of a common neighbourhood,
@@ -24,13 +26,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
-from .components import (
-    ComponentLabelling,
-    ShortcutGraph,
-    alpha_class,
-    monochromatic_components,
-    shortcut_graph,
-)
+from .components import ComponentLabelling, alpha_class, monochromatic_components
 from .graphs import COLOURS, Colour, ColouredGraph, iter_bits
 from .hypergraph import (
     CompRef,
@@ -198,7 +194,7 @@ def _finish(
     return winner, trace
 
 
-def egp_partition_search(f: ShortcutGraph) -> tuple[CompRef, ...]:
+def egp_partition_search(lab: ComponentLabelling) -> tuple[CompRef, ...]:
     """Exact search for at most two covering components of a complete
     closure graph: all single components first, then all pairs, in colour
     then id order.
@@ -206,8 +202,7 @@ def egp_partition_search(f: ShortcutGraph) -> tuple[CompRef, ...]:
     A covering pair always exists for a complete 3-coloured graph, so
     exhausting the pairs raises: it means the input was not complete.
     """
-    lab = f.labelling
-    full = f.base.graph.full_mask
+    full = (1 << lab.n) - 1
     if full == 0:
         return ()
     refs = [(c, cid) for c in COLOURS for cid in lab.component_ids(c)]
@@ -222,7 +217,7 @@ def egp_partition_search(f: ShortcutGraph) -> tuple[CompRef, ...]:
 
 
 def strategy_alpha_ge3(
-    cg: ColouredGraph, f: ShortcutGraph, triple: tuple[int, int, int]
+    cg: ColouredGraph, lab: ComponentLabelling, triple: tuple[int, int, int]
 ) -> tuple[tuple[CompRef, ...] | None, TraceReport]:
     """Cover attempt from an independent triple of the closure graph.
 
@@ -239,7 +234,8 @@ def strategy_alpha_ge3(
     v1, v2, v3 = triple
     trace = TraceReport(triple=triple)
     for a, b in ((v1, v2), (v1, v3), (v2, v3)):
-        if f.base.graph.has_edge(a, b):
+        # Sharing a component of some colour is adjacency in the closure.
+        if any(ids[a] == ids[b] for ids in lab.comp_id):
             raise ValueError(f"vertices {a} and {b} are adjacent in the closure graph")
     common = cg.graph.common_neighbourhood(triple)
     if common == 0:
@@ -256,7 +252,6 @@ def strategy_alpha_ge3(
     c1, c2, c3 = pattern
     trace.x_size = x_mask.bit_count()
     trace.colour_pattern = tuple(c.name.lower() for c in pattern)
-    lab = f.labelling
     five = _dedupe(
         [
             (int(c1), lab.id_of(c1, v1)),
@@ -305,7 +300,7 @@ def _case1_candidates(
 
 
 def strategy_alpha2(
-    cg: ColouredGraph, f: ShortcutGraph, h: ComponentHypergraph
+    cg: ColouredGraph, lab: ComponentLabelling, h: ComponentHypergraph
 ) -> tuple[tuple[CompRef, ...] | None, TraceReport]:
     """Cover attempt through the union of red-component link graphs.
 
@@ -319,7 +314,6 @@ def strategy_alpha2(
 
     Returns (cover, trace); None signals the exact fallback.
     """
-    lab = f.labelling
     full = cg.graph.full_mask
     link = link_union(h, Colour.RED)
     m = max_matching_bipartite(link)
@@ -526,21 +520,20 @@ def solve_cover(
     The cover size is the smaller of the strategy result and the exact
     result.
     """
-    f = shortcut_graph(cg)
-    lab = f.labelling
-    ac = alpha_class(f)
+    lab = monochromatic_components(cg)
+    ac = alpha_class(lab)
 
     strategy_cover: tuple[CompRef, ...] | None
     h: ComponentHypergraph | None = None
     if ac.kind == "one":
-        strategy_cover = egp_partition_search(f)
+        strategy_cover = egp_partition_search(lab)
         trace = TraceReport(branch=BRANCH_EGP)
     elif ac.kind == "three_plus":
         assert ac.witness is not None
-        strategy_cover, trace = strategy_alpha_ge3(cg, f, ac.witness)
+        strategy_cover, trace = strategy_alpha_ge3(cg, lab, ac.witness)
     else:
         h = build_component_hypergraph(lab)
-        strategy_cover, trace = strategy_alpha2(cg, f, h)
+        strategy_cover, trace = strategy_alpha2(cg, lab, h)
     trace.alpha = ac.kind
     trace.component_count = lab.component_count()
     if strategy_cover is not None:

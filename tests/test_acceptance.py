@@ -36,7 +36,6 @@ from monotree import (
     monochromatic_components,
     nu_exact,
     probe_threshold,
-    shortcut_graph,
     solve_cover,
     tau_exact,
     verify_cover,
@@ -146,7 +145,7 @@ def test_criterion_3_exhaustive_k5_pair_search():
         cg = ColouredGraph.from_edge_colours(
             5, [(u, v, c) for (u, v), c in zip(pairs, assignment)]
         )
-        refs = egp_partition_search(shortcut_graph(cg))
+        refs = egp_partition_search(monochromatic_components(cg))
         if not 1 <= len(refs) <= 2:
             failures += 1
         count += 1
@@ -267,8 +266,8 @@ def test_criterion_7_hypergraph_inequalities():
         p = ps[trial % 5]
         seed = derive_seed(MASTER_SEED, 40_000 + trial)
         cg = colour_random(generate_gnp(n, p, seed), derive_seed(seed, 1))
-        f = shortcut_graph(cg)
-        h = build_component_hypergraph(f.labelling)
+        lab = monochromatic_components(cg)
+        h = build_component_hypergraph(lab)
         nu_cert = nu_exact(h)
         nu = nu_cert.size
         cert = tau_exact(h)
@@ -278,14 +277,15 @@ def test_criterion_7_hypergraph_inequalities():
             failures.append((trial, "sandwich", nu, tau))
         if tau > 2 * nu and nu > 0:
             failures.append((trial, "tripartite bound", nu, tau))
-        if alpha_class(f).kind == "two":
+        if alpha_class(lab).kind == "two":
             alpha_two_seen += 1
             if nu > 2:
                 failures.append((trial, "nu above independence", nu))
         verts = matching_to_independent_set(h, nu_cert)
+        closure = lab.closure()
         for i, u in enumerate(verts):
             for v in verts[i + 1 :]:
-                if f.base.graph.has_edge(u, v):
+                if closure.has_edge(u, v):
                     failures.append((trial, "witness adjacency", u, v))
     elapsed = time.perf_counter() - start
     ok = not failures

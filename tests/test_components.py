@@ -107,20 +107,20 @@ class TestMonochromaticComponents:
 class TestShortcutGraph:
     def test_red_path_closes_to_red_triangle(self):
         cg = cg_from(3, [(0, 1, Colour.RED), (1, 2, Colour.RED)])
-        f = shortcut_graph(cg)
-        assert f.base.graph.edge_count() == 3
-        assert f.base.colour_of(0, 2) == Colour.RED
+        closure = shortcut_graph(cg)
+        assert closure.graph.edge_count() == 3
+        assert closure.colour_of(0, 2) == Colour.RED
 
     def test_two_colour_path_adds_nothing(self):
         cg = cg_from(3, [(0, 1, Colour.RED), (1, 2, Colour.BLUE)])
-        f = shortcut_graph(cg)
-        assert sorted(f.base.graph.edges()) == [(0, 1), (1, 2)]
-        assert f.base.colour_of(0, 1) == Colour.RED
-        assert f.base.colour_of(1, 2) == Colour.BLUE
+        closure = shortcut_graph(cg)
+        assert sorted(closure.graph.edges()) == [(0, 1), (1, 2)]
+        assert closure.colour_of(0, 1) == Colour.RED
+        assert closure.colour_of(1, 2) == Colour.BLUE
 
     def test_empty_graph(self):
-        f = shortcut_graph(cg_from(4, []))
-        assert f.base.graph.edge_count() == 0
+        closure = shortcut_graph(cg_from(4, []))
+        assert closure.graph.edge_count() == 0
 
     def test_direct_edge_keeps_colour_over_smaller_shortcut(self):
         # 0-1 blue edge inside a green component {0,1,2}: the direct edge
@@ -128,93 +128,97 @@ class TestShortcutGraph:
         cg = cg_from(
             3, [(0, 1, Colour.BLUE), (0, 2, Colour.GREEN), (1, 2, Colour.GREEN)]
         )
-        f = shortcut_graph(cg)
-        assert f.base.colour_of(0, 1) == Colour.BLUE
+        closure = shortcut_graph(cg)
+        assert closure.colour_of(0, 1) == Colour.BLUE
 
     def test_new_edge_takes_smallest_colour(self):
         # 0 and 2 share a green component and a blue component but have no
         # direct edge: the inherited colour is green (the smaller colour).
         cg = cg_from(
-            3,
+            4,
             [
                 (0, 1, Colour.GREEN),
                 (1, 2, Colour.GREEN),
+                (0, 3, Colour.BLUE),
+                (2, 3, Colour.BLUE),
             ],
         )
-        f = shortcut_graph(cg)
-        assert f.base.colour_of(0, 2) == Colour.GREEN
+        closure = shortcut_graph(cg)
+        assert closure.colour_of(0, 2) == Colour.GREEN
 
     @settings(max_examples=60)
     @given(support.coloured_graphs(max_n=12))
     def test_source_edges_survive(self, cg):
-        f = shortcut_graph(cg)
+        closure = shortcut_graph(cg)
         for v in range(cg.n):
-            assert cg.graph.adj[v] & ~f.base.graph.adj[v] == 0
+            assert cg.graph.adj[v] & ~closure.graph.adj[v] == 0
         for u, v, c in cg.edges():
-            assert f.base.colour_of(u, v) == c
+            assert closure.colour_of(u, v) == c
 
     @settings(max_examples=40)
     @given(support.coloured_graphs(max_n=10))
     def test_idempotent_edge_sets(self, cg):
         once = shortcut_graph(cg)
-        twice = shortcut_graph(once.base)
-        assert twice.base.graph == once.base.graph
+        twice = shortcut_graph(once)
+        assert twice.graph == once.graph
 
     @settings(max_examples=40)
     @given(support.coloured_graphs(max_n=10))
     def test_component_partitions_preserved(self, cg):
-        f = shortcut_graph(cg)
+        closure = shortcut_graph(cg)
         lab_g = monochromatic_components(cg)
-        lab_f = monochromatic_components(f.base)
+        lab_f = monochromatic_components(closure)
         for c in COLOURS:
             assert lab_g.members[c] == lab_f.members[c]
 
     def test_component_preservation_at_scale(self):
         cg = colour_random(generate_gnp(120, 0.08, seed=4), seed=5)
-        f = shortcut_graph(cg)
-        lab_f = monochromatic_components(f.base)
+        lab = monochromatic_components(cg)
+        lab_f = monochromatic_components(shortcut_graph(cg))
         for c in COLOURS:
-            assert f.labelling.members[c] == lab_f.members[c]
+            assert lab.members[c] == lab_f.members[c]
 
 
 class TestAlphaClass:
     def test_complete_graph_is_one(self):
         cg = colour_random(SimpleGraph.complete(5), seed=0)
-        assert alpha_class(shortcut_graph(cg)).kind == "one"
+        assert alpha_class(monochromatic_components(cg)).kind == "one"
 
     def test_k5_minus_edge_is_two(self):
         # A red star at 0 and a green star at 1 close to K5 minus {0, 1}:
         # the only non-adjacent pair cannot extend to an independent triple.
         items = [(0, v, Colour.RED) for v in (2, 3, 4)]
         items += [(1, v, Colour.GREEN) for v in (2, 3, 4)]
-        f = shortcut_graph(cg_from(5, items))
-        assert f.base.graph.edge_count() == 9
-        assert not f.base.graph.has_edge(0, 1)
-        assert alpha_class(f).kind == "two"
+        lab = monochromatic_components(cg_from(5, items))
+        closure = lab.closure()
+        assert closure.edge_count() == 9
+        assert not closure.has_edge(0, 1)
+        assert alpha_class(lab).kind == "two"
 
     def test_empty_graph_witness_is_lex_smallest(self):
-        ac = alpha_class(shortcut_graph(cg_from(3, [])))
+        ac = alpha_class(monochromatic_components(cg_from(3, [])))
         assert ac.kind == "three_plus"
         assert ac.witness == (0, 1, 2)
 
     def test_single_vertex_and_empty_are_one(self):
-        assert alpha_class(shortcut_graph(cg_from(1, []))).kind == "one"
-        assert alpha_class(shortcut_graph(cg_from(0, []))).kind == "one"
+        assert alpha_class(monochromatic_components(cg_from(1, []))).kind == "one"
+        assert alpha_class(monochromatic_components(cg_from(0, []))).kind == "one"
 
     def test_two_isolated_vertices_are_two(self):
-        assert alpha_class(shortcut_graph(cg_from(2, []))).kind == "two"
+        assert alpha_class(monochromatic_components(cg_from(2, []))).kind == "two"
 
     @settings(max_examples=80)
     @given(support.coloured_graphs(max_n=15))
     def test_agrees_with_naive_trichotomy(self, cg):
-        f = shortcut_graph(cg)
-        ours = alpha_class(f)
+        lab = monochromatic_components(cg)
+        ours = alpha_class(lab)
+        closure = lab.closure()
         theirs = support.independence_trichotomy(
-            f.base.graph.n, support.adjacency_sets(f.base.graph.adj)
+            closure.n, support.adjacency_sets(closure.adj)
         )
         assert ours.kind == theirs
         if ours.witness is not None:
             u, v, w = ours.witness
-            assert not f.base.graph.has_edge(u, v)
-            assert not f.base.graph.has_edge(u, w)
-            assert not f.base.graph.has_edge(v, w)
+            assert not closure.has_edge(u, v)
+            assert not closure.has_edge(u, w)
+            assert not closure.has_edge(v, w)

@@ -55,6 +55,8 @@ class TestConfig:
             small_config(modes=("bogus",))
         with pytest.raises(ValueError):
             small_config(n_values=(3,))  # three-star needs n >= 4
+        with pytest.raises(ValueError, match="p_scales requires p_exponent"):
+            small_config(p_scales=(1.0, 2.0))  # would be ignored beside p_values
 
     def test_rejects_repeated_cell(self):
         repeated = r"cell \(n=20, p=0\.5, mode=random\) is listed more than once"

@@ -233,6 +233,39 @@ class TestSerialization:
         with pytest.raises(GraphFormatError):
             loads("0 1 r\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: missing header 'n <count>'"),
+            ("# only a comment\n\n", "line 1: missing header 'n <count>'"),
+            ("0 1 r\n", "line 1: expected header 'n <count>'"),
+            ("m 3\n", "line 1: expected header 'n <count>'"),
+            ("n 3 4\n", "line 1: expected header 'n <count>'"),
+            ("n x\n", "line 1: vertex count is not an integer"),
+            ("n 2.5\n", "line 1: vertex count is not an integer"),
+            ("n -1\n", "line 1: vertex count must be >= 0"),
+            ("n 3\n0 1\n", "line 2: expected 'u v c'"),
+            ("n 3\n0 1 r g\n", "line 2: expected 'u v c'"),
+            ("n 3\n0 a r\n", "line 2: endpoints are not integers"),
+            ("n 3\n0 1 x\n", "line 2: colour must be one of r, g, b"),
+            ("n 3\n0 0 r\n", "line 2: self-loop 0 0"),
+            ("n 3\n2 1 r\n", "line 2: need 0 <= u < v, got 2 1"),
+            ("n 3\n-1 2 r\n", "line 2: need 0 <= u < v, got -1 2"),
+            ("n 3\n0 3 r\n", "line 2: vertex 3 out of range for n=3"),
+            ("n 3\n0 1 r\n0 1 g\n", "line 3: edge 0 1 already declared with another colour"),
+            (
+                "# c\nn 4\n\n0 1 r\n  # x\n1 2 g\n0 1 r\n0 1 b\n2 3 r\n",
+                "line 8: edge 0 1 already declared with another colour",
+            ),
+            ("n 4\n0 1 r\n0 1 g\n0 9 r\n", "line 3: edge 0 1 already declared with another colour"),
+            ("n 4\n0 1 r\n0 1 r\n0 9 r\n", "line 4: vertex 9 out of range for n=4"),
+        ],
+    )
+    def test_error_messages_pinned(self, text, message):
+        with pytest.raises(GraphFormatError) as info:
+            loads(text)
+        assert str(info.value) == message
+
     @settings(max_examples=60)
     @given(support.coloured_graphs(max_n=10))
     def test_round_trip_identity(self, cg):

@@ -18,7 +18,6 @@ from monotree import (
     max_matching_bipartite,
     monochromatic_components,
     nu_exact,
-    shortcut_graph,
     tau_exact,
 )
 from monotree.hypergraph import is_cover
@@ -247,13 +246,14 @@ class TestMatchingToIndependentSet:
     @settings(max_examples=50, deadline=None)
     @given(support.coloured_graphs(max_n=12))
     def test_witnesses_are_independent_in_closure(self, cg):
-        f = shortcut_graph(cg)
-        h = build_component_hypergraph(f.labelling)
+        lab = monochromatic_components(cg)
+        h = build_component_hypergraph(lab)
         m = nu_exact(h)
         verts = matching_to_independent_set(h, m)
+        closure = lab.closure()
         for i, u in enumerate(verts):
             for v in verts[i + 1 :]:
-                assert not f.base.graph.has_edge(u, v)
+                assert not closure.has_edge(u, v)
 
 
 class TestInequalities:

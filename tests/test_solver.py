@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,9 @@ from monotree import (
     colour_random,
     colour_three_stars,
     components_to_trees,
+    dumps,
     egp_partition_search,
+    first_nonadjacent_triple,
     generate_gnp,
     monochromatic_components,
     nu_exact,
@@ -120,21 +123,21 @@ class TestSolveCover:
     @settings(max_examples=60, deadline=None)
     @given(support.coloured_graphs(max_n=10))
     def test_alpha_invariants(self, cg):
-        f = shortcut_graph(cg)
-        ac = alpha_class(f)
+        lab = monochromatic_components(cg)
+        ac = alpha_class(lab)
         cover, trace = solve_cover(cg)
         if ac.kind == "one":
             assert cover.size <= 2
         if ac.kind == "two":
-            h = build_component_hypergraph(f.labelling)
+            h = build_component_hypergraph(lab)
             assert nu_exact(h).size <= 2
 
 
 class TestStrategyAlphaGe3:
     def test_k6_star_neighbourhood_analysis(self):
         cg = k6_star_instance()
-        f = shortcut_graph(cg)
-        refs, details = strategy_alpha_ge3(cg, f, (0, 1, 2))
+        lab = monochromatic_components(cg)
+        refs, details = strategy_alpha_ge3(cg, lab, (0, 1, 2))
         assert details.x_size == 3
         assert details.colour_pattern == ("red", "green", "blue")
         assert refs is not None
@@ -143,24 +146,24 @@ class TestStrategyAlphaGe3:
     def test_no_common_neighbour_degenerates(self):
         # r, b, g pairwise non-adjacent with empty common neighbourhood
         cg = cg_from(5, [(0, 3, R), (1, 4, G)])
-        f = shortcut_graph(cg)
-        ac = alpha_class(f)
+        lab = monochromatic_components(cg)
+        ac = alpha_class(lab)
         assert ac.kind == "three_plus"
-        refs, details = strategy_alpha_ge3(cg, f, ac.witness)
+        refs, details = strategy_alpha_ge3(cg, lab, ac.witness)
         assert refs is None
         assert any("common neighbour" in note for note in details.notes)
 
     def test_three_isolated_vertices_degenerate(self):
         cg = cg_from(3, [])
-        f = shortcut_graph(cg)
-        refs, details = strategy_alpha_ge3(cg, f, (0, 1, 2))
+        lab = monochromatic_components(cg)
+        refs, details = strategy_alpha_ge3(cg, lab, (0, 1, 2))
         assert refs is None
 
     def test_adjacent_triple_rejected(self):
         cg = cg_from(3, [(0, 1, R)])
-        f = shortcut_graph(cg)
+        lab = monochromatic_components(cg)
         with pytest.raises(ValueError):
-            strategy_alpha_ge3(cg, f, (0, 1, 2))
+            strategy_alpha_ge3(cg, lab, (0, 1, 2))
 
     def test_fallback_covers_degenerate_instance(self):
         cg = cg_from(5, [(0, 3, R), (1, 4, G)])
@@ -172,9 +175,9 @@ class TestStrategyAlphaGe3:
 
 class TestStrategyAlpha2:
     def _run(self, cg):
-        f = shortcut_graph(cg)
-        h = build_component_hypergraph(f.labelling)
-        return strategy_alpha2(cg, f, h), f
+        lab = monochromatic_components(cg)
+        h = build_component_hypergraph(lab)
+        return strategy_alpha2(cg, lab, h), lab
 
     def test_single_vertex_konig_path(self):
         (refs, details), _ = self._run(cg_from(1, []))
@@ -186,14 +189,14 @@ class TestStrategyAlpha2:
         # all hyperedges share the one green component, so the link-graph
         # cover has size 1
         items = [(0, v, G) for v in range(1, 5)]
-        (refs, details), f = self._run(cg_from(5, items))
+        (refs, details), lab = self._run(cg_from(5, items))
         assert details.nu_link == 1
         assert refs == ((1, 0),)
 
     def test_case1_two_plus_two(self):
         cg = cg_from(4, [(0, 1, R), (2, 3, R)])
-        (refs, details), f = self._run(cg)
-        assert alpha_class(f).kind == "two"
+        (refs, details), lab = self._run(cg)
+        assert alpha_class(lab).kind == "two"
         assert details.case == 1
         assert details.j_witnesses == {"J1": 0, "J2": 1, "J3": 2, "J4": 3}
         assert refs is not None
@@ -203,8 +206,8 @@ class TestStrategyAlpha2:
 
     def test_case2_three_plus_one(self):
         cg = cg_from(5, [(0, 1, R), (1, 2, R), (3, 4, R)])
-        (refs, details), f = self._run(cg)
-        assert alpha_class(f).kind == "two"
+        (refs, details), lab = self._run(cg)
+        assert alpha_class(lab).kind == "two"
         assert details.case == 2
         assert details.nu_link == 5
         assert refs is not None
@@ -214,8 +217,8 @@ class TestStrategyAlpha2:
 
     def test_case3_reroute_to_three_plus_one(self):
         cg = cg_from(5, [(0, 1, R), (1, 2, R), (2, 3, R), (0, 4, G)])
-        (refs, details), f = self._run(cg)
-        assert alpha_class(f).kind == "two"
+        (refs, details), lab = self._run(cg)
+        assert alpha_class(lab).kind == "two"
         assert details.case == 3
         assert refs is not None
         assert any("re-routed" in note for note in details.notes)
@@ -229,8 +232,8 @@ class TestStrategyAlpha2:
         cg = cg_from(
             5, [(0, 1, R), (1, 2, R), (2, 3, R), (3, 4, G), (2, 4, B)]
         )
-        (refs, details), f = self._run(cg)
-        assert alpha_class(f).kind == "two"
+        (refs, details), lab = self._run(cg)
+        assert alpha_class(lab).kind == "two"
         assert details.case == 3
         assert "J5" in details.j_witnesses
         assert details.j_witnesses["J5"] == 4
@@ -245,7 +248,7 @@ class TestStrategyAlpha2:
         items = [(v, v + 1, R) for v in range(4)]
         items += [(0, 2, G), (1, 3, G), (0, 3, B), (1, 4, B)]
         cg = cg_from(5, items)
-        (refs, details), f = self._run(cg)
+        (refs, details), lab = self._run(cg)
         assert (refs, details.to_json()) == (
             ((1, 0), (1, 1), (1, 4)),
             {
@@ -260,13 +263,13 @@ class TestStrategyAlpha2:
     def test_dense_random_instances_within_three(self):
         for seed in range(8):
             cg = colour_random(generate_gnp(40, 0.8, seed=seed), seed=seed + 50)
-            f = shortcut_graph(cg)
-            h = build_component_hypergraph(f.labelling)
-            (refs, details) = strategy_alpha2(cg, f, h)
+            lab = monochromatic_components(cg)
+            h = build_component_hypergraph(lab)
+            (refs, details) = strategy_alpha2(cg, lab, h)
             assert refs is not None and len(refs) <= 3
             mask = 0
             for c, cid in refs:
-                mask |= f.labelling.members[c][cid]
+                mask |= lab.members[c][cid]
             assert mask == cg.graph.full_mask
             cert = tau_exact(h)
             assert cert is not None and cert.size <= len(refs)
@@ -275,13 +278,13 @@ class TestStrategyAlpha2:
 class TestEgpPartitionSearch:
     def test_all_red_k4(self):
         cg = cg_from(4, [(u, v, R) for u in range(4) for v in range(u + 1, 4)])
-        refs = egp_partition_search(shortcut_graph(cg))
+        refs = egp_partition_search(monochromatic_components(cg))
         assert refs == ((0, 0),)
 
     def test_red_matching_blue_rest(self):
         items = [(0, 1, R), (2, 3, R)]
         items += [(0, 2, B), (0, 3, B), (1, 2, B), (1, 3, B)]
-        refs = egp_partition_search(shortcut_graph(cg_from(4, items)))
+        refs = egp_partition_search(monochromatic_components(cg_from(4, items)))
         assert refs == ((2, 0),)
 
     def test_sampled_colourings_of_k5(self):
@@ -291,7 +294,7 @@ class TestEgpPartitionSearch:
         found = []
         for _ in range(500):
             items = [(u, v, Colour(rng.randrange(3))) for u, v in pairs]
-            refs = egp_partition_search(shortcut_graph(cg_from(5, items)))
+            refs = egp_partition_search(monochromatic_components(cg_from(5, items)))
             assert 1 <= len(refs) <= 2
             found.append(refs)
         # 408 single components and 92 pairs, pinned by their JSON digest
@@ -304,7 +307,7 @@ class TestEgpPartitionSearch:
         # three isolated vertices need three singleton components, so the
         # pair search must report the contract violation
         with pytest.raises(RuntimeError):
-            egp_partition_search(shortcut_graph(cg_from(3, [])))
+            egp_partition_search(monochromatic_components(cg_from(3, [])))
 
 
 class TestComponentsToTrees:
@@ -500,3 +503,39 @@ TRACE_PINS = [
 def test_trace_json_pinned(make, expected):
     _, trace = solve_cover(make())
     assert trace.to_json() == expected
+
+
+def _gate_instances():
+    # Seeded G(n, p) samples in both colourings (the three-star one wherever
+    # the sample has an independent triple), plus one n = 300 sample at the
+    # criterion-1 density.  Together they reach egp, alpha-ge3, konig,
+    # case2, case3 and fallback.
+    for n in (6, 8, 10, 12, 15, 22, 35):
+        for p in (0.1, 0.2, 0.35, 0.5, 0.8):
+            for seed in range(8):
+                g = generate_gnp(n, p, seed=1000 * n + seed)
+                yield colour_random(g, seed=seed + 7)
+                triple = first_nonadjacent_triple(g)
+                if triple is not None:
+                    yield colour_three_stars(g, *triple, base=Colour(seed % 3))
+    n = 300
+    g = generate_gnp(n, 1.5 * (math.log(n) / n) ** (1 / 6), seed=5)
+    yield colour_random(g, seed=6)
+    yield colour_three_stars(g, *first_nonadjacent_triple(g), base=Colour.RED)
+
+
+def test_closure_and_outputs_pinned():
+    # The closure the solver classifies is the graph `monotree shortcut`
+    # writes, and the solve traces, trees and coloured closures match a
+    # pinned digest.
+    digest = hashlib.sha256()
+    for cg in _gate_instances():
+        closure = shortcut_graph(cg)
+        assert monochromatic_components(cg).closure() == closure.graph
+        cover, trace = solve_cover(cg)
+        trees = [[t.colour.letter, t.root, sorted(t.parent.items())] for t in cover.trees]
+        digest.update(json.dumps([trace.to_json(), trees], sort_keys=True).encode())
+        digest.update(dumps(closure).encode())
+    assert digest.hexdigest() == (
+        "9d6f3517126c0c71cf4cb0988ce7d860b134afd19870b55a13067de35c994287"
+    )

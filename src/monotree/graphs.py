@@ -315,6 +315,12 @@ class GraphFormatError(ValueError):
     """Malformed coloured-graph text; message carries the 1-based line."""
 
 
+# The largest vertex count `loads` accepts.  The header is read before any
+# edge, and the graph's per-vertex rows are allocated from it, so an
+# unchecked count would let a one-line file exhaust memory.
+MAX_VERTICES = 1 << 16
+
+
 def dumps(cg: ColouredGraph) -> str:
     """Serialize to the text interchange format.
 
@@ -329,7 +335,8 @@ def dumps(cg: ColouredGraph) -> str:
 
 def loads(text: str) -> ColouredGraph:
     """Parse the text interchange format; raises GraphFormatError with the
-    offending line number on malformed input."""
+    offending line number on malformed input, including a vertex count
+    above MAX_VERTICES."""
     lines = (
         (lineno, parts)
         for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1)
@@ -346,6 +353,10 @@ def loads(text: str) -> ColouredGraph:
         raise GraphFormatError(f"line {lineno}: vertex count is not an integer")
     if n < 0:
         raise GraphFormatError(f"line {lineno}: vertex count must be >= 0")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(
+            f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}"
+        )
     last = (0, 0, 0)  # (line, u, v) of the edge handed over last
 
     def edges() -> Iterator[tuple[int, int, Colour]]:

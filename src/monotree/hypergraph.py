@@ -5,14 +5,19 @@ so it induces one (red, green, blue) component triple; the deduplicated
 triples are the hyperedges.  A set of components covers the vertex set of
 the graph iff it is a vertex cover of this hypergraph, which is what makes
 the exact solvers here usable as ground-truth oracles for the tree-cover
-pipeline.  The module also carries the bipartite machinery: the union of
-link graphs over one colour class, maximum matching, and the matching-sized
-vertex cover given by König's theorem.
+pipeline.  The exact cover number comes from the classic hitting-set
+reductions (Weihe 1998; Abu-Khzam 2010) followed by branch and bound on
+each connected piece of the reduced kernel; the exact cover is then
+recovered by a descent that the cover number guides.  The module also
+carries the bipartite machinery: the union of link graphs over one colour
+class, maximum matching, and the matching-sized vertex cover given by
+König's theorem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 from .components import ComponentLabelling
@@ -111,57 +116,167 @@ def _greedy_disjoint(edges: list[tuple[CompRef, ...]], indices: Iterable[int]) -
     return count
 
 
-def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> CoverCertificate | None:
-    """Minimum vertex cover by 3-way branch and bound.
+def _through(edges: Iterable[frozenset[CompRef]]) -> dict[CompRef, list[frozenset[CompRef]]]:
+    """The edges through each component."""
+    through: dict[CompRef, list[frozenset[CompRef]]] = {}
+    for e in edges:
+        for r in e:
+            through.setdefault(r, []).append(e)
+    return through
 
-    Branches on the first uncovered hyperedge (one of its three components
-    must join any cover), with a greedy cover as incumbent, a greedy
-    disjoint-hyperedge packing as lower bound, and dominance memoisation on
-    the uncovered set.  Returns None iff the optimum exceeds k_max.
+
+def _kernel(edges: Iterable[Iterable[CompRef]]) -> tuple[int, set[frozenset[CompRef]]]:
+    """Apply the hitting-set reductions until none fires; returns the
+    number of forced components and the kernel, which has the same cover
+    number as the input minus that count.
+
+    * Unit edge: an edge with one component left forces that component.
+    * Edge domination: an edge containing another edge is covered by
+      every cover of the smaller one, so it is dropped.
+    * Component domination: a is dropped when every edge through a also
+      contains some b that lies on strictly more edges, or on the same
+      edges with b < a; any cover can swap a for b.  Domination is
+      transitive and the smallest of a set of equals survives, so each
+      dropped component keeps a surviving dominator and one sweep may
+      drop all dominated components at once.
+    """
+    kernel = {frozenset(e) for e in edges}
+    forced = 0
+    while True:
+        units = {r for e in kernel if len(e) == 1 for r in e}
+        if units:
+            forced += len(units)
+            kernel = {e for e in kernel if not e & units}
+            continue
+        # Only an edge longer than the shortest can contain another.
+        least = min(map(len, kernel), default=0)
+        dominated = {
+            e for e in kernel
+            if len(e) > least and any(
+                frozenset(sub) in kernel
+                for k in range(least, len(e)) for sub in combinations(e, k)
+            )
+        }
+        if dominated:
+            kernel -= dominated
+            continue
+        through = _through(kernel)
+        drop = {
+            a for a, es in through.items()
+            if any(
+                len(through[b]) > len(es) or b < a
+                for b in frozenset.intersection(*es) - {a}
+            )
+        }
+        if not drop:
+            return forced, kernel
+        kernel = {e - drop for e in kernel}
+
+
+def _pieces(kernel: set[frozenset[CompRef]]) -> list[list[tuple[CompRef, ...]]]:
+    """The kernel split into connected pieces (edges sharing a component),
+    each edge a sorted tuple and each piece sorted."""
+    pieces: list[list[tuple[CompRef, ...]]] = []
+    through = _through(kernel)
+    seen: set[frozenset[CompRef]] = set()
+    for start in kernel:
+        if start in seen:
+            continue
+        seen.add(start)
+        piece, frontier = [start], [start]
+        while frontier:
+            e = frontier.pop()
+            for r in e:
+                for f in through[r]:
+                    if f not in seen:
+                        seen.add(f)
+                        piece.append(f)
+                        frontier.append(f)
+        pieces.append(sorted(tuple(sorted(e)) for e in piece))
+    return pieces
+
+
+def _branch_and_bound(edges: list[tuple[CompRef, ...]]) -> int:
+    """Cover number of one piece: branch on the first uncovered edge, with
+    a greedy cover as incumbent and a greedy disjoint-edge packing as
+    lower bound."""
+    incidence: dict[CompRef, set[int]] = {}
+    for i, refs in enumerate(edges):
+        for r in refs:
+            incidence.setdefault(r, set()).add(i)
+    best = len(_greedy_cover(edges))
+
+    def search(uncovered: frozenset[int], depth: int) -> None:
+        nonlocal best
+        if not uncovered:
+            best = min(best, depth)
+            return
+        if depth + _greedy_disjoint(edges, sorted(uncovered)) >= best:
+            return
+        for r in edges[min(uncovered)]:
+            search(uncovered - incidence[r], depth + 1)
+
+    search(frozenset(range(len(edges))), 0)
+    return best
+
+
+def cover_number(edges: Iterable[Iterable[CompRef]]) -> int:
+    """Minimum number of components meeting every edge: the forced
+    components of the reduced kernel plus the branch-and-bound optimum of
+    each connected piece of it."""
+    forced, kernel = _kernel(edges)
+    return forced + sum(_branch_and_bound(piece) for piece in _pieces(kernel))
+
+
+def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> CoverCertificate | None:
+    """Minimum vertex cover; None iff the optimum τ exceeds k_max.
+
+    τ comes from `cover_number`, and k_max is decided before any cover is
+    built; when a greedy packing finds more than k_max pairwise disjoint
+    hyperedges, that settles it without τ.
+
+    The cover is the one a depth-first branch and bound returns when it
+    branches on the first uncovered hyperedge in `h.edges` order, tries
+    its components in (red, green, blue) order, starts from the greedy
+    cover as incumbent, replaces the incumbent only by a strictly smaller
+    leaf, prunes by a greedy disjoint-packing bound and skips an uncovered
+    set that a memo saw with no more components chosen.  That search
+    returns the greedy cover when the greedy cover is optimal, and
+    otherwise its first optimal leaf in depth-first order:
+
+    * while the incumbent exceeds τ, a node on an optimal path has
+      len(chosen) + packing bound <= τ < incumbent, so no bound prunes it;
+    * a memo hit only skips an uncovered set already searched with no
+      more components chosen, whose subtree held an earlier optimal leaf;
+    * once that leaf is found, nothing smaller can replace it.
+
+    Here the leaf is found by guided descent: at each node take the first
+    component of the first uncovered hyperedge whose residual has cover
+    number one lower.  One of them always does, so the last needs no test.
     """
     if k_max is not None and k_max < 0:
         raise ValueError("k_max must be non-negative")
     edge_refs = [h.refs_of(e) for e in h.edges]
-    if not edge_refs:
-        return CoverCertificate(())
-
-    greedy = _greedy_cover(edge_refs)
-    best: list[CompRef] = greedy
-    bound = len(greedy) if k_max is None else min(len(greedy), k_max + 1)
-
-    incidence: dict[CompRef, set[int]] = {}
-    for i, refs in enumerate(edge_refs):
-        for r in refs:
-            incidence.setdefault(r, set()).add(i)
-
-    memo: dict[frozenset[int], int] = {}
-    all_indices = frozenset(range(len(edge_refs)))
-
-    def search(uncovered: frozenset[int], chosen: list[CompRef]) -> None:
-        nonlocal best, bound
-        if not uncovered:
-            if len(chosen) < bound:
-                best = list(chosen)
-                bound = len(chosen)
-            return
-        lower = len(chosen) + _greedy_disjoint(edge_refs, sorted(uncovered))
-        if lower >= bound:
-            return
-        seen = memo.get(uncovered)
-        if seen is not None and seen <= len(chosen):
-            return
-        if len(memo) < 1 << 16:
-            memo[uncovered] = len(chosen)
-        pivot = min(uncovered)
-        for r in edge_refs[pivot]:
-            chosen.append(r)
-            search(uncovered - incidence[r], chosen)
-            chosen.pop()
-
-    search(all_indices, [])
-    if k_max is not None and len(best) > k_max:
+    if k_max is not None and _greedy_disjoint(edge_refs, range(len(edge_refs))) > k_max:
         return None
-    return CoverCertificate(tuple(sorted(best)))
+    tau = cover_number(edge_refs)
+    if k_max is not None and tau > k_max:
+        return None
+    greedy = _greedy_cover(edge_refs)
+    if len(greedy) == tau:
+        return CoverCertificate(tuple(sorted(greedy)))
+
+    chosen: list[CompRef] = []
+    rest = edge_refs
+    while rest:
+        *tested, pick = rest[0]
+        for r in tested:
+            if cover_number([e for e in rest if r not in e]) == tau - len(chosen) - 1:
+                pick = r
+                break
+        chosen.append(pick)
+        rest = [e for e in rest if pick not in e]
+    return CoverCertificate(tuple(sorted(chosen)))
 
 
 def nu_exact(h: ComponentHypergraph) -> MatchingCertificate:

@@ -543,10 +543,14 @@ def solve_cover(
     if strategy_cover is None or trace.component_count <= config.exact_component_limit:
         if h is None:
             h = build_component_hypergraph(lab)
-        cert = tau_exact(h)
-        assert cert is not None  # unbounded search always returns a cover
-        exact_cover = cert.cover
-        trace.exact_size = cert.size
+        # Only a cover smaller than the strategy's can replace it, so ask
+        # for one; None means the strategy's cover is optimal.
+        cert = tau_exact(h, k_max=len(strategy_cover) - 1 if strategy_cover else None)
+        if cert is None:
+            trace.exact_size = len(strategy_cover)
+        else:
+            exact_cover = cert.cover
+            trace.exact_size = cert.size
 
     if strategy_cover is None:
         assert exact_cover is not None

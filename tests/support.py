@@ -9,10 +9,12 @@ enumeration, independence from nested loops over adjacency sets.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterable
 
 from hypothesis import strategies as st
 
 from monotree import COLOURS, Colour, ColouredGraph
+from monotree.hypergraph import CompRef, ComponentHypergraph, CoverCertificate
 
 BIG = 1 << 30
 
@@ -111,8 +113,13 @@ def independence_trichotomy(n: int, adj: list[set[int]]) -> str:
 
 def naive_tau(h) -> int:
     """Minimum hypergraph cover by subset enumeration over all vertices."""
-    refs = sorted({r for e in h.edges for r in h.refs_of(e)})
-    edge_refs = [set(h.refs_of(e)) for e in h.edges]
+    return naive_cover_number([h.refs_of(e) for e in h.edges])
+
+
+def naive_cover_number(edges) -> int:
+    """Fewest vertices meeting every edge, by subset enumeration."""
+    edge_refs = [set(e) for e in edges]
+    refs = sorted(set().union(*edge_refs))
     if not edge_refs:
         return 0
     for k in range(len(refs) + 1):
@@ -155,3 +162,87 @@ def coloured_graphs(draw, min_n: int = 0, max_n: int = 12):
         if code > 0
     ]
     return ColouredGraph.from_edge_colours(n, items)
+
+
+# The exact search of the parent of the hitting-set reductions, verbatim
+# apart from its name and docstring, with the helpers it used.
+
+
+def _greedy_cover(edges: list[tuple[CompRef, ...]]) -> list[CompRef]:
+    uncovered = set(range(len(edges)))
+    picked: list[CompRef] = []
+    while uncovered:
+        counts: dict[CompRef, int] = {}
+        for i in uncovered:
+            for r in edges[i]:
+                counts[r] = counts.get(r, 0) + 1
+        best = min(counts, key=lambda r: (-counts[r], r))
+        picked.append(best)
+        uncovered = {i for i in uncovered if best not in edges[i]}
+    return picked
+
+
+def _greedy_disjoint(edges: list[tuple[CompRef, ...]], indices: Iterable[int]) -> int:
+    used: set[CompRef] = set()
+    count = 0
+    for i in indices:
+        refs = edges[i]
+        if not any(r in used for r in refs):
+            used.update(refs)
+            count += 1
+    return count
+
+
+def reference_tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> CoverCertificate | None:
+    """Minimum vertex cover by 3-way branch and bound: the exact search
+    monotree used before its hitting-set reductions, kept verbatim as the
+    oracle that `tau_exact`'s covers are compared against.
+
+    Branches on the first uncovered hyperedge (one of its three components
+    must join any cover), with a greedy cover as incumbent, a greedy
+    disjoint-hyperedge packing as lower bound, and dominance memoisation on
+    the uncovered set.  Returns None iff the optimum exceeds k_max.
+    """
+    if k_max is not None and k_max < 0:
+        raise ValueError("k_max must be non-negative")
+    edge_refs = [h.refs_of(e) for e in h.edges]
+    if not edge_refs:
+        return CoverCertificate(())
+
+    greedy = _greedy_cover(edge_refs)
+    best: list[CompRef] = greedy
+    bound = len(greedy) if k_max is None else min(len(greedy), k_max + 1)
+
+    incidence: dict[CompRef, set[int]] = {}
+    for i, refs in enumerate(edge_refs):
+        for r in refs:
+            incidence.setdefault(r, set()).add(i)
+
+    memo: dict[frozenset[int], int] = {}
+    all_indices = frozenset(range(len(edge_refs)))
+
+    def search(uncovered: frozenset[int], chosen: list[CompRef]) -> None:
+        nonlocal best, bound
+        if not uncovered:
+            if len(chosen) < bound:
+                best = list(chosen)
+                bound = len(chosen)
+            return
+        lower = len(chosen) + _greedy_disjoint(edge_refs, sorted(uncovered))
+        if lower >= bound:
+            return
+        seen = memo.get(uncovered)
+        if seen is not None and seen <= len(chosen):
+            return
+        if len(memo) < 1 << 16:
+            memo[uncovered] = len(chosen)
+        pivot = min(uncovered)
+        for r in edge_refs[pivot]:
+            chosen.append(r)
+            search(uncovered - incidence[r], chosen)
+            chosen.pop()
+
+    search(all_indices, [])
+    if k_max is not None and len(best) > k_max:
+        return None
+    return CoverCertificate(tuple(sorted(best)))

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import time
 
 import pytest
 
@@ -133,6 +135,30 @@ class TestRunTrial:
         )
         rec = run_trial(cfg, 30, 0.5, MODE_RANDOM, 0)
         assert rec.exact_size is None
+
+    def test_unbounded_search_trials_finish(self):
+        # Trials of (100, 0.03) at seed 42 that no strategy covers, where the
+        # plain branch and bound ran for seconds to minutes.  The digests of
+        # four of them are the ones pinned in perfbench/pins.json.
+        cfg = ExperimentConfig(n_values=(100,), trials=1, seed=42, p_values=(0.03,))
+        sizes = {20: 37, 21: 38, 30: 33, 35: 32, 55: 33, 87: 36, 113: 33, 129: 34, 152: 34}
+        pinned = {
+            20: "ce50bc5d6391cc57850cad56feccd526d3b7c8468669d8bc6ac3f8d15c943393",
+            21: "fc50a5d78d286d90df641ca96bdb0046163ad6dc2e3466e9f63df09a57989b4b",
+            35: "2b55ad222660170b5070d0c5039e386aca11c4ff05ee489d93c083d491bb7a3e",
+            113: "194a90ffcadeebf28ae510dd6ba3ca0bcebc37c59ee54ad1e3403e5498354fe5",
+        }
+        start = time.perf_counter()
+        records = {t: run_trial(cfg, 100, 0.03, MODE_RANDOM, t) for t in sizes}
+        elapsed = time.perf_counter() - start
+        assert {t: (r.size, r.branch) for t, r in records.items()} == {
+            t: (size, "fallback") for t, size in sizes.items()
+        }
+        for t, digest in pinned.items():
+            core = [records[t].size, records[t].branch, records[t].exact_size]
+            assert hashlib.sha256(json.dumps(core).encode()).hexdigest() == digest
+        # About 0.1 s in all; the bound leaves room for a loaded machine.
+        assert elapsed < 3.0
 
     def test_three_star_trial_size_and_exact_minimum(self):
         # the trial reports a 3-tree cover; the exact search, run directly

@@ -14,6 +14,7 @@ from monotree import (
     generate_gnp,
     loads,
 )
+from monotree.graphs import MAX_VERTICES
 
 import support
 
@@ -265,6 +266,16 @@ class TestSerialization:
         with pytest.raises(GraphFormatError) as info:
             loads(text)
         assert str(info.value) == message
+
+    def test_vertex_count_limit(self):
+        # At the limit the graph loads; one past it the header is refused
+        # before any per-vertex row is allocated.
+        cg = loads(f"n {MAX_VERTICES}\n0 {MAX_VERTICES - 1} g\n")
+        assert cg.n == MAX_VERTICES == 65536
+        assert cg.colour_of(0, MAX_VERTICES - 1) == Colour.GREEN
+        with pytest.raises(GraphFormatError) as info:
+            loads(f"# big\nn {MAX_VERTICES + 1}\n0 1 r\n")
+        assert str(info.value) == "line 2: vertex count 65537 exceeds the limit of 65536"
 
     @settings(max_examples=60)
     @given(support.coloured_graphs(max_n=10))

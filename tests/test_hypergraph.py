@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monotree import (
     BipartiteGraph,
@@ -20,7 +24,8 @@ from monotree import (
     nu_exact,
     tau_exact,
 )
-from monotree.hypergraph import is_cover
+from monotree.experiment import first_nonadjacent_triple
+from monotree.hypergraph import _kernel, _pieces, cover_number, is_cover
 from monotree.rng import SplitMix64
 
 import support
@@ -116,6 +121,85 @@ class TestTauExact:
         assert cert is not None
         assert is_cover(h, cert.cover)
         assert cert.size == support.naive_tau(h)
+
+
+@st.composite
+def seeded_coloured_graphs(draw):
+    """A seeded G(n, p) sample, coloured at random or by three stars."""
+    n = draw(st.integers(0, 30))
+    p = draw(st.sampled_from((0.05, 0.1, 0.2, 0.35, 0.6)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    g = generate_gnp(n, p, seed=seed)
+    triple = first_nonadjacent_triple(g)
+    if draw(st.booleans()) and triple is not None:
+        return colour_three_stars(g, *triple, base=Colour(seed % 3))
+    return colour_random(g, seed=seed + 1)
+
+
+# Edges of 1 to 3 distinct vertices, each inside one of two blocks of four,
+# so that a kernel the reductions leave can split into two pieces.
+_BLOCKS = ([(0, i) for i in range(4)], [(1, i) for i in range(4)])
+small_hypergraphs = st.lists(
+    st.sampled_from(_BLOCKS).flatmap(
+        lambda block: st.lists(st.sampled_from(block), min_size=1, max_size=3, unique=True)
+    ),
+    max_size=14,
+)
+
+
+def _sparse_instances():
+    # Seeded sparse samples in the regime where the exact search does the
+    # work: n = 20..100, p = 0.02..0.2, 16 seeds per cell.
+    for n in (20, 35, 50, 70, 100):
+        for p in (0.02, 0.05, 0.1, 0.2):
+            for seed in range(16):
+                g = generate_gnp(n, p, seed=7919 * n + seed)
+                yield n, p, seed, colour_random(g, seed=seed + 11)
+
+
+class TestAgainstReferenceSearch:
+    """The reduction-based `tau_exact` against the plain branch and bound
+    it replaced (`support.reference_tau_exact`)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeded_coloured_graphs())
+    def test_same_cover_for_every_k_max(self, cg):
+        h = build_component_hypergraph(monochromatic_components(cg))
+        for k_max in (None, 0, 1, 2, 3):
+            assert tau_exact(h, k_max) == support.reference_tau_exact(h, k_max)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_hypergraphs)
+    def test_reductions_keep_the_cover_number(self, edges):
+        assert cover_number(edges) == support.naive_cover_number(edges)
+
+    def test_irreducible_kernel_splits_into_pieces(self):
+        # Two triangles and a 5-cycle of pairs: no reduction fires, and the
+        # three pieces need 2, 2 and 3 components.
+        def cycle(colour, length):
+            return [[(colour, i), (colour, (i + 1) % length)] for i in range(length)]
+
+        edges = cycle(0, 3) + cycle(1, 3) + cycle(2, 5)
+        forced, kernel = _kernel(edges)
+        assert forced == 0 and len(kernel) == len(edges) == 11
+        assert sorted(map(len, _pieces(kernel))) == [3, 3, 5]
+        assert cover_number(edges) == support.naive_cover_number(edges) == 7
+
+    def test_sparse_covers_pinned(self):
+        # SHA-256 of the covers of 320 seeded sparse instances but two,
+        # generated with the reference search, which did not finish those
+        # two within 5 s (one was still running after 8 minutes).
+        unfinished = {(100, 0.02, 5), (100, 0.02, 7)}
+        digest = hashlib.sha256()
+        for n, p, seed, cg in _sparse_instances():
+            h = build_component_hypergraph(monochromatic_components(cg))
+            cert = tau_exact(h)
+            assert is_cover(h, cert.cover)
+            if (n, p, seed) not in unfinished:
+                digest.update(json.dumps([n, p, seed, [list(r) for r in cert.cover]]).encode())
+        assert digest.hexdigest() == (
+            "f194ca5702ec8ac096323a66f4c447fa1e544f9a8128d1b2779361dec4a2801f"
+        )
 
 
 class TestNuExact:

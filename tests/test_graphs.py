@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from monotree import (
     colour_random,
     colour_three_stars,
     dumps,
+    first_nonadjacent_triple,
     generate_gnp,
     loads,
 )
@@ -170,8 +172,6 @@ class TestColourThreeStars:
 
     def test_stars_are_monochromatic_and_distinct(self):
         g = generate_gnp(30, 0.5, seed=21)
-        from monotree import first_nonadjacent_triple
-
         triple = first_nonadjacent_triple(g)
         assert triple is not None
         cg = colour_three_stars(g, *triple, base=Colour.BLUE)
@@ -186,6 +186,85 @@ class TestColourThreeStars:
         # Frozen from the bitmask-DP oracle over all component subsets.
         cg = colour_three_stars(k6_minus_triangle(), 0, 1, 2, Colour.RED)
         assert support.min_component_cover_size(cg) == 3
+
+
+def rows_digest(*row_sets) -> str:
+    """SHA-256 over bitset rows, one lower-case hex line per row."""
+    h = hashlib.sha256()
+    for rows in row_sets:
+        for row in rows:
+            h.update(b"%x\n" % row)
+    return h.hexdigest()
+
+
+class TestGoldenStreams:
+    """Pinned digests of sampled graphs and colourings.
+
+    The digests were computed with the per-pair and per-edge samplers,
+    before the lane-block rewrite, so any change to what is sampled shows
+    here.  Pair counts n(n-1)/2 and edge counts sit just below, on and just
+    above a multiple of 256 lanes (and of 32, below one full block);
+    n = 0, 1, 2, p = 1.0, the p = 0.1 boundary and the sparse path are
+    covered too.
+    """
+
+    # (n, p, seed, edge count, digest of adj)
+    GNP = [
+        (0, 0.5, 1, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, 0.5, 1, 0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+        (2, 0.5, 1, 0, "52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262"),
+        (2, 1.0, 1, 1, "451d660bc5f37a981539cf07c4c6a182693a7d165b4589ecb1165a72555ff90a"),
+        (2, 0.05, 1, 0, "52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262"),
+        (40, 1.0, 3, 780, "1d651f94f74094528aca8864fcb0cd5429183b764e4cf30d87dab34d73300a29"),
+        (60, 0.1, 11, 181, "a422a907731e8df373b6d059280fc5e55ecbdb6596c4a079b1bdb1fa56d406e9"),
+        (91, 0.3, 5, 1237, "cc24a2a479a2fa52174ec3006d318d4f477c39f3995820c30cd7982df2920198"),
+        (512, 0.5, 6, 65235, "ca0f37b0a9d863cae68f5b7bc52c3e3bc2616eb12925cde0b97ee0289cef6cf3"),
+        (514, 0.5, 7, 66087, "59d5413a651d6427ea1358496f7e57be6d7f3c957ea4bb8526136b168a1f0cb9"),
+        (200, 0.05, 9, 995, "0dfb554c27bca21ffbeb591e6dbec6ddaf7f49fa235e5642f9c56214837c7f29"),
+        (400, 0.02, 17, 1682, "807f160ef7b5a23651580571c210dc506789e8d18f936222478031fc78ff051f"),
+    ]
+
+    # (n, p, graph seed, edge count, digest of the colour rows); the
+    # colouring seed is the graph seed + 1000
+    RANDOM = [
+        (5, 0.0, 1, 0, "2eca9e2deb20e5610691b481ce142d2cb2fa17c2ab960663e0dd96a05a891f45"),
+        (2, 1.0, 1, 1, "2b4016ec7427913d86733019248613465e36dcd7ccaf692185b0d5dac8a33f8d"),
+        (12, 0.5, 3, 31, "aa573866c16832b40ba6ed29f27b9ff12414309f3161318150959f31cb2617a8"),
+        (12, 0.5, 23, 32, "e2b3d475a1ac88d4801a2048cde7cc0f91296946a4cbfe03d13d072c3a81190d"),
+        (12, 0.5, 24, 33, "6065b9d95f546e8299cebd2f9c3c408b2e9f4aafc744ce86febca9e0a2cb4a72"),
+        (40, 0.3, 65, 255, "f38afbb654ca6ac5f45e6e8af355c999d86d75c25206f9526b6d7669ffc7f0c7"),
+        (40, 0.3, 111, 256, "2101a16694756eee7e60b09ce29222874ba2912b721f33c807aff0093308ef19"),
+        (40, 0.3, 122, 257, "733d8ecd872671207f47792e5c8fe13846e46e13bea9b91b4a54e4511763028c"),
+        (100, 0.52, 8, 2559, "7c9ea4d041c9192cbe5b74df7163b97298156722ac1728be1c0864ba3e7da02b"),
+        (100, 0.52, 152, 2560, "cdf231f360f1a3f731b9d82a12249cabec88a3795471968ca17c3ffcdeb83e0e"),
+        (100, 0.52, 29, 2561, "9fca771420d2a8bcf1b3aa28987475a9c0185da4c13ff56ca2b45bfe884800e1"),
+    ]
+
+    # (n, p, graph seed, base colour, first non-adjacent triple, digest)
+    THREE_STARS = [
+        (30, 0.5, 21, Colour.BLUE, (0, 2, 3), "9d5acf24fbf73a1f60cb4bdaf61bc79e4de990d1568911de287ba8d8b5785698"),
+        (100, 0.52, 8, Colour.RED, (0, 1, 4), "92ea964b7cb3cfbee3c3c3d8c0b0a6f759e9c7e32f7bc81ef4cb2ef84c7014c5"),
+        (512, 0.5, 6, Colour.GREEN, (0, 1, 5), "47ab6080b2e2397a579589fd03c92de83c3c1ba1e116c6575fa3350c7176c06c"),
+    ]
+
+    @pytest.mark.parametrize("n, p, seed, edges, digest", GNP)
+    def test_generate_gnp(self, n, p, seed, edges, digest):
+        g = generate_gnp(n, p, seed)
+        assert g.edge_count() == edges
+        assert rows_digest(g.adj) == digest
+
+    @pytest.mark.parametrize("n, p, seed, edges, digest", RANDOM)
+    def test_colour_random(self, n, p, seed, edges, digest):
+        g = generate_gnp(n, p, seed)
+        assert g.edge_count() == edges
+        assert rows_digest(*colour_random(g, seed + 1000).colour_adj) == digest
+
+    @pytest.mark.parametrize("n, p, seed, base, triple, digest", THREE_STARS)
+    def test_colour_three_stars(self, n, p, seed, base, triple, digest):
+        g = generate_gnp(n, p, seed)
+        assert first_nonadjacent_triple(g) == triple
+        cg = colour_three_stars(g, *triple, base=base)
+        assert rows_digest(*cg.colour_adj) == digest
 
 
 class TestSerialization:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,25 @@ from monotree import (
     loads,
 )
 from monotree.graphs import MAX_VERTICES
+from monotree.rng import GOLDEN, MASK64, SplitMix64
 
 import support
+
+
+def finalise64_inverse(z: int) -> int:
+    """The state whose splitmix64 output is z: each xor-shift is undone by
+    xoring in the repeated shifts, each multiply by the inverse mod 2^64."""
+
+    def unshift(x: int, s: int) -> int:
+        y, shifted = x, x >> s
+        while shifted:
+            y ^= shifted
+            shifted >>= s
+        return y
+
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) & MASK64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) & MASK64
+    return unshift(z, 30)
 
 
 def k6_minus_triangle() -> SimpleGraph:
@@ -90,19 +108,19 @@ class TestGenerateGnp:
         assert abs(g.edge_count() - mean) < 6 * sd
 
     def test_dense_path_matches_reference_stream(self):
-        # the sampler inlines the generator arithmetic; cross-check it
-        # against a plain per-pair draw from the same stream
-        from monotree.rng import SplitMix64
-
-        n, p, seed = 23, 0.37, 99
-        rng = SplitMix64(seed)
-        threshold = int(p * 2**64)
-        expected = set()
-        for u in range(n - 1):
-            for v in range(u + 1, n):
-                if rng.next_u64() < threshold:
-                    expected.add((u, v))
-        assert set(generate_gnp(n, p, seed).edges()) == expected
+        # generate_gnp draws the pairs in lane blocks; cross-check it
+        # against a plain per-pair draw from the same stream.  n = 80 has
+        # 3160 pairs: twelve full 256-lane blocks and a 128-lane one.
+        n, seed = 80, 99
+        for p in (0.1, 0.37, 1.0):
+            rng = SplitMix64(seed)
+            threshold = int(p * 2**64)
+            expected = set()
+            for u in range(n - 1):
+                for v in range(u + 1, n):
+                    if rng.next_u64() < threshold:
+                        expected.add((u, v))
+            assert set(generate_gnp(n, p, seed).edges()) == expected, p
 
     def test_edge_counts_binomially_concentrated(self):
         # 100 seeds at (n=1000, p=0.5): every count within 5 standard
@@ -139,6 +157,32 @@ class TestColourRandom:
     def test_deterministic(self):
         g = generate_gnp(40, 0.5, seed=8)
         assert colour_random(g, seed=3) == colour_random(g, seed=3)
+
+    @pytest.mark.parametrize(
+        "n, p, graph_seed, index",
+        [
+            (40, 0.3, 111, 100),  # 256 edges: mid-block, then a one-lane block
+            (40, 0.3, 111, 255),  # on the last lane of the only full block
+            (30, 1.0, 0, 255),  # 435 edges: last lane of the first block
+            (30, 1.0, 0, 300),  # mid-block in the second block
+            (12, 0.5, 3, 30),  # 31 edges in a 32-lane block: the spare lane fills in
+        ],
+    )
+    def test_rejected_draw_matches_reference_stream(self, n, p, graph_seed, index):
+        # randrange(3) redraws only z = 2^64 - 1; pick the seed whose draw
+        # number `index` is that value and compare with a per-edge loop
+        g = generate_gnp(n, p, graph_seed)
+        seed = (finalise64_inverse(MASK64) - (index + 1) * GOLDEN) & MASK64
+        rng = SplitMix64(seed)
+        draws = [rng.next_u64() for _ in range(index + 1)]
+        assert draws[index] == MASK64 and MASK64 not in draws[:index]
+        rng = SplitMix64(seed)
+        rows = [[0] * n for _ in Colour]
+        for u, v in g.edges():
+            c = rng.randrange(3)
+            rows[c][u] |= 1 << v
+            rows[c][v] |= 1 << u
+        assert colour_random(g, seed).colour_adj == tuple(tuple(r) for r in rows)
 
     def test_roughly_uniform_colours(self):
         g = SimpleGraph.complete(60)
@@ -265,6 +309,26 @@ class TestGoldenStreams:
         assert first_nonadjacent_triple(g) == triple
         cg = colour_three_stars(g, *triple, base=base)
         assert rows_digest(*cg.colour_adj) == digest
+
+
+def test_sampling_memory_stays_near_the_per_pair_samplers():
+    # tracemalloc peaks of the per-pair and per-edge samplers that the lane
+    # blocks replaced, on Python 3.11: 1.231 MB for generate_gnp(2000, 0.5,
+    # seed=1), and 1.849 MB above the graph for colour_random(g, seed=2).
+    # The mirror holds one band of columns at a time, so neither may grow
+    # past 1.5 times that.
+    tracemalloc.start()
+    try:
+        g = generate_gnp(2000, 0.5, seed=1)
+        _, gnp_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        colour_random(g, seed=2)
+        _, colour_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gnp_peak <= 1.5 * 1.231e6
+    assert colour_peak - before <= 1.5 * 1.849e6
 
 
 class TestSerialization:

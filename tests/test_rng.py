@@ -1,4 +1,4 @@
-from monotree.rng import SplitMix64, derive_seed, finalise64
+from monotree.rng import LANES, SplitMix64, derive_seed, finalise64
 
 import pytest
 
@@ -58,3 +58,18 @@ def test_sample_distinct_and_in_range():
 def test_finalise_is_a_bijection_sample():
     outs = {finalise64(x) for x in range(4096)}
     assert len(outs) == 4096
+
+
+@pytest.mark.parametrize("wanted, lanes", [(1, 1), (3, 4), (129, 256), (256, 256), (1000, LANES)])
+def test_lanes_pack_the_next_draws(wanted, lanes):
+    # draw j of the block sits in bits [128j, 128j + 64), and the stream
+    # moves on by the whole block, as if next_u64 had been called per lane
+    block, reference = SplitMix64(2024), SplitMix64(2024)
+    z, got = block.lanes(wanted)
+    assert got == lanes
+    draws = [(z >> (128 * j)) & ((1 << 128) - 1) for j in range(lanes)]
+    assert draws == [reference.next_u64() for _ in range(lanes)]
+    assert z >> (128 * lanes) == 0
+    assert block.state == reference.state
+    with pytest.raises(ValueError):
+        block.lanes(0)

@@ -64,7 +64,6 @@ from .pseudorandom import (
 from .rng import SplitMix64, derive_seed
 from .solver import (
     BRANCHES,
-    SolverConfig,
     TraceReport,
     Tree,
     TreeCover,

@@ -51,7 +51,7 @@ from .pseudorandom import (
     check_edge_density,
 )
 from .rng import derive_seed
-from .solver import SolverConfig, solve_cover, verify_cover
+from .solver import solve_cover, verify_cover
 
 _COLOUR_NAMES = {c: c.name.lower() for c in COLOURS}
 
@@ -158,9 +158,7 @@ def _tree_json(tree) -> dict:
 
 def _cmd_solve(args) -> int:
     cg = load(args.file)
-    cover, trace = solve_cover(
-        cg, SolverConfig(exact_component_limit=args.exact_limit)
-    )
+    cover, trace = solve_cover(cg)
     violations = verify_cover(cg, cover)
     _print_json(
         {
@@ -244,7 +242,6 @@ def _cmd_probe(args) -> int:
         p_exponent=p_exponent,
         p_scales=p_scales,
         modes=("random", "three-star") if args.mode == "both" else (args.mode,),
-        exact_component_limit=args.exact_limit,
         out_path=args.out,
     )
     rows = probe_threshold(cfg)
@@ -287,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="tree cover plus trace as JSON")
     p.add_argument("file")
-    p.add_argument("--exact-limit", type=int, default=400)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle", help="exact minimum component cover")
@@ -317,10 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["random", "three-star", "both"], default="random")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument(
-        "--exact-limit", type=int, default=60,
-        help="report an exact cover size on trials with at most this many components",
-    )
     p.set_defaults(func=_cmd_probe)
 
     return parser

@@ -282,9 +282,11 @@ def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> CoverCertific
 def nu_exact(h: ComponentHypergraph) -> MatchingCertificate:
     """Maximum matching by include/exclude branching.
 
-    The bound at each node is the count of remaining hyperedges disjoint
+    The bounds at each node are the count of remaining hyperedges disjoint
     from the current partial matching, which closes immediately on the
-    degenerate all-disjoint instances.
+    degenerate all-disjoint instances, and then their cover number (ν ≤ τ).
+    A pruned subtree holds no larger matching, so the result is the first
+    maximum matching in branching order either way.
     """
     edge_refs = [h.refs_of(e) for e in h.edges]
     order = list(range(len(edge_refs)))
@@ -300,6 +302,8 @@ def nu_exact(h: ComponentHypergraph) -> MatchingCertificate:
         if not available:
             if len(current) > len(best):
                 best = list(current)
+            return
+        if len(current) + cover_number(edge_refs[j] for j in available) <= len(best):
             return
         i = available[0]
         refs = edge_refs[i]

@@ -57,6 +57,12 @@ BRANCHES = (
     BRANCH_FALLBACK,
 )
 
+# The exact search runs beside a successful strategy only up to this many
+# components (a degenerate strategy always gets it).  It stays because the
+# pinned `solve` JSON of perfbench's file-solve three-star instances (837 to
+# 902 components) omits `exact_size` on account of it.
+EXACT_SEARCH_MAX_COMPONENTS = 400
+
 
 @dataclass(frozen=True)
 class Tree:
@@ -144,13 +150,6 @@ class TraceReport:
         if self.winning_candidate is not None:
             out["winning_candidate"] = refs_json(self.winning_candidate)
         return out
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    # Run the exact cover search alongside the strategy whenever the
-    # instance has at most this many components.
-    exact_component_limit: int = 400
 
 
 def _union_mask(lab: ComponentLabelling, refs: Iterable[CompRef]) -> int:
@@ -508,15 +507,14 @@ def verify_cover(cg: ColouredGraph, tc: TreeCover) -> list[str]:
     return issues
 
 
-def solve_cover(
-    cg: ColouredGraph, config: SolverConfig = SolverConfig()
-) -> tuple[TreeCover, TraceReport]:
+def solve_cover(cg: ColouredGraph) -> tuple[TreeCover, TraceReport]:
     """Cover the vertices of cg with monochromatic trees, at most three on
     every instance the constructive strategies handle.
 
     Returns the verified tree cover and a trace recording the branch that
     fired, the evidence it used, and the exact optimum whenever the exact
-    search ran (always, below `config.exact_component_limit` components).
+    search ran: always when the strategy degenerates, and otherwise on
+    instances of at most `EXACT_SEARCH_MAX_COMPONENTS` components.
     The cover size is the smaller of the strategy result and the exact
     result.
     """
@@ -540,7 +538,7 @@ def solve_cover(
         trace.strategy_size = len(strategy_cover)
 
     exact_cover: tuple[CompRef, ...] | None = None
-    if strategy_cover is None or trace.component_count <= config.exact_component_limit:
+    if strategy_cover is None or trace.component_count <= EXACT_SEARCH_MAX_COMPONENTS:
         if h is None:
             h = build_component_hypergraph(lab)
         # Only a cover smaller than the strategy's can replace it, so ask

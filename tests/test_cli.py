@@ -201,6 +201,20 @@ class TestErrors:
         code = main(["solve", "/nonexistent/file.txt"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "FILE"], ["probe", "--n", "20", "--p", "0.5", "--trials", "1"]],
+        ids=["solve", "probe"],
+    )
+    def test_exact_limit_flag_is_unrecognised(self, capsys, triangle_file, argv):
+        argv = [triangle_file if a == "FILE" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--exact-limit", "5"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "error: unrecognized arguments: --exact-limit 5" in captured.err
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

@@ -13,7 +13,9 @@ from monotree import (
     probe_threshold,
     run_trial,
 )
+from monotree import experiment
 from monotree.experiment import MODE_RANDOM, MODE_THREE_STAR, trial_seed
+from monotree.solver import solve_cover
 
 
 def small_config(**overrides):
@@ -128,13 +130,23 @@ class TestRunTrial:
         assert rec.size is not None
         assert rec.size >= rec.exact_size
 
-    def test_exact_oracle_disabled(self):
-        cfg = ExperimentConfig(
-            n_values=(30,), trials=1, seed=5, p_values=(0.5,),
-            modes=(MODE_RANDOM,), exact_component_limit=0,
-        )
-        rec = run_trial(cfg, 30, 0.5, MODE_RANDOM, 0)
-        assert rec.exact_size is None
+    def test_exact_oracle_disabled(self, monkeypatch):
+        # Trial 0 of (100, 0.05) at seed 42 has 62 components, two more than
+        # a record reports an exact size for.  No strategy covers it, so the
+        # solver's trace still carries the exact size; the record does not.
+        traces = []
+
+        def solve_and_keep(cg):
+            cover, trace = solve_cover(cg)
+            traces.append(trace)
+            return cover, trace
+
+        monkeypatch.setattr(experiment, "solve_cover", solve_and_keep)
+        cfg = ExperimentConfig(n_values=(100,), trials=1, seed=42, p_values=(0.05,))
+        rec = run_trial(cfg, 100, 0.05, MODE_RANDOM, 0)
+        (trace,) = traces
+        assert (rec.branch, rec.size, rec.exact_size) == ("fallback", 4, None)
+        assert (trace.component_count, trace.exact_size) == (62, 4)
 
     def test_unbounded_search_trials_finish(self):
         # Trials of (100, 0.03) at seed 42 that no strategy covers, where the

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from monotree import (
 )
 from monotree.experiment import first_nonadjacent_triple
 from monotree.hypergraph import _kernel, _pieces, cover_number, is_cover
-from monotree.rng import SplitMix64
+from monotree.rng import SplitMix64, derive_seed
 
 import support
 
@@ -202,6 +203,21 @@ class TestAgainstReferenceSearch:
         )
 
 
+def _matching_instances():
+    # Seeded samples at n = 6..60, p = 0.05..0.4, 8 seeds per cell, each
+    # coloured at random and, where a non-adjacent triple exists, by three
+    # stars.
+    for n in (6, 12, 20, 30, 45, 60):
+        for p in (0.05, 0.1, 0.2, 0.4):
+            for seed in range(8):
+                g = generate_gnp(n, p, seed=1009 * n + seed)
+                yield n, p, seed, "random", colour_random(g, seed=seed + 5)
+                triple = first_nonadjacent_triple(g)
+                if triple is not None:
+                    cg = colour_three_stars(g, *triple, base=Colour(seed % 3))
+                    yield n, p, seed, "three-star", cg
+
+
 class TestNuExact:
     def test_common_vertex_forces_one(self):
         assert nu_exact(all_red_triangle_h()).size == 1
@@ -226,6 +242,36 @@ class TestNuExact:
             assert not refs & used
             used |= refs
         assert cert.size == support.naive_nu(h)
+
+    def test_matchings_pinned(self):
+        # SHA-256 of the matchings of 384 seeded instances but one, generated
+        # with the disjoint-count bound alone, which took up to 46 s on the
+        # sparsest of them and did not finish the one left out within 60 s.
+        unfinished = (60, 0.05, 6, "random")
+        digest = hashlib.sha256()
+        count = 0
+        for n, p, seed, mode, cg in _matching_instances():
+            h = build_component_hypergraph(monochromatic_components(cg))
+            cert = nu_exact(h)
+            refs = [r for e in cert.edges for r in h.refs_of(e)]
+            assert len(refs) == len(set(refs))
+            count += 1
+            if (n, p, seed, mode) == unfinished:
+                continue
+            digest.update(json.dumps([n, p, seed, mode, [list(e) for e in cert.edges]]).encode())
+        assert count == 384
+        assert digest.hexdigest() == (
+            "d646b1d6cfd57b7c4094bb31a43e2c9b0ff16b5b35ffb209aec4aee6d9c44002"
+        )
+
+    def test_sparse_matching_finishes(self):
+        # `monotree gen --n 90 --p 0.03 --seed 9`: 90 hyperedges, where the
+        # disjoint-count bound alone ran for minutes; about 70 ms with both.
+        cg = colour_random(generate_gnp(90, 0.03, seed=9), derive_seed(9, 1))
+        h = build_component_hypergraph(monochromatic_components(cg))
+        start = time.perf_counter()
+        assert nu_exact(h).size == 27
+        assert time.perf_counter() - start < 3.0
 
 
 class TestLinkUnion:

@@ -82,6 +82,20 @@ class TestSolveCover:
         assert trace.exact_size == 3
         assert support.min_component_cover_size(cg) == 3
 
+    def test_no_exact_search_beside_strategy_above_400_components(self):
+        # Three-star colourings of G(300, 0.2) have 471 to 485 components:
+        # alpha-ge3 covers them with three trees, and the exact search, which
+        # runs beside a successful strategy only up to 400 components, does
+        # not run, so the trace carries no exact size.
+        for seed in range(3):
+            g = generate_gnp(300, 0.2, seed=seed)
+            cg = colour_three_stars(g, *first_nonadjacent_triple(g), base=R)
+            cover, trace = solve_cover(cg)
+            assert (trace.branch, cover.size) == (BRANCH_ALPHA3, 3)
+            assert 471 <= trace.component_count <= 485
+            assert trace.exact_size is None
+            assert "exact_size" not in trace.to_json()
+
     def test_empty_and_tiny_graphs(self):
         cover, trace = solve_cover(cg_from(0, []))
         assert cover.size == 0 and trace.branch == BRANCH_EGP

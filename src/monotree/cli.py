@@ -197,7 +197,6 @@ def _cmd_check_pseudo(args) -> int:
         g = generate_gnp(args.n, args.p, args.seed)
     cfg = PseudorandomConfig(
         epsilon=args.epsilon,
-        size_constant=args.size_constant,
         max_tuple=args.max_tuple,
         density_samples=args.density_samples,
         neighbourhood_samples=args.neighbourhood_samples,
@@ -297,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--size-constant", type=float, default=10.0)
     p.add_argument("--max-tuple", type=int, default=4)
     p.add_argument("--density-samples", type=int, default=200)
     p.add_argument("--neighbourhood-samples", type=int, default=100)

@@ -6,16 +6,17 @@ triples are the hyperedges.  A set of components covers the vertex set of
 the graph iff it is a vertex cover of this hypergraph, which is what makes
 the exact solvers here usable as ground-truth oracles for the tree-cover
 pipeline.  The exact cover number comes from the classic hitting-set
-reductions (Weihe 1998; Abu-Khzam 2010) followed by branch and bound on
-each connected piece of the reduced kernel; the exact cover is then
-recovered by a descent that the cover number guides.  The module also
-carries the bipartite machinery: the union of link graphs over one colour
-class, maximum matching, and the matching-sized vertex cover given by
-König's theorem.
+reductions (Weihe 1998; Abu-Khzam 2010) followed by one branch and bound
+on the reduced kernel; the exact cover is then recovered by a descent
+that the cover number guides.  The module also carries the bipartite
+machinery: the union of link graphs over one colour class, maximum
+matching by Hopcroft-Karp, and the matching-sized vertex cover given by
+König's theorem, read from the alternating layering of the last phase.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -116,15 +117,6 @@ def _greedy_disjoint(edges: list[tuple[CompRef, ...]], indices: Iterable[int]) -
     return count
 
 
-def _through(edges: Iterable[frozenset[CompRef]]) -> dict[CompRef, list[frozenset[CompRef]]]:
-    """The edges through each component."""
-    through: dict[CompRef, list[frozenset[CompRef]]] = {}
-    for e in edges:
-        for r in e:
-            through.setdefault(r, []).append(e)
-    return through
-
-
 def _kernel(edges: Iterable[Iterable[CompRef]]) -> tuple[int, set[frozenset[CompRef]]]:
     """Apply the hitting-set reductions until none fires; returns the
     number of forced components and the kernel, which has the same cover
@@ -160,7 +152,10 @@ def _kernel(edges: Iterable[Iterable[CompRef]]) -> tuple[int, set[frozenset[Comp
         if dominated:
             kernel -= dominated
             continue
-        through = _through(kernel)
+        through: dict[CompRef, list[frozenset[CompRef]]] = {}
+        for e in kernel:
+            for r in e:
+                through.setdefault(r, []).append(e)
         drop = {
             a for a, es in through.items()
             if any(
@@ -173,31 +168,8 @@ def _kernel(edges: Iterable[Iterable[CompRef]]) -> tuple[int, set[frozenset[Comp
         kernel = {e - drop for e in kernel}
 
 
-def _pieces(kernel: set[frozenset[CompRef]]) -> list[list[tuple[CompRef, ...]]]:
-    """The kernel split into connected pieces (edges sharing a component),
-    each edge a sorted tuple and each piece sorted."""
-    pieces: list[list[tuple[CompRef, ...]]] = []
-    through = _through(kernel)
-    seen: set[frozenset[CompRef]] = set()
-    for start in kernel:
-        if start in seen:
-            continue
-        seen.add(start)
-        piece, frontier = [start], [start]
-        while frontier:
-            e = frontier.pop()
-            for r in e:
-                for f in through[r]:
-                    if f not in seen:
-                        seen.add(f)
-                        piece.append(f)
-                        frontier.append(f)
-        pieces.append(sorted(tuple(sorted(e)) for e in piece))
-    return pieces
-
-
 def _branch_and_bound(edges: list[tuple[CompRef, ...]]) -> int:
-    """Cover number of one piece: branch on the first uncovered edge, with
+    """Cover number of a kernel: branch on the first uncovered edge, with
     a greedy cover as incumbent and a greedy disjoint-edge packing as
     lower bound."""
     incidence: dict[CompRef, set[int]] = {}
@@ -221,11 +193,12 @@ def _branch_and_bound(edges: list[tuple[CompRef, ...]]) -> int:
 
 
 def cover_number(edges: Iterable[Iterable[CompRef]]) -> int:
-    """Minimum number of components meeting every edge: the forced
-    components of the reduced kernel plus the branch-and-bound optimum of
-    each connected piece of it."""
+    """Minimum number of components meeting every edge: the components the
+    reductions force plus the branch-and-bound optimum of the kernel they
+    leave.  The kernel is not split into connected pieces: after the
+    reductions it is almost always empty and has never been seen to split."""
     forced, kernel = _kernel(edges)
-    return forced + sum(_branch_and_bound(piece) for piece in _pieces(kernel))
+    return forced + _branch_and_bound(sorted(tuple(sorted(e)) for e in kernel))
 
 
 def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> CoverCertificate | None:
@@ -379,43 +352,40 @@ def link_union(h: ComponentHypergraph, pivot: Colour = Colour.RED) -> BipartiteG
 _UNREACHED = 1 << 60
 
 
+def _alternating_layers(
+    l: BipartiteGraph, pair_l: dict[int, int], pair_r: dict[int, int]
+) -> tuple[dict[int, int], int]:
+    """Breadth-first layering of the alternating paths from the free left
+    vertices: `dist` maps each left vertex to its layer (_UNREACHED when no
+    alternating path reaches it), and `limit` is the length of the shortest
+    augmenting path, or _UNREACHED when the matching is maximum.  Layers at
+    or beyond `limit` are not expanded."""
+    dist = {a: _UNREACHED if a in pair_l else 0 for a in l.left}
+    queue = deque(a for a in l.left if a not in pair_l)
+    limit = _UNREACHED
+    while queue:
+        a = queue.popleft()
+        if dist[a] >= limit:
+            continue
+        for b in l.adjacency.get(a, ()):
+            if b not in pair_r:
+                limit = min(limit, dist[a] + 1)
+            else:
+                nxt = pair_r[b]
+                if dist[nxt] == _UNREACHED:
+                    dist[nxt] = dist[a] + 1
+                    queue.append(nxt)
+    return dist, limit
+
+
 def max_matching_bipartite(l: BipartiteGraph) -> MatchingCertificate:
     """Maximum matching via Hopcroft-Karp layered augmentation.
 
     Deterministic: vertices and neighbour lists are processed in sorted
     order, so a fixed input always yields the same matching.
     """
-    from collections import deque
-
     pair_l: dict[int, int] = {}
     pair_r: dict[int, int] = {}
-    dist: dict[int, int] = {}
-    lefts = list(l.left)
-    limit = _UNREACHED
-
-    def bfs() -> bool:
-        nonlocal limit
-        queue = deque()
-        for a in lefts:
-            if a not in pair_l:
-                dist[a] = 0
-                queue.append(a)
-            else:
-                dist[a] = _UNREACHED
-        limit = _UNREACHED
-        while queue:
-            a = queue.popleft()
-            if dist[a] >= limit:
-                continue
-            for b in l.adjacency.get(a, ()):
-                if b not in pair_r:
-                    limit = min(limit, dist[a] + 1)
-                else:
-                    nxt = pair_r[b]
-                    if dist[nxt] == _UNREACHED:
-                        dist[nxt] = dist[a] + 1
-                        queue.append(nxt)
-        return limit < _UNREACHED
 
     def dfs(a: int) -> bool:
         for b in l.adjacency.get(a, ()):
@@ -433,40 +403,33 @@ def max_matching_bipartite(l: BipartiteGraph) -> MatchingCertificate:
         dist[a] = _UNREACHED
         return False
 
-    while bfs():
-        for a in lefts:
+    while True:
+        dist, limit = _alternating_layers(l, pair_l, pair_r)
+        if limit == _UNREACHED:
+            return MatchingCertificate(tuple(sorted(pair_l.items())))
+        for a in l.left:
             if a not in pair_l:
                 dfs(a)
-    return MatchingCertificate(tuple(sorted(pair_l.items())))
 
 
 def konig_cover(l: BipartiteGraph, m: MatchingCertificate) -> CoverCertificate:
-    """Vertex cover of size |m| via alternating reachability.
+    """Vertex cover of size |m| by König's theorem: with Z the vertices
+    that alternating paths from the free left vertices reach, the cover is
+    the left vertices outside Z and the right vertices in Z.  Every right
+    vertex in Z is matched to a left vertex in Z, so the right half is the
+    partners of the reached matched left vertices.
 
     Cover members are (0, left id) and (1, right id).  Raises RuntimeError
-    if the construction fails, which happens exactly when m is not a
-    maximum matching of l.
+    if m is not a maximum matching of l.
     """
     pair_l = {a: b for a, b in m.edges}
-    pair_r = {b: a for a, b in m.edges}
-    reach_l = {a for a in l.left if a not in pair_l}
-    reach_r: set[int] = set()
-    frontier = sorted(reach_l)
-    while frontier:
-        next_l: list[int] = []
-        for a in frontier:
-            for b in l.adjacency.get(a, ()):
-                if b == pair_l.get(a) or b in reach_r:
-                    continue
-                reach_r.add(b)
-                if b in pair_r and pair_r[b] not in reach_l:
-                    reach_l.add(pair_r[b])
-                    next_l.append(pair_r[b])
-        frontier = sorted(next_l)
+    dist, limit = _alternating_layers(l, pair_l, {b: a for a, b in m.edges})
+    if limit != _UNREACHED:
+        raise RuntimeError("an augmenting path exists; matching not maximum")
     cover = tuple(
         sorted(
-            [(0, a) for a in l.left if a not in reach_l]
-            + [(1, b) for b in l.right if b in reach_r]
+            [(0, a) for a in l.left if dist[a] == _UNREACHED]
+            + [(1, pair_l[a]) for a in l.left if a in pair_l and dist[a] != _UNREACHED]
         )
     )
     if len(cover) != m.size:

@@ -24,13 +24,11 @@ from .rng import SplitMix64, derive_seed
 class PseudorandomConfig:
     """Tolerances and sample counts for the regularity checks.
 
-    `size_constant` instantiates "much larger than log(n)/p" as
-    size_constant * ln(n) / p when choosing qualifying set sizes;
-    `pair_size` overrides that choice with an explicit |X| = |Y|.
+    `pair_size` overrides the qualifying set size with an explicit
+    |X| = |Y|.
     """
 
     epsilon: float = 0.1
-    size_constant: float = 10.0
     max_tuple: int = 4
     density_samples: int = 200
     neighbourhood_samples: int = 100
@@ -39,8 +37,6 @@ class PseudorandomConfig:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.size_constant <= 0:
-            raise ValueError("size_constant must be positive")
         if not 1 <= self.max_tuple <= 6:
             raise ValueError("max_tuple must lie in 1..6")
         if self.density_samples < 1 or self.neighbourhood_samples < 1:
@@ -124,12 +120,16 @@ def _tally(
     return CheckOutcome(label, "ok", passes, fails, worst, tuple(witnesses), notes)
 
 
+# Makes "much larger than ln(n)/p" concrete as 10 ln(n)/p.
+_QUALIFYING_SIZE_FACTOR = 10.0
+
+
 def _qualifying_size(n: int, p: float, cfg: PseudorandomConfig) -> int | None:
     if cfg.pair_size is not None:
         return cfg.pair_size
     if p <= 0 or n < 2:
         return None
-    return max(1, math.ceil(cfg.size_constant * math.log(n) / p))
+    return max(1, math.ceil(_QUALIFYING_SIZE_FACTOR * math.log(n) / p))
 
 
 def check_edge_density(
@@ -138,8 +138,8 @@ def check_edge_density(
     """Sampled check that disjoint vertex sets X, Y of qualifying size span
     (1 +- epsilon) * p * |X| * |Y| edges, and at least one edge.
 
-    Set sizes default to the minimum qualifying size from `size_constant`
-    and can be pinned with `pair_size`.  Marked vacuous when the graph is
+    Set sizes default to the minimum qualifying size, 10 ln(n)/p rounded
+    up, and can be pinned with `pair_size`.  Marked vacuous when the graph is
     too small to host two disjoint qualifying sets.
     """
     n = g.n

@@ -22,7 +22,7 @@ verified before they leave `solve_cover`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
@@ -122,33 +122,20 @@ class TraceReport:
     winning_candidate: tuple[CompRef, ...] | None = None
 
     def to_json(self) -> dict:
-        out: dict = {
-            "alpha": self.alpha,
-            "branch": self.branch,
-            "component_count": self.component_count,
-            "cover": refs_json(self.cover_refs),
-            "notes": list(self.notes),
-        }
-        if self.strategy_size is not None:
-            out["strategy_size"] = self.strategy_size
-        if self.exact_size is not None:
-            out["exact_size"] = self.exact_size
-        if self.triple is not None:
-            out["triple"] = list(self.triple)
-        if self.x_size is not None:
-            out["x_size"] = self.x_size
-        if self.colour_pattern is not None:
-            out["colour_pattern"] = list(self.colour_pattern)
-        if self.nu_link is not None:
-            out["nu_link"] = self.nu_link
-        if self.matching is not None:
-            out["matching"] = [list(e) for e in self.matching]
-        if self.case is not None:
-            out["case"] = self.case
-        if self.j_witnesses is not None:
-            out["j_witnesses"] = dict(self.j_witnesses)
-        if self.winning_candidate is not None:
-            out["winning_candidate"] = refs_json(self.winning_candidate)
+        """Every field that is not None, `cover_refs` under "cover",
+        component references as `refs_json` pairs and tuples as lists."""
+        out: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None:
+                continue
+            if f.name in ("cover_refs", "winning_candidate"):
+                value = refs_json(value)
+            elif isinstance(value, (tuple, list)):
+                value = [list(v) if isinstance(v, tuple) else v for v in value]
+            elif isinstance(value, dict):
+                value = dict(value)
+            out["cover" if f.name == "cover_refs" else f.name] = value
         return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -87,6 +88,29 @@ class TestHyper:
         assert code == 0
         assert json.loads(out)["link_pivot"] == "green"
 
+    def test_outputs_pinned(self, capsys, tmp_path):
+        # SHA-256 of `hyper` with every pivot on ten seeded `gen` instances
+        # (τ up to 27, ν_link up to 32): pins `tau_cover`, `nu_matching`,
+        # `nu_link` and `konig_cover`.
+        instances = [
+            (12, 0.5, 1, "random"), (16, 0.4, 2, "three-star"), (30, 0.2, 3, "random"),
+            (40, 0.1, 4, "random"), (45, 0.3, 5, "three-star"), (50, 0.08, 5, "random"),
+            (60, 0.05, 6, "random"), (70, 0.05, 7, "random"), (80, 0.04, 8, "random"),
+            (90, 0.03, 9, "random"),
+        ]
+        path = str(tmp_path / "g.txt")
+        digest = hashlib.sha256()
+        for n, p, seed, colouring in instances:
+            run(capsys, "gen", "--n", str(n), "--p", str(p), "--seed", str(seed),
+                "--colouring", colouring, "--out", path)
+            for pivot in "rgb":
+                code, out = run(capsys, "hyper", path, "--pivot", pivot)
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "b9b2af7f96d44d8c137bc5af13c04fada0f9020a189b0d97cbc6ea9be0eec280"
+        )
+
 
 class TestSolve:
     def test_valid_cover_exit_zero(self, capsys, triangle_file):
@@ -123,6 +147,14 @@ class TestCheckPseudo:
         assert code == 0
         data = json.loads(out)
         assert set(data) == {"degrees", "edge_density", "common_neighbourhoods"}
+
+    def test_size_factor_flag_is_unrecognised(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-pseudo", "--n", "300", "--p", "0.5", "--size-constant", "5"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "error: unrecognized arguments: --size-constant 5" in captured.err
 
 
 class TestProbe:

@@ -26,7 +26,7 @@ from monotree import (
     tau_exact,
 )
 from monotree.experiment import first_nonadjacent_triple
-from monotree.hypergraph import _kernel, _pieces, cover_number, is_cover
+from monotree.hypergraph import _kernel, cover_number, is_cover
 from monotree.rng import SplitMix64, derive_seed
 
 import support
@@ -138,7 +138,8 @@ def seeded_coloured_graphs(draw):
 
 
 # Edges of 1 to 3 distinct vertices, each inside one of two blocks of four,
-# so that a kernel the reductions leave can split into two pieces.
+# so that the kernel the reductions leave can fall into two disconnected
+# pieces, which the single branch and bound must cover together.
 _BLOCKS = ([(0, i) for i in range(4)], [(1, i) for i in range(4)])
 small_hypergraphs = st.lists(
     st.sampled_from(_BLOCKS).flatmap(
@@ -176,14 +177,14 @@ class TestAgainstReferenceSearch:
 
     def test_irreducible_kernel_splits_into_pieces(self):
         # Two triangles and a 5-cycle of pairs: no reduction fires, and the
-        # three pieces need 2, 2 and 3 components.
+        # kernel is three disconnected pieces needing 2, 2 and 3 components,
+        # which one branch and bound over the whole kernel must add up.
         def cycle(colour, length):
             return [[(colour, i), (colour, (i + 1) % length)] for i in range(length)]
 
         edges = cycle(0, 3) + cycle(1, 3) + cycle(2, 5)
         forced, kernel = _kernel(edges)
         assert forced == 0 and len(kernel) == len(edges) == 11
-        assert sorted(map(len, _pieces(kernel))) == [3, 3, 5]
         assert cover_number(edges) == support.naive_cover_number(edges) == 7
 
     def test_sparse_covers_pinned(self):

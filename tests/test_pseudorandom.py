@@ -21,8 +21,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             PseudorandomConfig(max_tuple=7)
         with pytest.raises(ValueError):
-            PseudorandomConfig(size_constant=-1.0)
-        with pytest.raises(ValueError):
             PseudorandomConfig(pair_size=0)
 
 

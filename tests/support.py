@@ -9,11 +9,12 @@ enumeration, independence from nested loops over adjacency sets.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
-from monotree import COLOURS, Colour, ColouredGraph
+from monotree import COLOURS, Colour, ColouredGraph, GraphFormatError
+from monotree.graphs import LETTER_TO_COLOUR, MAX_VERTICES
 from monotree.hypergraph import CompRef, ComponentHypergraph, CoverCertificate
 
 BIG = 1 << 30
@@ -246,3 +247,76 @@ def reference_tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> Cov
     if k_max is not None and len(best) > k_max:
         return None
     return CoverCertificate(tuple(sorted(best)))
+
+
+# The text reader and writer of the parent of the block tokeniser, verbatim
+# apart from their names and docstrings.
+
+
+def reference_dumps(cg: ColouredGraph) -> str:
+    """One f-string per edge: the writer that `dumps` replaced, kept as the
+    oracle its bytes are compared against."""
+    lines = [f"n {cg.n}"]
+    for u, v, c in cg.edges():
+        lines.append(f"{u} {v} {c.letter}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_loads(text: str) -> ColouredGraph:
+    """One split and one validation per line, edges handed to
+    `ColouredGraph.from_edge_colours`: the reader that `loads` replaced,
+    kept as the oracle its graphs and error messages are compared
+    against."""
+    lines = (
+        (lineno, parts)
+        for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1)
+        if parts and not parts[0].startswith("#")
+    )
+    lineno, parts = next(lines, (1, None))
+    if parts is None:
+        raise GraphFormatError("line 1: missing header 'n <count>'")
+    if len(parts) != 2 or parts[0] != "n":
+        raise GraphFormatError(f"line {lineno}: expected header 'n <count>'")
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: vertex count is not an integer")
+    if n < 0:
+        raise GraphFormatError(f"line {lineno}: vertex count must be >= 0")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(
+            f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}"
+        )
+    last = (0, 0, 0)  # (line, u, v) of the edge handed over last
+
+    def edges() -> Iterator[tuple[int, int, Colour]]:
+        nonlocal last
+        for lineno, parts in lines:
+            if len(parts) != 3:
+                raise GraphFormatError(f"line {lineno}: expected 'u v c'")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: endpoints are not integers")
+            if parts[2] not in LETTER_TO_COLOUR:
+                raise GraphFormatError(f"line {lineno}: colour must be one of r, g, b")
+            if u == v:
+                raise GraphFormatError(f"line {lineno}: self-loop {u} {v}")
+            if not 0 <= u < v:
+                raise GraphFormatError(f"line {lineno}: need 0 <= u < v, got {u} {v}")
+            if v >= n:
+                raise GraphFormatError(f"line {lineno}: vertex {v} out of range for n={n}")
+            last = (lineno, u, v)
+            yield u, v, LETTER_TO_COLOUR[parts[2]]
+
+    try:
+        return ColouredGraph.from_edge_colours(n, edges())
+    except GraphFormatError:
+        raise
+    except ValueError:
+        # Every edge was validated above, so only the two-colour rule of
+        # from_edge_colours can reject one.
+        lineno, u, v = last
+        raise GraphFormatError(
+            f"line {lineno}: edge {u} {v} already declared with another colour"
+        ) from None

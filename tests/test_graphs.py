@@ -1,9 +1,12 @@
+import functools
 import hashlib
 import math
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monotree import (
     Colour,
@@ -17,6 +20,7 @@ from monotree import (
     generate_gnp,
     loads,
 )
+from monotree.components import shortcut_graph
 from monotree.graphs import MAX_VERTICES
 from monotree.rng import GOLDEN, MASK64, SplitMix64
 
@@ -437,3 +441,217 @@ class TestColouredGraphValidation:
         cg = ColouredGraph.from_edge_colours(3, [(0, 1, Colour.RED)])
         with pytest.raises(ValueError):
             cg.colour_of(0, 2)
+
+
+@functools.lru_cache(maxsize=None)
+def criterion_instance(n: int, seed: int, colouring: str, closure: bool) -> ColouredGraph:
+    """G(n, p) at the criterion density p = 1.5 (ln n / n)^(1/6), coloured at
+    random (seed + 1000) or by three green-based stars, or its closure."""
+    g = generate_gnp(n, 1.5 * (math.log(n) / n) ** (1 / 6), seed)
+    if colouring == "random":
+        cg = colour_random(g, seed + 1000)
+    else:
+        cg = colour_three_stars(g, *first_nonadjacent_triple(g), base=Colour.GREEN)
+    return shortcut_graph(cg) if closure else cg
+
+
+def mangled(text: str) -> str:
+    """The same graph in a noisier spelling: comments, blank and
+    whitespace-only lines, tabs, padded lines, consistent duplicates and
+    CRLF breaks."""
+    lines = text.split("\n")[:-1]
+    out = ["# a comment before the header", "", lines[0]]
+    for i, line in enumerate(lines[1:], start=1):
+        if i % 7 == 3:
+            line = line.replace(" ", "\t")
+        if i % 11 == 5:
+            line = "  " + line + " \t"
+        out.append(line)
+        if i % 97 == 0:
+            out.append(f"# comment {i}")
+        if i % 89 == 0:
+            out.append("" if i % 2 else " \t ")
+        if i % 50 == 1:
+            out.append(line)
+    out += lines[1:400:13]
+    return "\r\n".join(out) + "\r\n"
+
+
+class TestGoldenText:
+    """Pinned digests of `dumps` texts and of the rows `loads` reads back.
+
+    The digests were computed with the per-edge writer and per-line reader
+    (`support.reference_dumps`, `support.reference_loads`), before the
+    row-wise writer and the block tokeniser replaced them.
+    """
+
+    # (n, seed, colouring, closure, edge count, digest of the text, digest
+    # of the colour rows read back)
+    TEXTS = [
+        (300, 4, "random", False, 34607,
+         "aebe158ea80e212e2bcae57fa9bdd71186f7a879c67d21883aabf4c46ece8d26",
+         "50779a80671142983a3bb1708f35732017469dce6865e8a7afdf3564ca0e6724"),
+        (300, 4, "random", True, 44850,
+         "8a6df30143a7fd0fe28a41d480d57aed7e0d8547e3c4b231588490617e91854c",
+         "822d5617dcd99c3e8bc934be130785d613a8d5ce19604b46269fefd8c8c4e4c6"),
+        (300, 4, "three-star", False, 34607,
+         "419403782e0a8078d29ebfe586b5be26116405ac439b5f125e7503b818f9428d",
+         "6f46abebab86c3d84a7b8ea499e752183704f92008962d849e940713bf7da84b"),
+        (300, 4, "three-star", True, 44704,
+         "ad625ffade502e8a992c611249646f79d7efee4274f417f34a6656925293ac4b",
+         "2fd0ba134412e854b877c1d689ed069765bb5ea2e535c89c4392b34321270c8c"),
+        (1200, 5, "random", False, 458871,
+         "e699508ab1c8080230e2602863ad0aa70351358f9cf1a5905835d7273053acff",
+         "d3c4dc48a681dc079e06de45fef08c05908c4b3165569869906a028ab4d7984c"),
+        (1200, 5, "random", True, 719400,
+         "8eab5fecabaff84084499863f89b422a156ba34e19b6c4bce940052cf51ffaf1",
+         "63277c8632c22b4b7642b39bdd6538ec6834a87f7812e3a6b20c453505cfc539"),
+        (1200, 5, "three-star", False, 458871,
+         "dc4cc3106f7c48bb87992403a41b8ad549ec7653ce72c4226498fb65f68063e6",
+         "00f943f8e9bf4cd3c655c8f4776c252c0a7894ee164f0fd92606c7a53c5c14e7"),
+        (1200, 5, "three-star", True, 718518,
+         "d118f9b787666c2db1c9ed123a09570c684bcc4e4945f008f1f085f1b50b86ca",
+         "069f7e9465beca70b44fc3c3de006cd1dac1729c3bb9e27097e83d8915a9dbaf"),
+    ]
+
+    @pytest.mark.parametrize("n, seed, colouring, closure, edges, text_digest, rows", TEXTS)
+    def test_dumps_then_loads(self, n, seed, colouring, closure, edges, text_digest, rows):
+        cg = criterion_instance(n, seed, colouring, closure)
+        assert cg.edge_count() == edges
+        text = dumps(cg)
+        assert hashlib.sha256(text.encode()).hexdigest() == text_digest
+        back = loads(text)
+        assert rows_digest(*back.colour_adj) == rows
+        assert back == cg
+
+    def test_loads_of_a_mangled_text(self):
+        # The random n = 300 instance, spelt by `mangled` in 1,470 more lines.
+        text = mangled(dumps(criterion_instance(300, 4, "random", False)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "71ec073b446183de50d6644e568c9f7779cf86e7bb82197c678868c341ed1cf7"
+        )
+        assert rows_digest(*loads(text).colour_adj) == (
+            "50779a80671142983a3bb1708f35732017469dce6865e8a7afdf3564ca0e6724"
+        )
+
+
+def _outcome(read, text: str):
+    """What `read` makes of text: the graph, or the GraphFormatError text."""
+    try:
+        return read(text)
+    except GraphFormatError as err:
+        return f"error: {err}"
+
+
+def _edit_tokens(edit):
+    """A mutation that rewrites the tokens of an edge line and leaves
+    any other line alone."""
+
+    def mutate(lines, breaks, i, k):
+        parts = lines[i].split()
+        if len(parts) == 3 and parts[0] != "#":
+            lines[i] = edit(parts, k)
+
+    return mutate
+
+
+def _insert(line_of):
+    def mutate(lines, breaks, i, k):
+        lines.insert(i, line_of(lines, k))
+        breaks.insert(i, "\n")
+
+    return mutate
+
+
+def _break(lines, breaks, i, k):
+    breaks[i] = ("\r\n", "\x0c", "\u2028", "\r", " ")[k % 5]
+
+
+def _tabs(lines, breaks, i, k):
+    lines[i] = lines[i].replace(" ", "\t")
+
+
+def _copy_of_earlier(lines, k, conflicting=False):
+    parts = lines[1 + k % (len(lines) - 1)].split()
+    if len(parts) == 3 and conflicting and parts[2] in "rgb":
+        parts[2] = "rgb"[("rgb".index(parts[2]) + 1 + k % 2) % 3]
+    return " ".join(parts)
+
+
+# Every mutation a text may take, each at a drawn line i with a drawn k.
+MUTATIONS = [
+    _insert(lambda lines, k: f"# comment {k}"),
+    _insert(lambda lines, k: "  #indented 0 1 r"),
+    _insert(lambda lines, k: ""),
+    _insert(lambda lines, k: " \t "),
+    _break,
+    _tabs,
+    _edit_tokens(lambda t, k: f"+{t[0]} {t[1]} {t[2]}"),
+    _edit_tokens(lambda t, k: f"0{t[0]} {t[1]} {t[2]}"),
+    _edit_tokens(lambda t, k: f"{t[0]} {t[1][0]}_{t[1][1:]} {t[2]}" if len(t[1]) > 1 else f"{t[0]} 0_{t[1]} {t[2]}"),
+    _edit_tokens(lambda t, k: f"{chr(0x660 + int(t[0][0]))}{t[0][1:]} {t[1]} {t[2]}"),
+    _edit_tokens(lambda t, k: f"{t[0]}|{t[1]} {t[2]}"),
+    _edit_tokens(lambda t, k: f"{t[0]} {t[1]}| {t[2]}"),
+    _edit_tokens(lambda t, k: f"{t[0]} | {t[2]}"),
+    _edit_tokens(lambda t, k: f"{t[0]} {t[1]} |"),
+    _edit_tokens(lambda t, k: f"{t[0]} {t[1]}"),
+    _edit_tokens(lambda t, k: f"{t[0]} {t[1]} {t[2]} r"),
+    _edit_tokens(lambda t, k: f"{t[0]} {t[1]} {'rgbxR'[k % 5]}"),
+    _edit_tokens(lambda t, k: f"{t[1]} {t[0]} {t[2]}"),
+    _edit_tokens(lambda t, k: f"{t[0]} {t[0]} {t[2]}"),
+    _edit_tokens(lambda t, k: f"{t[0]} {PARITY_N + k % 3} {t[2]}"),
+    _edit_tokens(lambda t, k: f"-{t[0]} {t[1]} {t[2]}"),
+    _insert(lambda lines, k: _copy_of_earlier(lines, k)),
+    _insert(lambda lines, k: _copy_of_earlier(lines, k, conflicting=True)),
+]
+
+PARITY_N = 500
+
+
+@functools.lru_cache(maxsize=None)
+def parity_base() -> tuple[str, ...]:
+    """The lines of a 12,000-edge text, about 130 kB: several blocks."""
+    cg = colour_random(generate_gnp(PARITY_N, 0.1, seed=31), seed=32)
+    return tuple(dumps(cg).split("\n")[:-1])
+
+
+class TestReferenceParity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(MUTATIONS) - 1),
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.integers(0, 1000),
+            ),
+            max_size=6,
+        )
+    )
+    def test_same_graph_or_same_error(self, mutations):
+        lines = list(parity_base())
+        breaks = ["\n"] * len(lines)
+        for kind, where, k in mutations:
+            MUTATIONS[kind](lines, breaks, int(where * len(lines)), k)
+        text = "".join(map(str.__add__, lines, breaks))
+        assert _outcome(loads, text) == _outcome(support.reference_loads, text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(support.coloured_graphs(max_n=12))
+    def test_same_text(self, cg):
+        assert dumps(cg) == support.reference_dumps(cg)
+
+
+def test_huge_sparse_inputs_stay_cheap():
+    # A reader or writer whose work per row is the full width n, or which
+    # transposes all n columns, takes seconds to minutes on these; both
+    # take well under 0.2 s with work per listed edge.
+    single = f"n {MAX_VERTICES}\n0 {MAX_VERTICES - 1} r\n"
+    path = "n 20000\n" + "".join(f"{v} {v + 1} {'rgb'[v % 3]}\n" for v in range(19999))
+    for text in (single, path):
+        start = time.perf_counter()
+        cg = loads(text)
+        loaded = time.perf_counter()
+        assert dumps(cg) == text
+        dumped = time.perf_counter()
+        assert loaded - start < 1.0
+        assert dumped - loaded < 1.0

@@ -17,14 +17,23 @@ into the lower one a band of columns at a time (`_mirror`).  numpy is not
 used: it would do the same arithmetic, but importing it alone raises a
 monotree process's RSS by about 11 MB (16 to 27.7 MB on Python 3.11),
 well past the 15% peak-memory bound of the dense-probe benchmark.
+
+The text format is read and written the same way.  `dumps` writes a row
+at a time: the row's three colour rows become one hex number whose digit
+k is the colour of column u + 1 + k, and its digits select the row's edge
+columns.  `loads` tokenises blocks of about BLOCK_CHARS characters with
+one `str.split`, the lines of a block joined by a separator token " | "
+that neither int() nor the colour table accepts, so one count of tokens
+checks the shape of every line; it sets both bits of each edge, and
+leaves per-line work to naming the first faulty line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import repeat
-from operator import lshift, rshift
+from itertools import chain, compress, repeat
+from operator import add, lshift, lt, or_, rshift
 from typing import Iterable, Iterator
 
 from .rng import MASK64, SplitMix64, lane_constants
@@ -419,6 +428,14 @@ class GraphFormatError(ValueError):
     """Malformed coloured-graph text; message carries the 1-based line."""
 
 
+# Characters per block of text that `loads` tokenises at once.
+BLOCK_CHARS = 1 << 16
+# A token that neither int() nor LETTER_TO_COLOUR accepts, set between the
+# lines of a block.
+_SEPARATOR = " | "
+# `dumps` writes an edge of colour c as the hex digit c + 1, 0 for none.
+_HEX_TO_LETTER = bytes.maketrans(b"0123", b"\0rgb")
+
 # The largest vertex count `loads` accepts.  The header is read before any
 # edge, and the graph's per-vertex rows are allocated from it, so an
 # unchecked count would let a one-line file exhaust memory.
@@ -430,25 +447,51 @@ def dumps(cg: ColouredGraph) -> str:
 
     First line "n <count>", then one line "u v c" per edge with u < v and
     c in {r, g, b}; '#' starts a comment.
+
+    The text is built a row at a time.  Row u's colour rows above column
+    u, written in binary and read back as hexadecimal, put column u + 1 + k
+    of each colour in hex digit k; red + 2 green + 3 blue then holds the
+    colour of that pair, plus one, in digit k (0: no edge).  Its hex
+    digits, lowest first, mapped to letters, select the " v " names of
+    the row's edges, and one join writes the row's lines.  The work per
+    row is the row's significant width, not n.
     """
-    lines = [f"n {cg.n}"]
-    for u, v, c in cg.edges():
-        lines.append(f"{u} {v} {c.letter}")
-    return "\n".join(lines) + "\n"
+    n = cg.n
+    names = [f" {v} " for v in range(n)]
+    out = [f"n {n}\n"]
+    for u, (r, g, b) in enumerate(zip(*cg.colour_adj)):
+        above = u + 1
+        r, g, b = r >> above, g >> above, b >> above
+        if r | g | b:
+            x = int(bin(r)[2:], 16) + 2 * int(bin(g)[2:], 16) + 3 * int(bin(b)[2:], 16)
+            letters = format(x, "x")[::-1].encode().translate(_HEX_TO_LETTER)
+            picked = compress(names[above : above + len(letters)], letters)
+            colours = letters.replace(b"\0", b"").decode()
+            out.append(f"{u}" + f"\n{u}".join(map(add, picked, colours)) + "\n")
+    return "".join(out)
 
 
 def loads(text: str) -> ColouredGraph:
     """Parse the text interchange format; raises GraphFormatError with the
     offending line number on malformed input, including a vertex count
-    above MAX_VERTICES."""
-    lines = (
-        (lineno, parts)
-        for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1)
-        if parts and not parts[0].startswith("#")
-    )
-    lineno, parts = next(lines, (1, None))
-    if parts is None:
+    above MAX_VERTICES.
+
+    The edge lines are read in blocks of about BLOCK_CHARS characters
+    (`_text_blocks`), each tokenised by one split (`_edge_block`) with no
+    Python step per line.  A block that fails that pass is read again
+    without its blank and comment lines; if it fails again, or if the
+    colour rows overlap at the end, the text holds a faulty line, and
+    `_first_fault` names the first one, in line order, whether it is
+    malformed or gives an edge a second colour.
+    """
+    blocks = _text_blocks(text)
+    for first, lines in blocks:
+        header = next((i for i, line in enumerate(lines) if _is_data(line)), None)
+        if header is not None:
+            break
+    else:
         raise GraphFormatError("line 1: missing header 'n <count>'")
+    lineno, parts = first + header, lines[header].split()
     if len(parts) != 2 or parts[0] != "n":
         raise GraphFormatError(f"line {lineno}: expected header 'n <count>'")
     try:
@@ -461,39 +504,112 @@ def loads(text: str) -> ColouredGraph:
         raise GraphFormatError(
             f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}"
         )
-    last = (0, 0, 0)  # (line, u, v) of the edge handed over last
-
-    def edges() -> Iterator[tuple[int, int, Colour]]:
-        nonlocal last
-        for lineno, parts in lines:
-            if len(parts) != 3:
-                raise GraphFormatError(f"line {lineno}: expected 'u v c'")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: endpoints are not integers")
-            if parts[2] not in LETTER_TO_COLOUR:
-                raise GraphFormatError(f"line {lineno}: colour must be one of r, g, b")
-            if u == v:
-                raise GraphFormatError(f"line {lineno}: self-loop {u} {v}")
-            if not 0 <= u < v:
-                raise GraphFormatError(f"line {lineno}: need 0 <= u < v, got {u} {v}")
-            if v >= n:
-                raise GraphFormatError(f"line {lineno}: vertex {v} out of range for n={n}")
-            last = (lineno, u, v)
-            yield u, v, LETTER_TO_COLOUR[parts[2]]
-
+    rows = ([0] * n, [0] * n, [0] * n)
+    row_of = {letter: rows[c] for letter, c in LETTER_TO_COLOUR.items()}
+    for block in chain([lines[header + 1 :]], (block for _, block in blocks)):
+        edges = _edge_block(block, n, row_of)
+        if edges is None:
+            block = list(filter(_is_data, block))  # drop blank and comment lines
+            if not block:
+                continue
+            edges = _edge_block(block, n, row_of)
+            if edges is None:
+                raise _first_fault(text, n)
+        for u, v, row in zip(*edges):
+            row[u] |= 1 << v
+            row[v] |= 1 << u
+    red, green, blue = rows
+    adj = tuple(map(or_, map(or_, red, green), blue))
     try:
-        return ColouredGraph.from_edge_colours(n, edges())
-    except GraphFormatError:
-        raise
+        return ColouredGraph(SimpleGraph(n, adj), (tuple(red), tuple(green), tuple(blue)))
     except ValueError:
-        # Every edge was validated above, so only the two-colour rule of
-        # from_edge_colours can reject one.
-        lineno, u, v = last
-        raise GraphFormatError(
-            f"line {lineno}: edge {u} {v} already declared with another colour"
-        ) from None
+        # Every edge was validated, so only a pair listed with two colours,
+        # which sets its bit in two colour rows, can be rejected here.
+        raise _first_fault(text, n) from None
+
+
+def _text_blocks(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(number of the first line, lines) of successive blocks of text, as
+    `str.splitlines` would split it.  A block ends after the first line
+    feed at or past BLOCK_CHARS characters into it, which is always the
+    end of a line, so the whole text's line list is never built."""
+    lineno, start = 1, 0
+    while start < len(text):
+        end = text.find("\n", start + BLOCK_CHARS) + 1 or len(text)
+        lines = text[start:end].splitlines()
+        yield lineno, lines
+        lineno += len(lines)
+        start = end
+
+
+def _is_data(line: str) -> bool:
+    """Whether a line is read: not blank, and not a comment."""
+    parts = line.split()
+    return bool(parts) and not parts[0].startswith("#")
+
+
+def _edge_block(
+    lines: list[str], n: int, row_of: dict[str, list[int]]
+) -> tuple[list[int], list[int], list[list[int]]] | None:
+    """The endpoints u and v and the colour rows of a block of "u v c"
+    lines, or None if any line of it is not one with 0 <= u < v < n.
+
+    The lines are joined with " | " and split once.  One length test
+    checks the shape, by counting: the join adds L - 1 "|" tokens to the
+    lines' own tokens, so 4L - 1 tokens in all leave 3L to the lines.
+    Once every u, v and c place below has been read, which int() and the
+    colour table refuse for "|", the L - 1 separators can stand only at
+    the L - 1 places 3, 7, ..., 4L - 5.  So the j-th separator is token
+    4j - 1, the first j lines hold 3j tokens for every j, and each line
+    is exactly "u v c".
+    """
+    tokens = _SEPARATOR.join(lines).split()
+    count = len(lines)
+    if len(tokens) != 4 * count - 1:
+        return None
+    try:
+        us = list(map(int, tokens[0::4]))
+        vs = list(map(int, tokens[1::4]))
+        colour_rows = list(map(row_of.__getitem__, tokens[2::4]))
+    except (ValueError, KeyError):
+        return None
+    if min(us) < 0 or max(vs) >= n or not all(map(lt, us, vs)):
+        return None
+    return us, vs, colour_rows
+
+
+def _first_fault(text: str, n: int) -> GraphFormatError:
+    """The error for the first faulty edge line of a text whose header
+    declared n vertices: a malformed line, or an edge that an earlier
+    line gave another colour.  Only called on a text that holds one; it
+    names the line and accepts no edge."""
+    lines = (
+        (lineno, line.split())
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if _is_data(line)
+    )
+    next(lines)  # the header
+    colours: dict[tuple[int, int], str] = {}
+    for lineno, parts in lines:
+        if len(parts) != 3:
+            return GraphFormatError(f"line {lineno}: expected 'u v c'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            return GraphFormatError(f"line {lineno}: endpoints are not integers")
+        if parts[2] not in LETTER_TO_COLOUR:
+            return GraphFormatError(f"line {lineno}: colour must be one of r, g, b")
+        if u == v:
+            return GraphFormatError(f"line {lineno}: self-loop {u} {v}")
+        if not 0 <= u < v:
+            return GraphFormatError(f"line {lineno}: need 0 <= u < v, got {u} {v}")
+        if v >= n:
+            return GraphFormatError(f"line {lineno}: vertex {v} out of range for n={n}")
+        if colours.setdefault((u, v), parts[2]) != parts[2]:
+            return GraphFormatError(
+                f"line {lineno}: edge {u} {v} already declared with another colour"
+            )
+    raise AssertionError("no faulty line in a text that failed the block pass")
 
 
 def store(path: str, cg: ColouredGraph) -> None:

@@ -21,7 +21,7 @@ from monotree import (
     loads,
 )
 from monotree.components import shortcut_graph
-from monotree.graphs import MAX_VERTICES
+from monotree.graphs import BLOCK_CHARS, MAX_VERTICES
 from monotree.rng import GOLDEN, MASK64, SplitMix64
 
 import support
@@ -610,7 +610,7 @@ PARITY_N = 500
 
 @functools.lru_cache(maxsize=None)
 def parity_base() -> tuple[str, ...]:
-    """The lines of a 12,000-edge text, about 130 kB: several blocks."""
+    """The lines of a 12,306-edge text of 118 kB: two blocks of `loads`."""
     cg = colour_random(generate_gnp(PARITY_N, 0.1, seed=31), seed=32)
     return tuple(dumps(cg).split("\n")[:-1])
 
@@ -625,15 +625,35 @@ class TestReferenceParity:
                 st.integers(0, 1000),
             ),
             max_size=6,
-        )
+        ),
+        st.none() | st.tuples(st.integers(0, 1), st.integers(0, 2)),
     )
-    def test_same_graph_or_same_error(self, mutations):
+    def test_same_graph_or_same_error(self, mutations, after_boundary):
         lines = list(parity_base())
         breaks = ["\n"] * len(lines)
         for kind, where, k in mutations:
             MUTATIONS[kind](lines, breaks, int(where * len(lines)), k)
         text = "".join(map(str.__add__, lines, breaks))
+        if after_boundary is not None:
+            # a faulty line first in the second block, or after the last
+            boundary, fault = after_boundary
+            cut = 0
+            for _ in range(boundary + 1):
+                cut = text.find("\n", cut + BLOCK_CHARS) + 1 or len(text)
+            line = ("0 0 r", "1 2", _copy_of_earlier(lines, 0, conflicting=True))[fault]
+            text = f"{text[:cut]}{line}\n{text[cut:]}"
         assert _outcome(loads, text) == _outcome(support.reference_loads, text)
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\x0c"])
+    def test_header_past_the_first_block(self, brk):
+        preamble = f"# padding{brk}" * (BLOCK_CHARS // 5)  # 13,107 lines
+        for rest, message in [
+            ("m 3\n", "line 13108: expected header 'n <count>'"),
+            ("n 3\n0 1 r\n1 1 g\n", "line 13110: self-loop 1 1"),
+        ]:
+            text = preamble + rest
+            assert _outcome(loads, text) == f"error: {message}"
+            assert _outcome(support.reference_loads, text) == f"error: {message}"
 
     @settings(max_examples=60, deadline=None)
     @given(support.coloured_graphs(max_n=12))

@@ -662,9 +662,9 @@ class TestReferenceParity:
 
 
 def test_huge_sparse_inputs_stay_cheap():
-    # A reader or writer whose work per row is the full width n, or which
-    # transposes all n columns, takes seconds to minutes on these; both
-    # take well under 0.2 s with work per listed edge.
+    # Work per row over the full width n, or a transpose of all n columns,
+    # costs n^2 steps: 4.3e9 on the first input and 4e8 on the second.
+    # Each call takes at most about 0.1 s here.
     single = f"n {MAX_VERTICES}\n0 {MAX_VERTICES - 1} r\n"
     path = "n 20000\n" + "".join(f"{v} {v + 1} {'rgb'[v % 3]}\n" for v in range(19999))
     for text in (single, path):

@@ -22,10 +22,15 @@ The text format is read and written the same way.  `dumps` writes a row
 at a time: the row's three colour rows become one hex number whose digit
 k is the colour of column u + 1 + k, and its digits select the row's edge
 columns.  `loads` tokenises blocks of about BLOCK_CHARS characters with
-one `str.split`, the lines of a block joined by a separator token " | "
-that neither int() nor the colour table accepts, so one count of tokens
-checks the shape of every line; it sets both bits of each edge, and
-leaves per-line work to naming the first faulty line.
+one `str.split`, each line of a block followed by a separator token "|"
+that neither the vertex-name table nor the colour table accepts, so one
+count of tokens checks the shape of every line.  A block of ASCII text
+whose only line breaks are line feeds is split as it stands, each line
+feed replaced by " | "; any other block is split into lines first.  The
+name table (`_VertexNames`) calls int() once per distinct spelling of a
+vertex and checks its range as it does, so a vertex named 760 times
+costs one conversion.  `loads` sets both bits of each edge, and leaves
+per-line work to naming the first faulty line.
 """
 
 from __future__ import annotations
@@ -430,9 +435,13 @@ class GraphFormatError(ValueError):
 
 # Characters per block of text that `loads` tokenises at once.
 BLOCK_CHARS = 1 << 16
-# A token that neither int() nor LETTER_TO_COLOUR accepts, set between the
-# lines of a block.
+# A token that neither `_VertexNames` nor LETTER_TO_COLOUR accepts, set
+# after each line of a block.
 _SEPARATOR = " | "
+# The ASCII characters other than the line feed at which `str.splitlines`
+# ends a line; a block holding one is split into lines before it is
+# tokenised.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 # `dumps` writes an edge of colour c as the hex digit c + 1, 0 for none.
 _HEX_TO_LETTER = bytes.maketrans(b"0123", b"\0rgb")
 
@@ -478,20 +487,25 @@ def loads(text: str) -> ColouredGraph:
 
     The edge lines are read in blocks of about BLOCK_CHARS characters
     (`_text_blocks`), each tokenised by one split (`_edge_block`) with no
-    Python step per line.  A block that fails that pass is read again
-    without its blank and comment lines; if it fails again, or if the
-    colour rows overlap at the end, the text holds a faulty line, and
-    `_first_fault` names the first one, in line order, whether it is
-    malformed or gives an edge a second colour.
+    Python step per line, and every vertex name is read through one
+    `_VertexNames` table for the whole text.  The rest of the header's
+    block is read as a block of its own, its lines joined by line feeds.
+    If a block fails, or if the colour rows overlap at the end, the text
+    holds a faulty line, and `_first_fault` names the first one, in line
+    order, whether it is malformed or gives an edge a second colour.
     """
     blocks = _text_blocks(text)
-    for first, lines in blocks:
+    lineno = 1
+    for block in blocks:
+        lines = block.splitlines()
         header = next((i for i, line in enumerate(lines) if _is_data(line)), None)
         if header is not None:
             break
+        lineno += len(lines)
     else:
         raise GraphFormatError("line 1: missing header 'n <count>'")
-    lineno, parts = first + header, lines[header].split()
+    lineno += header
+    parts = lines[header].split()
     if len(parts) != 2 or parts[0] != "n":
         raise GraphFormatError(f"line {lineno}: expected header 'n <count>'")
     try:
@@ -506,15 +520,12 @@ def loads(text: str) -> ColouredGraph:
         )
     rows = ([0] * n, [0] * n, [0] * n)
     row_of = {letter: rows[c] for letter, c in LETTER_TO_COLOUR.items()}
-    for block in chain([lines[header + 1 :]], (block for _, block in blocks)):
-        edges = _edge_block(block, n, row_of)
+    names = _VertexNames(n)
+    rest = "\n".join(lines[header + 1 :] + [""])
+    for block in chain([rest], blocks):
+        edges = _edge_block(block, names, row_of)
         if edges is None:
-            block = list(filter(_is_data, block))  # drop blank and comment lines
-            if not block:
-                continue
-            edges = _edge_block(block, n, row_of)
-            if edges is None:
-                raise _first_fault(text, n)
+            raise _first_fault(text, n)
         for u, v, row in zip(*edges):
             row[u] |= 1 << v
             row[v] |= 1 << u
@@ -528,17 +539,15 @@ def loads(text: str) -> ColouredGraph:
         raise _first_fault(text, n) from None
 
 
-def _text_blocks(text: str) -> Iterator[tuple[int, list[str]]]:
-    """(number of the first line, lines) of successive blocks of text, as
-    `str.splitlines` would split it.  A block ends after the first line
-    feed at or past BLOCK_CHARS characters into it, which is always the
-    end of a line, so the whole text's line list is never built."""
-    lineno, start = 1, 0
+def _text_blocks(text: str) -> Iterator[str]:
+    """Successive blocks of text.  A block ends after the first line feed
+    at or past BLOCK_CHARS characters into it, which is always the end of
+    a line as `str.splitlines` splits it, so the whole text's line list
+    is never built."""
+    start = 0
     while start < len(text):
         end = text.find("\n", start + BLOCK_CHARS) + 1 or len(text)
-        lines = text[start:end].splitlines()
-        yield lineno, lines
-        lineno += len(lines)
+        yield text[start:end]
         start = end
 
 
@@ -548,32 +557,75 @@ def _is_data(line: str) -> bool:
     return bool(parts) and not parts[0].startswith("#")
 
 
-def _edge_block(
-    lines: list[str], n: int, row_of: dict[str, list[int]]
-) -> tuple[list[int], list[int], list[list[int]]] | None:
-    """The endpoints u and v and the colour rows of a block of "u v c"
-    lines, or None if any line of it is not one with 0 <= u < v < n.
+class _VertexNames(dict):
+    """The vertex that each spelling of a name stands for, in a text of n
+    vertices.  A missing spelling is read by int() once, with every form
+    int() accepts (05, +5, -0, 1_1, non-ASCII digits), and stored if
+    0 <= v < n; otherwise it raises ValueError and is not stored."""
 
-    The lines are joined with " | " and split once.  One length test
-    checks the shape, by counting: the join adds L - 1 "|" tokens to the
-    lines' own tokens, so 4L - 1 tokens in all leave 3L to the lines.
-    Once every u, v and c place below has been read, which int() and the
-    colour table refuse for "|", the L - 1 separators can stand only at
-    the L - 1 places 3, 7, ..., 4L - 5.  So the j-th separator is token
-    4j - 1, the first j lines hold 3j tokens for every j, and each line
-    is exactly "u v c".
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, token: str) -> int:
+        v = int(token)
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        self[token] = v
+        return v
+
+
+def _edge_block(
+    block: str, names: _VertexNames, row_of: dict[str, list[int]]
+) -> tuple[list[int], list[int], list[list[int]]] | None:
+    """The endpoints u and v and the colour rows of the edge lines of a
+    block of text, or None if a line of it that is neither blank nor a
+    comment is not "u v c" with 0 <= u < v < n.
+
+    A block of ASCII text whose only line breaks are line feeds is
+    tokenised as it stands, each line feed replaced by " | ".  Any other
+    block, or one that fails that pass (it holds a blank or comment
+    line), is split into lines, which drops every line break that
+    `str.splitlines` knows; its blank and comment lines go, and the rest
+    are joined with " | " after each line.
     """
-    tokens = _SEPARATOR.join(lines).split()
-    count = len(lines)
-    if len(tokens) != 4 * count - 1:
+    if block.isascii() and not any(map(block.__contains__, _OTHER_BREAKS)):
+        tokens = block.replace("\n", _SEPARATOR).split()
+        edges = _edge_tokens(tokens, block.count("\n"), names, row_of)
+        if edges is not None:
+            return edges
+    lines = list(filter(_is_data, block.splitlines()))
+    tokens = _SEPARATOR.join(lines + [""]).split()
+    return _edge_tokens(tokens, len(lines), names, row_of)
+
+
+def _edge_tokens(
+    tokens: list[str],
+    separators: int,
+    names: _VertexNames,
+    row_of: dict[str, list[int]],
+) -> tuple[list[int], list[int], list[list[int]]] | None:
+    """The edges of the tokens of some lines with a separator "|" after
+    each, or None unless they are `separators` lines "u v c" with
+    0 <= u < v < n.
+
+    One length test checks the shape, by counting: S separators make
+    4S tokens in all only if the lines hold 3S.  Once every u, v and c
+    place below has been read, which the name and colour tables refuse
+    for "|", the S separators can stand only at the S places 3, 7, ...,
+    4S - 1.  So the j-th separator is token 4j - 1, the j-th line holds
+    the 3 tokens before it, and nothing follows the last one.  The name
+    table checks 0 <= u, v < n as it reads, which leaves u < v.
+    """
+    if len(tokens) != 4 * separators:
         return None
     try:
-        us = list(map(int, tokens[0::4]))
-        vs = list(map(int, tokens[1::4]))
+        us = list(map(names.__getitem__, tokens[0::4]))
+        vs = list(map(names.__getitem__, tokens[1::4]))
         colour_rows = list(map(row_of.__getitem__, tokens[2::4]))
     except (ValueError, KeyError):
         return None
-    if min(us) < 0 or max(vs) >= n or not all(map(lt, us, vs)):
+    if not all(map(lt, us, vs)):
         return None
     return us, vs, colour_rows
 

@@ -661,6 +661,63 @@ class TestReferenceParity:
         assert dumps(cg) == support.reference_dumps(cg)
 
 
+# Comment lines that fill the header's block, so that what follows them
+# is read as the second block of `loads`.
+PAD_BLOCK = "# pad\n" * (BLOCK_CHARS // 6 + 1)
+
+
+class TestVertexNames:
+    """Each text's vertex names are read through one table that converts
+    each distinct spelling once; every case is checked against the
+    per-line reference reader, in the header's block and in a later one."""
+
+    @pytest.mark.parametrize("pad", ["", PAD_BLOCK])
+    def test_spellings_of_one_vertex(self, pad):
+        text = f"n 12\n{pad}-0 5 r\n05 1_1 g\n+5 7 b\n0 05 r\n\u0665 6 g\n"
+        cg = loads(text)
+        assert cg == support.reference_loads(text)
+        assert cg.edge_count() == 4
+        assert cg.colour_of(0, 5) == Colour.RED
+        assert cg.colour_of(5, 11) == Colour.GREEN
+        assert cg.colour_of(5, 7) == Colour.BLUE
+        assert cg.colour_of(5, 6) == Colour.GREEN
+
+    @pytest.mark.parametrize("pad", ["", PAD_BLOCK])
+    @pytest.mark.parametrize(
+        "edges, lineno, message",
+        [
+            ("0 +3 r\n", 2, "vertex 3 out of range for n=3"),
+            ("0 1 r\n-0 +1 g\n", 3, "edge 0 1 already declared with another colour"),
+            ("1 2 g\n0 +1 r\n0_2 01 b\n", 4, "need 0 <= u < v, got 2 1"),
+        ],
+    )
+    def test_errors_name_the_value(self, pad, edges, lineno, message):
+        text = f"n 3\n{pad}{edges}"
+        expected = f"error: line {lineno + pad.count(chr(10))}: {message}"
+        assert _outcome(loads, text) == _outcome(support.reference_loads, text) == expected
+
+    @pytest.mark.parametrize("pad", ["", PAD_BLOCK])
+    def test_table_is_not_shared_between_texts(self, pad):
+        assert loads(f"n 10\n{pad}0 9 r\n").colour_of(0, 9) == Colour.RED
+        with pytest.raises(GraphFormatError, match="vertex 9 out of range for n=5"):
+            loads(f"n 5\n{pad}0 9 r\n")
+
+    @pytest.mark.parametrize(
+        "brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_line_breaks_past_the_first_block(self, brk):
+        # A block holding a line break other than the line feed is split
+        # into lines as `str.splitlines` splits it.
+        for edges in (f"0 1{brk}r\n", f"0 1 r{brk}1 2 g\n", f"0 1 r\n1 2{brk}"):
+            text = f"n 3\n{PAD_BLOCK}{edges}"
+            assert _outcome(loads, text) == _outcome(support.reference_loads, text)
+
+    def test_last_line_without_a_line_feed(self):
+        for edges in ("0 1 r\n1 2 g", "0 1 r\n1 2", "0 1 r\n  "):
+            text = f"n 3\n{PAD_BLOCK}{edges}"
+            assert _outcome(loads, text) == _outcome(support.reference_loads, text)
+
+
 def test_huge_sparse_inputs_stay_cheap():
     # Work per row over the full width n, or a transpose of all n columns,
     # costs n^2 steps: 4.3e9 on the first input and 4e8 on the second.

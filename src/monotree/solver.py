@@ -356,12 +356,12 @@ def strategy_alpha2(
         )
         return _finish(trace, winner, BRANCH_CASE2, "3+1 case candidates exhausted")
 
-    # 4+0: all four matching edges in the r1 link.
+    # 4+0: all four matching edges in the r1 link.  `others` is never
+    # empty: every vertex has a hyperedge, so if all of them passed
+    # through r1, every vertex would lie in r1 and the closure would be
+    # complete, with independence number 1; `solve_cover` calls this only
+    # when it is 2.
     others = [e for e in h.edges if e[0] != r1]
-    if not others:
-        # Every hyperedge passes through r1, so r1 alone covers everything.
-        trace.notes.append("all hyperedges share the pivot red component")
-        return _finish(trace, ((0, r1),), BRANCH_CASE3)
     greens = [g for g, _ in edges4]
     blues = [b for _, b in edges4]
     for r2x, gx, bx in others:

@@ -488,11 +488,15 @@ def loads(text: str) -> ColouredGraph:
     The edge lines are read in blocks of about BLOCK_CHARS characters
     (`_text_blocks`), each tokenised by one split (`_edge_block`) with no
     Python step per line, and every vertex name is read through one
-    `_VertexNames` table for the whole text.  The rest of the header's
-    block is read as a block of its own, its lines joined by line feeds.
-    If a block fails, or if the colour rows overlap at the end, the text
-    holds a faulty line, and `_first_fault` names the first one, in line
-    order, whether it is malformed or gives an edge a second colour.
+    `_VertexNames` table for the whole text.  A block of ASCII text whose
+    only line breaks are line feeds is tokenised as it stands.  Any other
+    block, or one that fails that pass, is split into lines and read
+    again without its blank and comment lines.  The rest of the header's
+    block, its lines joined again by line feeds, is read as a block of
+    its own.  If a block fails again, or if the colour rows overlap at
+    the end, the text holds a faulty line, and `_first_fault` names the
+    first one, in line order, whether it is malformed or gives an edge a
+    second colour.
     """
     blocks = _text_blocks(text)
     lineno = 1
@@ -521,11 +525,17 @@ def loads(text: str) -> ColouredGraph:
     rows = ([0] * n, [0] * n, [0] * n)
     row_of = {letter: rows[c] for letter, c in LETTER_TO_COLOUR.items()}
     names = _VertexNames(n)
-    rest = "\n".join(lines[header + 1 :] + [""])
+    rest = "\n".join([*lines[header + 1 :], ""])
     for block in chain([rest], blocks):
-        edges = _edge_block(block, names, row_of)
+        plain = block.isascii() and not any(map(block.__contains__, _OTHER_BREAKS))
+        edges = _edge_block(block, names, row_of) if plain else None
         if edges is None:
-            raise _first_fault(text, n)
+            # split into lines as `str.splitlines` does, without the blank
+            # and comment lines, and join them again with line feeds
+            data = "\n".join([*filter(_is_data, block.splitlines()), ""])
+            edges = _edge_block(data, names, row_of)
+            if edges is None:
+                raise _first_fault(text, n)
         for u, v, row in zip(*edges):
             row[u] |= 1 << v
             row[v] |= 1 << u
@@ -578,46 +588,22 @@ class _VertexNames(dict):
 def _edge_block(
     block: str, names: _VertexNames, row_of: dict[str, list[int]]
 ) -> tuple[list[int], list[int], list[list[int]]] | None:
-    """The endpoints u and v and the colour rows of the edge lines of a
-    block of text, or None if a line of it that is neither blank nor a
-    comment is not "u v c" with 0 <= u < v < n.
+    """The endpoints u and v and the colour rows of a block of "u v c"
+    lines whose only line breaks are line feeds, or None if any line of
+    it is not one with 0 <= u < v < n, or if text follows the last line
+    feed.
 
-    A block of ASCII text whose only line breaks are line feeds is
-    tokenised as it stands, each line feed replaced by " | ".  Any other
-    block, or one that fails that pass (it holds a blank or comment
-    line), is split into lines, which drops every line break that
-    `str.splitlines` knows; its blank and comment lines go, and the rest
-    are joined with " | " after each line.
+    Each line feed becomes a separator " | ", and one split reads the
+    block.  One length test then checks the shape, by counting: S line
+    feeds make 4S tokens in all only if the lines hold 3S.  Once every u,
+    v and c place below has been read, which the name and colour tables
+    refuse for "|", the S separators can stand only at the S places
+    3, 7, ..., 4S - 1.  So the j-th separator is token 4j - 1, the j-th
+    line holds the 3 tokens before it, and nothing follows the last one.
+    The name table checks 0 <= u, v < n as it reads, leaving u < v.
     """
-    if block.isascii() and not any(map(block.__contains__, _OTHER_BREAKS)):
-        tokens = block.replace("\n", _SEPARATOR).split()
-        edges = _edge_tokens(tokens, block.count("\n"), names, row_of)
-        if edges is not None:
-            return edges
-    lines = list(filter(_is_data, block.splitlines()))
-    tokens = _SEPARATOR.join(lines + [""]).split()
-    return _edge_tokens(tokens, len(lines), names, row_of)
-
-
-def _edge_tokens(
-    tokens: list[str],
-    separators: int,
-    names: _VertexNames,
-    row_of: dict[str, list[int]],
-) -> tuple[list[int], list[int], list[list[int]]] | None:
-    """The edges of the tokens of some lines with a separator "|" after
-    each, or None unless they are `separators` lines "u v c" with
-    0 <= u < v < n.
-
-    One length test checks the shape, by counting: S separators make
-    4S tokens in all only if the lines hold 3S.  Once every u, v and c
-    place below has been read, which the name and colour tables refuse
-    for "|", the S separators can stand only at the S places 3, 7, ...,
-    4S - 1.  So the j-th separator is token 4j - 1, the j-th line holds
-    the 3 tokens before it, and nothing follows the last one.  The name
-    table checks 0 <= u, v < n as it reads, which leaves u < v.
-    """
-    if len(tokens) != 4 * separators:
+    tokens = block.replace("\n", _SEPARATOR).split()
+    if len(tokens) != 4 * block.count("\n"):
         return None
     try:
         us = list(map(names.__getitem__, tokens[0::4]))

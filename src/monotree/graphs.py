@@ -439,8 +439,8 @@ BLOCK_CHARS = 1 << 16
 # after each line of a block.
 _SEPARATOR = " | "
 # The ASCII characters other than the line feed at which `str.splitlines`
-# ends a line; a block holding one is split into lines before it is
-# tokenised.
+# ends a line; a block holding one, or a non-ASCII character, is split
+# into lines before it is tokenised.
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 # `dumps` writes an edge of colour c as the hex digit c + 1, 0 for none.
 _HEX_TO_LETTER = bytes.maketrans(b"0123", b"\0rgb")
@@ -489,14 +489,13 @@ def loads(text: str) -> ColouredGraph:
     (`_text_blocks`), each tokenised by one split (`_edge_block`) with no
     Python step per line, and every vertex name is read through one
     `_VertexNames` table for the whole text.  A block of ASCII text whose
-    only line breaks are line feeds is tokenised as it stands.  Any other
-    block, or one that fails that pass, is split into lines and read
-    again without its blank and comment lines.  The rest of the header's
-    block, its lines joined again by line feeds, is read as a block of
-    its own.  If a block fails again, or if the colour rows overlap at
-    the end, the text holds a faulty line, and `_first_fault` names the
-    first one, in line order, whether it is malformed or gives an edge a
-    second colour.
+    only line breaks are line feeds is tokenised as it stands; any other
+    block is split into lines first and its lines joined again with line
+    feeds, and so is the rest of the header's block.  A block that fails
+    that pass is read again without its blank and comment lines.  If it
+    fails again, or if the colour rows overlap at the end, the text holds
+    a faulty line, and `_first_fault` names the first one, in line order,
+    whether it is malformed or gives an edge a second colour.
     """
     blocks = _text_blocks(text)
     lineno = 1
@@ -527,11 +526,12 @@ def loads(text: str) -> ColouredGraph:
     names = _VertexNames(n)
     rest = "\n".join([*lines[header + 1 :], ""])
     for block in chain([rest], blocks):
-        plain = block.isascii() and not any(map(block.__contains__, _OTHER_BREAKS))
-        edges = _edge_block(block, names, row_of) if plain else None
+        if not block.isascii() or any(map(block.__contains__, _OTHER_BREAKS)):
+            # split into lines as `str.splitlines` does, and join them
+            # again with line feeds
+            block = "\n".join([*block.splitlines(), ""])
+        edges = _edge_block(block, names, row_of)
         if edges is None:
-            # split into lines as `str.splitlines` does, without the blank
-            # and comment lines, and join them again with line feeds
             data = "\n".join([*filter(_is_data, block.splitlines()), ""])
             edges = _edge_block(data, names, row_of)
             if edges is None:

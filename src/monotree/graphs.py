@@ -590,8 +590,8 @@ def _edge_block(
 ) -> tuple[list[int], list[int], list[list[int]]] | None:
     """The endpoints u and v and the colour rows of a block of "u v c"
     lines whose only line breaks are line feeds, or None if any line of
-    it is not one with 0 <= u < v < n, or if text follows the last line
-    feed.
+    it is not one with 0 <= u < v < n, or if a token follows the last
+    line feed.
 
     Each line feed becomes a separator " | ", and one split reads the
     block.  One length test then checks the shape, by counting: S line

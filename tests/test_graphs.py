@@ -693,7 +693,7 @@ class TestVertexNames:
     )
     def test_errors_name_the_value(self, pad, edges, lineno, message):
         text = f"n 3\n{pad}{edges}"
-        expected = f"error: line {lineno + pad.count(chr(10))}: {message}"
+        expected = f"error: line {lineno + pad.count('#')}: {message}"
         assert _outcome(loads, text) == _outcome(support.reference_loads, text) == expected
 
     @pytest.mark.parametrize("pad", ["", PAD_BLOCK])

@@ -48,7 +48,6 @@ from .hypergraph import (
     build_component_hypergraph,
     konig_cover,
     link_union,
-    matching_to_independent_set,
     max_matching_bipartite,
     nu_exact,
     tau_exact,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-import time
 from dataclasses import dataclass
 
 from .graphs import (
@@ -65,6 +64,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_values:
             raise ValueError("need at least one n value")
+        for n in self.n_values:
+            if n < 0:
+                raise ValueError(f"n values must be non-negative, got n={n}")
+            if self.p_exponent is not None and n < 2:
+                raise ValueError(f"p_exponent needs every n >= 2, got n={n}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if bool(self.p_values) == (self.p_exponent is not None):
@@ -113,20 +117,6 @@ class TrialRecord:
     size: int | None
     branch: str | None
     exact_size: int | None
-    wall_time: float
-
-    def core(self) -> tuple:
-        """Everything deterministic about the record (wall time excluded)."""
-        return (
-            self.n,
-            self.p,
-            self.mode,
-            self.trial,
-            self.skipped,
-            self.size,
-            self.branch,
-            self.exact_size,
-        )
 
 
 def _float_bits(p: float) -> int:
@@ -150,17 +140,13 @@ def run_trial(cfg: ExperimentConfig, n: int, p: float, mode: str, trial: int) ->
     """One sampled instance of a cell, fully determined by (seed, cell,
     trial index).  Degenerate three-star cells (no non-adjacent triple)
     are recorded as skipped, never raised."""
-    start = time.perf_counter()
     base_seed = trial_seed(cfg.seed, n, p, mode, trial)
     g = generate_gnp(n, p, _mix(base_seed, 0))
     cg: ColouredGraph | None = None
     if mode == MODE_THREE_STAR:
         triple = first_nonadjacent_triple(g)
         if triple is None:
-            return TrialRecord(
-                n, p, mode, trial, True, None, None, None,
-                time.perf_counter() - start,
-            )
+            return TrialRecord(n, p, mode, trial, True, None, None, None)
         cg = colour_three_stars(g, *triple, base=Colour.RED)
     else:
         cg = colour_random(g, _mix(base_seed, 1))
@@ -169,7 +155,6 @@ def run_trial(cfg: ExperimentConfig, n: int, p: float, mode: str, trial: int) ->
     return TrialRecord(
         n, p, mode, trial, False, cover.size, trace.branch,
         trace.exact_size if small else None,
-        time.perf_counter() - start,
     )
 
 

@@ -55,10 +55,6 @@ class Colour(IntEnum):
     GREEN = 1
     BLUE = 2
 
-    @property
-    def letter(self) -> str:
-        return "rgb"[self]
-
 
 COLOURS = (Colour.RED, Colour.GREEN, Colour.BLUE)
 LETTER_TO_COLOUR = {"r": Colour.RED, "g": Colour.GREEN, "b": Colour.BLUE}
@@ -113,13 +109,6 @@ class SimpleGraph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as (u, v) with u < v, lexicographically ascending."""
-        for u in range(self.n):
-            high = self.adj[u] >> (u + 1)
-            for off in iter_bits(high):
-                yield u, u + 1 + off
-
     def common_neighbourhood(self, vertices: Iterable[int]) -> int:
         """Bit mask of vertices adjacent to all of `vertices`, excluding them."""
         mask = self.full_mask
@@ -132,23 +121,6 @@ class SimpleGraph:
     @classmethod
     def empty(cls, n: int) -> "SimpleGraph":
         return cls(n, tuple(0 for _ in range(n)))
-
-    @classmethod
-    def complete(cls, n: int) -> "SimpleGraph":
-        full = (1 << n) - 1
-        return cls(n, tuple(full ^ (1 << v) for v in range(n)))
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        rows = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls(n, tuple(rows))
 
 
 def first_nonadjacent_triple(g: SimpleGraph) -> tuple[int, int, int] | None:
@@ -305,36 +277,8 @@ class ColouredGraph:
                 return c
         raise ValueError(f"({u}, {v}) is not an edge")
 
-    def edges(self) -> Iterator[tuple[int, int, Colour]]:
-        for u, v in self.graph.edges():
-            yield u, v, self.colour_of(u, v)
-
     def edge_count(self) -> int:
         return self.graph.edge_count()
-
-    @classmethod
-    def from_edge_colours(
-        cls, n: int, items: Iterable[tuple[int, int, Colour]]
-    ) -> "ColouredGraph":
-        rows = [[0] * n, [0] * n, [0] * n]
-        adj = [0] * n
-        for u, v, c in items:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if (adj[u] >> v) & 1:
-                if not (rows[c][u] >> v) & 1:
-                    raise ValueError(f"edge ({u}, {v}) listed with two colours")
-                continue
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            rows[c][u] |= 1 << v
-            rows[c][v] |= 1 << u
-        return cls(
-            SimpleGraph(n, tuple(adj)),
-            tuple(tuple(r) for r in rows),  # type: ignore[arg-type]
-        )
 
 
 def colour_random(g: SimpleGraph, seed: int) -> ColouredGraph:

@@ -85,13 +85,6 @@ class MatchingCertificate:
         return len(self.edges)
 
 
-def is_cover(h: ComponentHypergraph, refs: Iterable[CompRef]) -> bool:
-    chosen = set(refs)
-    return all(
-        any(r in chosen for r in h.refs_of(e)) for e in h.edges
-    )
-
-
 def _greedy_cover(edges: list[tuple[CompRef, ...]]) -> list[CompRef]:
     uncovered = set(range(len(edges)))
     picked: list[CompRef] = []
@@ -295,34 +288,14 @@ def nu_exact(h: ComponentHypergraph) -> MatchingCertificate:
 class BipartiteGraph:
     """Bipartite graph on integer-labelled sides.
 
-    `origin`, when present, maps each edge to the sorted ids of the pivot
-    components whose links contributed it.
+    `origin` maps each edge to the sorted ids of the pivot components whose
+    links contributed it.
     """
 
     left: tuple[int, ...]
     right: tuple[int, ...]
     adjacency: dict[int, tuple[int, ...]]  # left id -> sorted right ids
-    origin: dict[tuple[int, int], tuple[int, ...]] | None = None
-
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted((a, b) for a in self.adjacency for b in self.adjacency[a])
-
-    @classmethod
-    def from_edges(
-        cls,
-        left: Iterable[int],
-        right: Iterable[int],
-        pairs: Iterable[tuple[int, int]],
-    ) -> "BipartiteGraph":
-        left_t = tuple(sorted(set(left)))
-        right_t = tuple(sorted(set(right)))
-        left_set, right_set = set(left_t), set(right_t)
-        adj: dict[int, set[int]] = {a: set() for a in left_t}
-        for a, b in pairs:
-            if a not in left_set or b not in right_set:
-                raise ValueError(f"edge ({a}, {b}) leaves the declared sides")
-            adj[a].add(b)
-        return cls(left_t, right_t, {a: tuple(sorted(bs)) for a, bs in adj.items()})
+    origin: dict[tuple[int, int], tuple[int, ...]]
 
 
 def link_union(h: ComponentHypergraph, pivot: Colour = Colour.RED) -> BipartiteGraph:
@@ -442,15 +415,3 @@ def konig_cover(l: BipartiteGraph, m: MatchingCertificate) -> CoverCertificate:
                     f"edge ({a}, {b}) uncovered; matching not maximum"
                 )
     return CoverCertificate(cover)
-
-
-def matching_to_independent_set(
-    h: ComponentHypergraph, m: MatchingCertificate
-) -> tuple[int, ...]:
-    """Witness vertices of a hypergraph matching, sorted.
-
-    Any edge between two witnesses in the closure graph would join two
-    distinct components of the edge's colour, so the returned vertices are
-    pairwise non-adjacent there.
-    """
-    return tuple(sorted(h.witness[e] for e in m.edges))

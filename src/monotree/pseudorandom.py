@@ -57,14 +57,6 @@ class CheckOutcome:
     witnesses: tuple = ()
     notes: tuple[str, ...] = ()
 
-    @property
-    def all_passed(self) -> bool:
-        return self.status == "ok" and self.fails == 0 and self.passes > 0
-
-    def pass_fraction(self) -> float:
-        total = self.passes + self.fails
-        return self.passes / total if total else 0.0
-
     def to_json(self) -> dict:
         return {
             "label": self.label,
@@ -80,12 +72,6 @@ class CheckOutcome:
 @dataclass(frozen=True)
 class CheckReport:
     outcomes: tuple[CheckOutcome, ...]
-
-    def outcome(self, label: str) -> CheckOutcome:
-        for o in self.outcomes:
-            if o.label == label:
-                return o
-        raise KeyError(label)
 
     def to_json(self) -> dict:
         return {"outcomes": [o.to_json() for o in self.outcomes]}

@@ -318,8 +318,7 @@ def strategy_alpha2(
         return _finish(trace, refs, BRANCH_KONIG)
 
     edges4 = list(m.edges[:4])
-    origin = link.origin or {}
-    origins = [set(origin.get(e, ())) for e in edges4]
+    origins = [set(link.origin[e]) for e in edges4]
     coverage: dict[int, int] = {}
     for os in origins:
         for r in os:

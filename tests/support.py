@@ -13,8 +13,18 @@ from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
-from monotree import COLOURS, Colour, ColouredGraph, GraphFormatError
-from monotree.graphs import LETTER_TO_COLOUR, MAX_VERTICES
+from monotree import (
+    COLOURS,
+    BipartiteGraph,
+    CheckOutcome,
+    CheckReport,
+    Colour,
+    ColouredGraph,
+    GraphFormatError,
+    MatchingCertificate,
+    SimpleGraph,
+)
+from monotree.graphs import LETTER_TO_COLOUR, MAX_VERTICES, iter_bits
 from monotree.hypergraph import CompRef, ComponentHypergraph, CoverCertificate
 
 BIG = 1 << 30
@@ -25,7 +35,7 @@ def bfs_colour_components(cg: ColouredGraph) -> dict[Colour, list[set[int]]]:
     adj: dict[Colour, dict[int, set[int]]] = {
         c: {v: set() for v in range(cg.n)} for c in COLOURS
     }
-    for u, v, c in cg.edges():
+    for u, v, c in coloured_edges(cg):
         adj[c][u].add(v)
         adj[c][v].add(u)
     out: dict[Colour, list[set[int]]] = {}
@@ -162,7 +172,7 @@ def coloured_graphs(draw, min_n: int = 0, max_n: int = 12):
         for (u, v), code in zip(pairs, codes)
         if code > 0
     ]
-    return ColouredGraph.from_edge_colours(n, items)
+    return from_edge_colours(n, items)
 
 
 # The exact search of the parent of the hitting-set reductions, verbatim
@@ -250,21 +260,22 @@ def reference_tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> Cov
 
 
 # The text reader and writer of the parent of the block tokeniser, verbatim
-# apart from their names and docstrings.
+# apart from their names, their docstrings and the views and builder below,
+# which they called as methods then.
 
 
 def reference_dumps(cg: ColouredGraph) -> str:
     """One f-string per edge: the writer that `dumps` replaced, kept as the
     oracle its bytes are compared against."""
     lines = [f"n {cg.n}"]
-    for u, v, c in cg.edges():
-        lines.append(f"{u} {v} {c.letter}")
+    for u, v, c in coloured_edges(cg):
+        lines.append(f"{u} {v} {letter(c)}")
     return "\n".join(lines) + "\n"
 
 
 def reference_loads(text: str) -> ColouredGraph:
     """One split and one validation per line, edges handed to
-    `ColouredGraph.from_edge_colours`: the reader that `loads` replaced,
+    `from_edge_colours`: the reader that `loads` replaced,
     kept as the oracle its graphs and error messages are compared
     against."""
     lines = (
@@ -310,7 +321,7 @@ def reference_loads(text: str) -> ColouredGraph:
             yield u, v, LETTER_TO_COLOUR[parts[2]]
 
     try:
-        return ColouredGraph.from_edge_colours(n, edges())
+        return from_edge_colours(n, edges())
     except GraphFormatError:
         raise
     except ValueError:
@@ -320,3 +331,98 @@ def reference_loads(text: str) -> ColouredGraph:
         raise GraphFormatError(
             f"line {lineno}: edge {u} {v} already declared with another colour"
         ) from None
+
+
+# Builders and views that only the tests use; the library builds its graphs
+# by sampling and by `loads`, and never lists them edge by edge.
+
+
+def letter(c: Colour) -> str:
+    return "rgb"[c]
+
+
+def graph_edges(g: SimpleGraph) -> Iterator[tuple[int, int]]:
+    """Edges as (u, v) with u < v, lexicographically ascending."""
+    return ((u, u + 1 + off) for u in range(g.n) for off in iter_bits(g.adj[u] >> (u + 1)))
+
+
+def coloured_edges(cg: ColouredGraph) -> Iterator[tuple[int, int, Colour]]:
+    return ((u, v, cg.colour_of(u, v)) for u, v in graph_edges(cg.graph))
+
+
+def complete_graph(n: int) -> SimpleGraph:
+    return SimpleGraph(n, tuple(((1 << n) - 1) ^ (1 << v) for v in range(n)))
+
+
+def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
+    rows = [0] * n
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return SimpleGraph(n, tuple(rows))
+
+
+def from_edge_colours(n: int, items: Iterable[tuple[int, int, Colour]]) -> ColouredGraph:
+    """Graph from (u, v, colour) triples.  An edge listed twice must keep
+    its colour; `reference_loads` relies on the ValueError otherwise."""
+    rows = [[0] * n, [0] * n, [0] * n]
+    adj = [0] * n
+    for u, v, c in items:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if (adj[u] >> v) & 1:
+            if not (rows[c][u] >> v) & 1:
+                raise ValueError(f"edge ({u}, {v}) listed with two colours")
+            continue
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        rows[c][u] |= 1 << v
+        rows[c][v] |= 1 << u
+    return ColouredGraph(
+        SimpleGraph(n, tuple(adj)),
+        tuple(tuple(r) for r in rows),  # type: ignore[arg-type]
+    )
+
+
+def bipartite_from_edges(
+    left: Iterable[int], right: Iterable[int], pairs: Iterable[tuple[int, int]]
+) -> BipartiteGraph:
+    """A bipartite graph with an empty `origin`: the matching code never reads it."""
+    adj: dict[int, set[int]] = {a: set() for a in sorted(set(left))}
+    for a, b in pairs:
+        adj[a].add(b)
+    adjacency = {a: tuple(sorted(bs)) for a, bs in adj.items()}
+    return BipartiteGraph(tuple(adj), tuple(sorted(set(right))), adjacency, {})
+
+
+def bipartite_edges(bp: BipartiteGraph) -> list[tuple[int, int]]:
+    return sorted((a, b) for a in bp.adjacency for b in bp.adjacency[a])
+
+
+def is_cover(h: ComponentHypergraph, refs: tuple[CompRef, ...]) -> bool:
+    return all(any(r in refs for r in h.refs_of(e)) for e in h.edges)
+
+
+def matching_to_independent_set(h: ComponentHypergraph, m: MatchingCertificate) -> tuple[int, ...]:
+    """Witness vertices of a hypergraph matching, sorted: pairwise
+    non-adjacent in the closure, since an edge between two would join two
+    distinct components of its colour."""
+    return tuple(sorted(h.witness[e] for e in m.edges))
+
+
+def outcome(report: CheckReport, label: str) -> CheckOutcome:
+    return next(o for o in report.outcomes if o.label == label)
+
+
+def all_passed(o: CheckOutcome) -> bool:
+    return o.status == "ok" and o.fails == 0 and o.passes > 0
+
+
+def pass_fraction(o: CheckOutcome) -> float:
+    return o.passes / (o.passes + o.fails) if o.passes + o.fails else 0.0

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from monotree import (
     Colour,
-    ColouredGraph,
     ExperimentConfig,
     PseudorandomConfig,
     alpha_class,
@@ -31,7 +30,6 @@ from monotree import (
     first_nonadjacent_triple,
     generate_gnp,
     konig_cover,
-    matching_to_independent_set,
     max_matching_bipartite,
     monochromatic_components,
     nu_exact,
@@ -40,7 +38,6 @@ from monotree import (
     tau_exact,
     verify_cover,
 )
-from monotree.hypergraph import BipartiteGraph
 from monotree.rng import SplitMix64, derive_seed
 
 import support
@@ -142,7 +139,7 @@ def test_criterion_3_exhaustive_k5_pair_search():
     failures = 0
     count = 0
     for assignment in product((Colour.RED, Colour.GREEN, Colour.BLUE), repeat=10):
-        cg = ColouredGraph.from_edge_colours(
+        cg = support.from_edge_colours(
             5, [(u, v, c) for (u, v), c in zip(pairs, assignment)]
         )
         refs = egp_partition_search(monochromatic_components(cg))
@@ -168,7 +165,7 @@ def test_criterion_4_exhaustive_two_coloured_k6():
     full = (1 << 6) - 1
     failures = 0
     for bits in range(1 << 15):
-        cg = ColouredGraph.from_edge_colours(
+        cg = support.from_edge_colours(
             6,
             [
                 (u, v, Colour.RED if (bits >> i) & 1 else Colour.GREEN)
@@ -238,7 +235,7 @@ def test_criterion_6_konig_suite():
             for b in range(nr)
             if rng.randrange(100) < density
         ]
-        bp = BipartiteGraph.from_edges(range(nl), range(nr), edges)
+        bp = support.bipartite_from_edges(range(nl), range(nr), edges)
         m = max_matching_bipartite(bp)
         cover = konig_cover(bp, m)
         chosen = set(cover.cover)
@@ -281,7 +278,7 @@ def test_criterion_7_hypergraph_inequalities():
             alpha_two_seen += 1
             if nu > 2:
                 failures.append((trial, "nu above independence", nu))
-        verts = matching_to_independent_set(h, nu_cert)
+        verts = support.matching_to_independent_set(h, nu_cert)
         closure = lab.closure()
         for i, u in enumerate(verts):
             for v in verts[i + 1 :]:
@@ -305,11 +302,12 @@ def test_criterion_8_regularity_statistics():
     Runtime under two minutes."""
     start = time.perf_counter()
     g = generate_gnp(3000, 0.5, derive_seed(MASTER_SEED, 50_000))
-    deg = check_degrees(g, 0.5, PseudorandomConfig(epsilon=0.1)).outcome("degrees")
+    deg = support.outcome(check_degrees(g, 0.5, PseudorandomConfig(epsilon=0.1)), "degrees")
     density_cfg = PseudorandomConfig(epsilon=0.1, pair_size=100, density_samples=200)
-    dens = check_edge_density(
-        g, 0.5, density_cfg, derive_seed(MASTER_SEED, 50_001)
-    ).outcome("edge-density")
+    dens = support.outcome(
+        check_edge_density(g, 0.5, density_cfg, derive_seed(MASTER_SEED, 50_001)),
+        "edge-density",
+    )
     nbhd_cfg = PseudorandomConfig(
         epsilon=0.25, max_tuple=4, neighbourhood_samples=100
     )
@@ -319,19 +317,19 @@ def test_criterion_8_regularity_statistics():
     problems = []
     if deg.fails != 0 or deg.status != "ok":
         problems.append(("degrees", deg.fails))
-    if dens.status != "ok" or dens.pass_fraction() < 0.99:
-        problems.append(("density", dens.pass_fraction()))
+    if dens.status != "ok" or support.pass_fraction(dens) < 0.99:
+        problems.append(("density", support.pass_fraction(dens)))
     for i in range(1, 5):
-        out = nbhd.outcome(f"common-neighbourhood i={i}")
-        if out.status != "ok" or out.pass_fraction() < 0.99:
-            problems.append((f"neighbourhood i={i}", out.status, out.pass_fraction()))
+        out = support.outcome(nbhd, f"common-neighbourhood i={i}")
+        if out.status != "ok" or support.pass_fraction(out) < 0.99:
+            problems.append((f"neighbourhood i={i}", out.status, support.pass_fraction(out)))
     elapsed = time.perf_counter() - start
     ok = not problems and elapsed < 120.0
     report(
         8,
         "regularity statistics",
         ok,
-        f"degrees 3000/3000, density {dens.pass_fraction():.3f}, {elapsed:.1f}s",
+        f"degrees 3000/3000, density {support.pass_fraction(dens):.3f}, {elapsed:.1f}s",
     )
     assert ok, problems
 

@@ -5,15 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from monotree import Colour, ColouredGraph, dumps, loads
+from monotree import Colour, dumps, loads
 from monotree.cli import build_parser, main
+
+import support
 
 R, G, B = Colour.RED, Colour.GREEN, Colour.BLUE
 
 
 @pytest.fixture
 def triangle_file(tmp_path):
-    cg = ColouredGraph.from_edge_colours(
+    cg = support.from_edge_colours(
         3, [(0, 1, R), (0, 2, R), (1, 2, R)]
     )
     path = tmp_path / "triangle.txt"
@@ -62,7 +64,7 @@ class TestComponents:
 
 class TestShortcut:
     def test_emits_closure_in_text_format(self, capsys, tmp_path):
-        cg = ColouredGraph.from_edge_colours(3, [(0, 1, R), (1, 2, R)])
+        cg = support.from_edge_colours(3, [(0, 1, R), (1, 2, R)])
         src = tmp_path / "path.txt"
         src.write_text(dumps(cg))
         code, out = run(capsys, "shortcut", str(src))
@@ -129,7 +131,7 @@ class TestOracle:
         assert json.loads(out)["tau"] == 1
 
     def test_k_max_exceeded(self, capsys, tmp_path):
-        cg = ColouredGraph.from_edge_colours(3, [])
+        cg = support.from_edge_colours(3, [])
         src = tmp_path / "empty.txt"
         src.write_text(dumps(cg))
         code, out = run(capsys, "oracle", str(src), "--k-max", "2")
@@ -228,6 +230,23 @@ class TestErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: --p cannot be combined with --p-exp or --p-scale\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "-5", "--p", "0.5"], "n values must be non-negative, got n=-5"),
+            (["--n", "0", "--p-exp", "1/6"], "p_exponent needs every n >= 2, got n=0"),
+        ],
+        ids=["negative", "exponent-below-two"],
+    )
+    def test_bad_n_leaves_out_file_untouched(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "grid.csv"
+        out.write_bytes(b"earlier results\n")
+        code = main(["probe", *argv, "--trials", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {message}\n"
+        assert out.read_bytes() == b"earlier results\n"
 
     def test_missing_file_reports_error(self, capsys):
         code = main(["solve", "/nonexistent/file.txt"])

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from monotree import (
     COLOURS,
     Colour,
-    ColouredGraph,
-    SimpleGraph,
     alpha_class,
     colour_random,
     generate_gnp,
@@ -20,7 +18,7 @@ import support
 
 
 def cg_from(n, items):
-    return ColouredGraph.from_edge_colours(n, items)
+    return support.from_edge_colours(n, items)
 
 
 def shuffled_red_path(n, seed):
@@ -114,7 +112,7 @@ class TestShortcutGraph:
     def test_two_colour_path_adds_nothing(self):
         cg = cg_from(3, [(0, 1, Colour.RED), (1, 2, Colour.BLUE)])
         closure = shortcut_graph(cg)
-        assert sorted(closure.graph.edges()) == [(0, 1), (1, 2)]
+        assert sorted(support.graph_edges(closure.graph)) == [(0, 1), (1, 2)]
         assert closure.colour_of(0, 1) == Colour.RED
         assert closure.colour_of(1, 2) == Colour.BLUE
 
@@ -152,7 +150,7 @@ class TestShortcutGraph:
         closure = shortcut_graph(cg)
         for v in range(cg.n):
             assert cg.graph.adj[v] & ~closure.graph.adj[v] == 0
-        for u, v, c in cg.edges():
+        for u, v, c in support.coloured_edges(cg):
             assert closure.colour_of(u, v) == c
 
     @settings(max_examples=40)
@@ -181,7 +179,7 @@ class TestShortcutGraph:
 
 class TestAlphaClass:
     def test_complete_graph_is_one(self):
-        cg = colour_random(SimpleGraph.complete(5), seed=0)
+        cg = colour_random(support.complete_graph(5), seed=0)
         assert alpha_class(monochromatic_components(cg)).kind == "one"
 
     def test_k5_minus_edge_is_two(self):

@@ -17,6 +17,8 @@ from monotree import experiment
 from monotree.experiment import MODE_RANDOM, MODE_THREE_STAR, trial_seed
 from monotree.solver import solve_cover
 
+import support
+
 
 def small_config(**overrides):
     base = dict(
@@ -62,6 +64,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="p_scales requires p_exponent"):
             small_config(p_scales=(1.0, 2.0))  # would be ignored beside p_values
 
+    def test_rejects_negative_n(self):
+        with pytest.raises(ValueError, match=r"^n values must be non-negative, got n=-5$"):
+            ExperimentConfig(n_values=(10, -5), trials=1, seed=0, p_values=(0.5,))
+        ExperimentConfig(n_values=(0, 1), trials=1, seed=0, p_values=(0.5,))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_exponent_form_rejects_n_below_two(self, n):
+        # ln n / n is undefined at 0 and gives p = 0 at 1
+        with pytest.raises(ValueError, match=rf"^p_exponent needs every n >= 2, got n={n}$"):
+            ExperimentConfig(
+                n_values=(10, n), trials=1, seed=0, p_exponent=1 / 6, p_scales=(1.0,)
+            )
+
     def test_rejects_repeated_cell(self):
         repeated = r"cell \(n=20, p=0\.5, mode=random\) is listed more than once"
         with pytest.raises(ValueError, match=repeated):
@@ -100,7 +115,7 @@ class TestRunTrial:
         )
         a = run_trial(cfg, 200, 0.6, MODE_THREE_STAR, 0)
         b = run_trial(cfg, 200, 0.6, MODE_THREE_STAR, 0)
-        assert a.core() == b.core()
+        assert a == b
         assert not a.skipped
         assert a.size == 3
 
@@ -201,7 +216,7 @@ class TestRunTrial:
 
 class TestFirstNonadjacentTriple:
     def test_complete_graph_has_none(self):
-        assert first_nonadjacent_triple(SimpleGraph.complete(8)) is None
+        assert first_nonadjacent_triple(support.complete_graph(8)) is None
 
     def test_empty_graph_lex_smallest(self):
         assert first_nonadjacent_triple(SimpleGraph.empty(5)) == (0, 1, 2)

@@ -7,40 +7,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monotree import (
-    BipartiteGraph,
     Colour,
-    ColouredGraph,
     ComponentHypergraph,
     MatchingCertificate,
-    SimpleGraph,
     build_component_hypergraph,
     colour_random,
     colour_three_stars,
     generate_gnp,
     konig_cover,
     link_union,
-    matching_to_independent_set,
     max_matching_bipartite,
     monochromatic_components,
     nu_exact,
     tau_exact,
 )
 from monotree.experiment import first_nonadjacent_triple
-from monotree.hypergraph import _kernel, cover_number, is_cover
+from monotree.hypergraph import _kernel, cover_number
 from monotree.rng import SplitMix64, derive_seed
 
 import support
 
 
 def all_red_triangle_h() -> ComponentHypergraph:
-    cg = ColouredGraph.from_edge_colours(
+    cg = support.from_edge_colours(
         3, [(0, 1, Colour.RED), (0, 2, Colour.RED), (1, 2, Colour.RED)]
     )
     return build_component_hypergraph(monochromatic_components(cg))
 
 
 def k6_star_h() -> ComponentHypergraph:
-    g = SimpleGraph.from_edges(
+    g = support.graph_from_edges(
         6,
         [(u, v) for u in range(6) for v in range(u + 1, 6) if not (u < 3 and v < 3)],
     )
@@ -59,7 +55,7 @@ class TestBuild:
 
     def test_two_isolated_vertices(self):
         h = build_component_hypergraph(
-            monochromatic_components(ColouredGraph.from_edge_colours(2, []))
+            monochromatic_components(support.from_edge_colours(2, []))
         )
         assert h.edges == ((0, 0, 0), (1, 1, 1))
         assert all(len(p) == 2 for p in h.parts)
@@ -109,7 +105,7 @@ class TestTauExact:
 
     def test_disjoint_instance_closes_fast(self):
         # 40 isolated vertices: 40 disjoint hyperedges, minimum cover 40.
-        cg = ColouredGraph.from_edge_colours(40, [])
+        cg = support.from_edge_colours(40, [])
         h = build_component_hypergraph(monochromatic_components(cg))
         cert = tau_exact(h)
         assert cert is not None and cert.size == 40
@@ -120,7 +116,7 @@ class TestTauExact:
         h = build_component_hypergraph(monochromatic_components(cg))
         cert = tau_exact(h)
         assert cert is not None
-        assert is_cover(h, cert.cover)
+        assert support.is_cover(h, cert.cover)
         assert cert.size == support.naive_tau(h)
 
 
@@ -196,7 +192,7 @@ class TestAgainstReferenceSearch:
         for n, p, seed, cg in _sparse_instances():
             h = build_component_hypergraph(monochromatic_components(cg))
             cert = tau_exact(h)
-            assert is_cover(h, cert.cover)
+            assert support.is_cover(h, cert.cover)
             if (n, p, seed) not in unfinished:
                 digest.update(json.dumps([n, p, seed, [list(r) for r in cert.cover]]).encode())
         assert digest.hexdigest() == (
@@ -224,7 +220,7 @@ class TestNuExact:
         assert nu_exact(all_red_triangle_h()).size == 1
 
     def test_two_disjoint_hyperedges(self):
-        cg = ColouredGraph.from_edge_colours(2, [])
+        cg = support.from_edge_colours(2, [])
         h = build_component_hypergraph(monochromatic_components(cg))
         assert nu_exact(h).size == 2
 
@@ -278,12 +274,12 @@ class TestNuExact:
 class TestLinkUnion:
     def test_all_red_triangle(self):
         link = link_union(all_red_triangle_h())
-        assert link.edges() == [(0, 0), (1, 1), (2, 2)]
+        assert support.bipartite_edges(link) == [(0, 0), (1, 1), (2, 2)]
         assert all(link.origin[e] == (0,) for e in link.origin)
 
     def test_no_hyperedges(self):
         h = ComponentHypergraph(((), (), ()), (), {})
-        assert link_union(h).edges() == []
+        assert support.bipartite_edges(link_union(h)) == []
 
     def test_shared_pair_deduplicates_with_merged_origin(self):
         h = ComponentHypergraph(
@@ -292,31 +288,43 @@ class TestLinkUnion:
             {(0, 1, 2): 0, (5, 1, 2): 5},
         )
         link = link_union(h)
-        assert link.edges() == [(1, 2)]
+        assert support.bipartite_edges(link) == [(1, 2)]
         assert link.origin[(1, 2)] == (0, 5)
 
     def test_green_pivot(self):
         h = all_red_triangle_h()
         link = link_union(h, pivot=Colour.GREEN)
         # sides become (red, blue); the red component 0 meets every blue one
-        assert link.edges() == [(0, 0), (0, 1), (0, 2)]
+        assert support.bipartite_edges(link) == [(0, 0), (0, 1), (0, 2)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(support.coloured_graphs(max_n=12))
+    def test_origin_names_the_red_components_of_every_edge(self, cg):
+        # strategy_alpha2 reads link.origin[e] for matching edges e, with no default
+        h = build_component_hypergraph(monochromatic_components(cg))
+        link = link_union(h)
+        hyperedges = set(h.edges)
+        assert set(link.origin) == set(support.bipartite_edges(link))
+        for (a, b), reds in link.origin.items():
+            assert reds and list(reds) == sorted(set(reds))
+            assert all((r, a, b) in hyperedges for r in reds)
 
 
 class TestBipartiteMatching:
     def test_four_cycle(self):
-        bp = BipartiteGraph.from_edges([0, 1], [0, 1], [(0, 0), (0, 1), (1, 0), (1, 1)])
+        bp = support.bipartite_from_edges([0, 1], [0, 1], [(0, 0), (0, 1), (1, 0), (1, 1)])
         assert max_matching_bipartite(bp).size == 2
 
     def test_star(self):
-        bp = BipartiteGraph.from_edges([0], [0, 1, 2], [(0, 0), (0, 1), (0, 2)])
+        bp = support.bipartite_from_edges([0], [0, 1, 2], [(0, 0), (0, 1), (0, 2)])
         assert max_matching_bipartite(bp).size == 1
 
     def test_path_of_three(self):
-        bp = BipartiteGraph.from_edges([0, 1], [0], [(0, 0), (1, 0)])
+        bp = support.bipartite_from_edges([0, 1], [0], [(0, 0), (1, 0)])
         assert max_matching_bipartite(bp).size == 1
 
     def test_deterministic(self):
-        bp = BipartiteGraph.from_edges(
+        bp = support.bipartite_from_edges(
             range(5), range(5), [(a, b) for a in range(5) for b in range(5) if (a + b) % 2]
         )
         assert max_matching_bipartite(bp).edges == max_matching_bipartite(bp).edges
@@ -324,23 +332,23 @@ class TestBipartiteMatching:
 
 class TestKonigCover:
     def test_four_cycle(self):
-        bp = BipartiteGraph.from_edges([0, 1], [0, 1], [(0, 0), (0, 1), (1, 0), (1, 1)])
+        bp = support.bipartite_from_edges([0, 1], [0, 1], [(0, 0), (0, 1), (1, 0), (1, 1)])
         m = max_matching_bipartite(bp)
         cover = konig_cover(bp, m)
         assert cover.size == 2
 
     def test_star_cover_is_centre(self):
-        bp = BipartiteGraph.from_edges([0], [0, 1, 2], [(0, 0), (0, 1), (0, 2)])
+        bp = support.bipartite_from_edges([0], [0, 1, 2], [(0, 0), (0, 1), (0, 2)])
         cover = konig_cover(bp, max_matching_bipartite(bp))
         assert cover.cover == ((0, 0),)
 
     def test_empty(self):
-        bp = BipartiteGraph.from_edges([], [], [])
+        bp = support.bipartite_from_edges([], [], [])
         cover = konig_cover(bp, MatchingCertificate(()))
         assert cover.size == 0
 
     def test_non_maximum_matching_rejected(self):
-        bp = BipartiteGraph.from_edges([0, 1], [0, 1], [(0, 0), (1, 1)])
+        bp = support.bipartite_from_edges([0, 1], [0, 1], [(0, 0), (1, 1)])
         with pytest.raises(RuntimeError):
             konig_cover(bp, MatchingCertificate(((0, 0),)))
 
@@ -355,24 +363,24 @@ class TestKonigCover:
                 for b in range(nr)
                 if rng.randrange(100) < 25
             ]
-            bp = BipartiteGraph.from_edges(range(nl), range(nr), pairs)
+            bp = support.bipartite_from_edges(range(nl), range(nr), pairs)
             m = max_matching_bipartite(bp)
             cover = konig_cover(bp, m)
             assert cover.size == m.size
             chosen = set(cover.cover)
-            for a, b in bp.edges():
+            for a, b in support.bipartite_edges(bp):
                 assert (0, a) in chosen or (1, b) in chosen
 
 
 class TestMatchingToIndependentSet:
     def test_empty_matching(self):
         h = all_red_triangle_h()
-        assert matching_to_independent_set(h, MatchingCertificate(())) == ()
+        assert support.matching_to_independent_set(h, MatchingCertificate(())) == ()
 
     def test_single_edge(self):
         h = all_red_triangle_h()
         m = MatchingCertificate(((0, 0, 0),))
-        assert matching_to_independent_set(h, m) == (0,)
+        assert support.matching_to_independent_set(h, m) == (0,)
 
     @settings(max_examples=50, deadline=None)
     @given(support.coloured_graphs(max_n=12))
@@ -380,7 +388,7 @@ class TestMatchingToIndependentSet:
         lab = monochromatic_components(cg)
         h = build_component_hypergraph(lab)
         m = nu_exact(h)
-        verts = matching_to_independent_set(h, m)
+        verts = support.matching_to_independent_set(h, m)
         closure = lab.closure()
         for i, u in enumerate(verts):
             for v in verts[i + 1 :]:

@@ -9,9 +9,11 @@ from monotree import (
     generate_gnp,
 )
 
+import support
+
 
 def star(n: int) -> SimpleGraph:
-    return SimpleGraph.from_edges(n, [(0, v) for v in range(1, n)])
+    return support.graph_from_edges(n, [(0, v) for v in range(1, n)])
 
 
 class TestConfig:
@@ -26,39 +28,37 @@ class TestConfig:
 
 class TestEdgeDensity:
     def test_complete_graph_all_pass(self):
-        g = SimpleGraph.complete(200)
+        g = support.complete_graph(200)
         cfg = PseudorandomConfig(epsilon=0.1, pair_size=40, density_samples=50)
-        out = check_edge_density(g, 1.0, cfg, seed=1).outcome("edge-density")
-        assert out.all_passed
+        out = support.outcome(check_edge_density(g, 1.0, cfg, seed=1), "edge-density")
+        assert support.all_passed(out)
         assert out.passes == 50
 
     def test_empty_graph_all_fail(self):
         g = SimpleGraph.empty(200)
         cfg = PseudorandomConfig(epsilon=0.1, pair_size=40, density_samples=20)
-        out = check_edge_density(g, 0.5, cfg, seed=1).outcome("edge-density")
+        out = support.outcome(check_edge_density(g, 0.5, cfg, seed=1), "edge-density")
         assert out.fails == 20
-        assert not out.all_passed
+        assert not support.all_passed(out)
 
     def test_too_small_graph_is_vacuous(self):
-        g = SimpleGraph.complete(10)
+        g = support.complete_graph(10)
         cfg = PseudorandomConfig(pair_size=8)
-        out = check_edge_density(g, 1.0, cfg, seed=0).outcome("edge-density")
+        out = support.outcome(check_edge_density(g, 1.0, cfg, seed=0), "edge-density")
         assert out.status == "vacuous"
-        assert not out.all_passed
+        assert not support.all_passed(out)
         assert out.passes == 0
 
     def test_p_zero_is_vacuous(self):
-        out = check_edge_density(
-            SimpleGraph.complete(30), 0.0, PseudorandomConfig(), seed=0
-        ).outcome("edge-density")
+        report = check_edge_density(support.complete_graph(30), 0.0, PseudorandomConfig(), seed=0)
+        out = support.outcome(report, "edge-density")
         assert out.status == "vacuous"
 
     def test_default_size_uses_constant(self):
         # C ln(n) / p = 10 * ln(100) / 0.9 ~ 51 > n/2, so vacuous
         g = generate_gnp(100, 0.9, seed=0)
-        out = check_edge_density(g, 0.9, PseudorandomConfig(), seed=2).outcome(
-            "edge-density"
-        )
+        report = check_edge_density(g, 0.9, PseudorandomConfig(), seed=2)
+        out = support.outcome(report, "edge-density")
         assert out.status == "vacuous"
 
     def test_deterministic(self):
@@ -71,48 +71,46 @@ class TestEdgeDensity:
 
 class TestDegrees:
     def test_complete_graph_passes(self):
-        g = SimpleGraph.complete(200)
-        out = check_degrees(g, 1.0, PseudorandomConfig(epsilon=0.01)).outcome("degrees")
-        assert out.all_passed
+        g = support.complete_graph(200)
+        out = support.outcome(check_degrees(g, 1.0, PseudorandomConfig(epsilon=0.01)), "degrees")
+        assert support.all_passed(out)
 
     def test_tiny_epsilon_on_complete_graph_noted(self):
-        g = SimpleGraph.complete(100)
-        out = check_degrees(g, 1.0, PseudorandomConfig(epsilon=0.001)).outcome("degrees")
+        g = support.complete_graph(100)
+        out = support.outcome(check_degrees(g, 1.0, PseudorandomConfig(epsilon=0.001)), "degrees")
         assert out.fails == 100
         assert out.notes  # the epsilon >= 1/n caveat
 
     def test_empty_graph_fails(self):
         g = SimpleGraph.empty(50)
-        out = check_degrees(g, 0.5, PseudorandomConfig()).outcome("degrees")
+        out = support.outcome(check_degrees(g, 0.5, PseudorandomConfig()), "degrees")
         assert out.fails == 50
 
     def test_empty_vertex_set_is_vacuous(self):
-        out = check_degrees(SimpleGraph.empty(0), 0.5, PseudorandomConfig()).outcome(
-            "degrees"
-        )
+        report = check_degrees(SimpleGraph.empty(0), 0.5, PseudorandomConfig())
+        out = support.outcome(report, "degrees")
         assert out.status == "vacuous"
 
     def test_sampled_graph_concentrates(self):
         g = generate_gnp(800, 0.5, seed=13)
-        out = check_degrees(g, 0.5, PseudorandomConfig(epsilon=0.15)).outcome("degrees")
+        out = support.outcome(check_degrees(g, 0.5, PseudorandomConfig(epsilon=0.15)), "degrees")
         assert out.fails == 0
         assert out.passes == 800
 
 
 class TestCommonNeighbourhoods:
     def test_complete_graph_pairs(self):
-        g = SimpleGraph.complete(100)
+        g = support.complete_graph(100)
         cfg = PseudorandomConfig(epsilon=0.05, max_tuple=2, neighbourhood_samples=30)
         report = check_common_neighbourhoods(g, 1.0, cfg, seed=3)
-        out = report.outcome("common-neighbourhood i=2")
-        assert out.all_passed  # n-2 inside (1 +- 0.05) n for n = 100
+        out = support.outcome(report, "common-neighbourhood i=2")
+        assert support.all_passed(out)  # n-2 inside (1 +- 0.05) n for n = 100
 
     def test_star_graph_fails(self):
         g = star(50)
         cfg = PseudorandomConfig(epsilon=0.25, max_tuple=2, neighbourhood_samples=30)
-        out = check_common_neighbourhoods(g, 0.5, cfg, seed=4).outcome(
-            "common-neighbourhood i=2"
-        )
+        report = check_common_neighbourhoods(g, 0.5, cfg, seed=4)
+        out = support.outcome(report, "common-neighbourhood i=2")
         assert out.fails == 30
 
     def test_regime_invalid_flagged(self):
@@ -120,35 +118,34 @@ class TestCommonNeighbourhoods:
         cfg = PseudorandomConfig(epsilon=0.25, max_tuple=4)
         report = check_common_neighbourhoods(g, 0.2, cfg, seed=6)
         # p^4 n = 0.096 < 4 = 1/epsilon
-        out = report.outcome("common-neighbourhood i=4")
+        out = support.outcome(report, "common-neighbourhood i=4")
         assert out.status == "regime-invalid"
-        assert out.passes == 0 and not out.all_passed
+        assert out.passes == 0 and not support.all_passed(out)
 
     def test_tiny_graph_vacuous(self):
         report = check_common_neighbourhoods(
-            SimpleGraph.complete(2), 1.0, PseudorandomConfig(max_tuple=3), seed=0
+            support.complete_graph(2), 1.0, PseudorandomConfig(max_tuple=3), seed=0
         )
-        assert report.outcome("common-neighbourhood i=2").status == "vacuous"
+        assert support.outcome(report, "common-neighbourhood i=2").status == "vacuous"
 
     def test_sampled_graph_passes(self):
         g = generate_gnp(1500, 0.5, seed=8)
         cfg = PseudorandomConfig(epsilon=0.25, max_tuple=3, neighbourhood_samples=40)
         report = check_common_neighbourhoods(g, 0.5, cfg, seed=8)
         for i in (1, 2, 3):
-            out = report.outcome(f"common-neighbourhood i={i}")
+            out = support.outcome(report, f"common-neighbourhood i={i}")
             assert out.status == "ok"
-            assert out.pass_fraction() >= 0.99
+            assert support.pass_fraction(out) >= 0.99
 
     def test_quadruple_neighbourhoods_at_scale(self):
         # expected quadruple count 0.5^4 * 5000 = 312.5, far above the
         # validity floor 1/epsilon = 4; concentration makes misses rare
         g = generate_gnp(5000, 0.5, seed=12)
         cfg = PseudorandomConfig(epsilon=0.25, max_tuple=4, neighbourhood_samples=100)
-        out = check_common_neighbourhoods(g, 0.5, cfg, seed=12).outcome(
-            "common-neighbourhood i=4"
-        )
+        report = check_common_neighbourhoods(g, 0.5, cfg, seed=12)
+        out = support.outcome(report, "common-neighbourhood i=4")
         assert out.status == "ok"
-        assert out.pass_fraction() >= 0.99
+        assert support.pass_fraction(out) >= 0.99
 
     def test_deterministic(self):
         g = generate_gnp(200, 0.4, seed=2)
@@ -172,7 +169,7 @@ class TestCommonNeighbourhoods:
 class TestCompleteGraphBoundary:
     def test_every_check_passes_at_epsilon_six_over_n(self):
         n = 120
-        g = SimpleGraph.complete(n)
+        g = support.complete_graph(n)
         cfg = PseudorandomConfig(
             epsilon=6 / n,
             max_tuple=4,
@@ -180,11 +177,12 @@ class TestCompleteGraphBoundary:
             density_samples=30,
             neighbourhood_samples=30,
         )
-        assert check_degrees(g, 1.0, cfg).outcome("degrees").all_passed
-        assert check_edge_density(g, 1.0, cfg, seed=3).outcome("edge-density").all_passed
+        assert support.all_passed(support.outcome(check_degrees(g, 1.0, cfg), "degrees"))
+        density = check_edge_density(g, 1.0, cfg, seed=3)
+        assert support.all_passed(support.outcome(density, "edge-density"))
         report = check_common_neighbourhoods(g, 1.0, cfg, seed=3)
         for out in report.outcomes:
-            assert out.all_passed
+            assert support.all_passed(out)
 
 
 def _report_cases():
@@ -192,7 +190,7 @@ def _report_cases():
     return {
         "degrees-witnesses": check_degrees(gnp(60, 0.3, seed=1), 0.3, PseudorandomConfig()),
         "degrees-complete-note": check_degrees(
-            SimpleGraph.complete(20), 1.0, PseudorandomConfig(epsilon=0.01)
+            support.complete_graph(20), 1.0, PseudorandomConfig(epsilon=0.01)
         ),
         "degrees-vacuous": check_degrees(SimpleGraph.empty(0), 0.5, PseudorandomConfig()),
         "density-witnesses": check_edge_density(
@@ -200,7 +198,7 @@ def _report_cases():
             PseudorandomConfig(pair_size=20, density_samples=12), seed=5,
         ),
         "density-vacuous": check_edge_density(
-            SimpleGraph.complete(10), 1.0, PseudorandomConfig(pair_size=8), seed=0
+            support.complete_graph(10), 1.0, PseudorandomConfig(pair_size=8), seed=0
         ),
         # mean 0.5 and epsilon 1.5: an empty pair lies inside the band and
         # fails only because a pair must span at least one edge
@@ -219,7 +217,7 @@ def _report_cases():
             seed=9,
         ),
         "common-vacuous": check_common_neighbourhoods(
-            SimpleGraph.complete(3), 1.0,
+            support.complete_graph(3), 1.0,
             PseudorandomConfig(max_tuple=3, neighbourhood_samples=5), seed=0,
         ),
     }

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from monotree import (
     Colour,
     ColouredGraph,
-    SimpleGraph,
     Tree,
     alpha_class,
     build_component_hypergraph,
@@ -46,11 +45,11 @@ R, G, B = Colour.RED, Colour.GREEN, Colour.BLUE
 
 
 def cg_from(n, items):
-    return ColouredGraph.from_edge_colours(n, items)
+    return support.from_edge_colours(n, items)
 
 
 def k6_star_instance() -> ColouredGraph:
-    g = SimpleGraph.from_edges(
+    g = support.graph_from_edges(
         6,
         [(u, v) for u in range(6) for v in range(u + 1, 6) if not (u < 3 and v < 3)],
     )
@@ -547,7 +546,7 @@ def test_closure_and_outputs_pinned():
         closure = shortcut_graph(cg)
         assert monochromatic_components(cg).closure() == closure.graph
         cover, trace = solve_cover(cg)
-        trees = [[t.colour.letter, t.root, sorted(t.parent.items())] for t in cover.trees]
+        trees = [[support.letter(t.colour), t.root, sorted(t.parent.items())] for t in cover.trees]
         digest.update(json.dumps([trace.to_json(), trees], sort_keys=True).encode())
         digest.update(dumps(closure).encode())
     assert digest.hexdigest() == (

@@ -39,8 +39,8 @@ def main() -> None:
             continue
         cg = colour_three_stars(g, *triple, base=Colour.RED)
         cover, trace = solve_cover(cg)
-        cert = tau_exact(build_component_hypergraph(monochromatic_components(cg)))
-        exact = cert.size if cert else None
+        tau_cover = tau_exact(build_component_hypergraph(monochromatic_components(cg)))
+        exact = len(tau_cover) if tau_cover is not None else None
         sizes[trial] = (cover.size, exact)
         print(
             f"trial {trial:3d}: stars={triple} cover={cover.size} "

@@ -43,8 +43,6 @@ from .hypergraph import (
     BipartiteGraph,
     CompRef,
     ComponentHypergraph,
-    CoverCertificate,
-    MatchingCertificate,
     build_component_hypergraph,
     konig_cover,
     link_union,

@@ -119,7 +119,6 @@ def _cmd_hyper(args) -> int:
     tau = tau_exact(h)
     nu = nu_exact(h)
     assert tau is not None
-    sides = [c for c in COLOURS if c != pivot]
     out = {
         "parts": {
             _COLOUR_NAMES[c]: list(h.parts[c]) for c in COLOURS
@@ -133,15 +132,13 @@ def _cmd_hyper(args) -> int:
             }
             for e in h.edges
         ],
-        "tau": tau.size,
-        "tau_cover": refs_json(tau.cover),
-        "nu": nu.size,
-        "nu_matching": [list(e) for e in nu.edges],
+        "tau": len(tau),
+        "tau_cover": refs_json(tau),
+        "nu": len(nu),
+        "nu_matching": [list(e) for e in nu],
         "link_pivot": _COLOUR_NAMES[pivot],
-        "nu_link": matching.size,
-        "konig_cover": [
-            [_COLOUR_NAMES[sides[side]], cid] for side, cid in cover.cover
-        ],
+        "nu_link": len(matching),
+        "konig_cover": refs_json(cover),
     }
     _print_json(out)
     return 0
@@ -175,14 +172,14 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     cg = load(args.file)
     lab = monochromatic_components(cg)
-    cert = tau_exact(build_component_hypergraph(lab), args.k_max)
-    if cert is None:
+    cover = tau_exact(build_component_hypergraph(lab), args.k_max)
+    if cover is None:
         _print_json({"tau": None, "note": f"minimum exceeds k_max={args.k_max}"})
         return 1
     _print_json(
         {
-            "tau": cert.size,
-            "cover": refs_json(cert.cover),
+            "tau": len(cover),
+            "cover": refs_json(cover),
             "method": "exact",
         }
     )

@@ -142,6 +142,12 @@ def first_nonadjacent_triple(g: SimpleGraph) -> tuple[int, int, int] | None:
     return None
 
 
+def check_probability(p: float) -> None:
+    """Raise ValueError unless p lies in [0, 1]; NaN does not."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+
+
 def generate_gnp(n: int, p: float, seed: int) -> SimpleGraph:
     """Sample the binomial random graph: every unordered pair is an edge
     independently with probability p, driven by the splitmix64 stream of
@@ -155,8 +161,7 @@ def generate_gnp(n: int, p: float, seed: int) -> SimpleGraph:
     sequence, one scalar draw per edge, since its gaps need a float `log`.
     Both paths are pure functions of (n, p, seed).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+    check_probability(p)
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if n < 2 or p == 0.0:

@@ -59,32 +59,6 @@ def build_component_hypergraph(lab: ComponentLabelling) -> ComponentHypergraph:
     return ComponentHypergraph(parts, tuple(sorted(witness)), witness)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
-    """A verified vertex cover; `cover` holds (part, id) pairs.
-
-    For hypergraph covers the part is the colour value; for bipartite
-    covers it is 0 for the left side and 1 for the right.
-    """
-
-    cover: tuple[CompRef, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.cover)
-
-
-@dataclass(frozen=True)
-class MatchingCertificate:
-    """Pairwise-disjoint hyperedges (triples) or bipartite edges (pairs)."""
-
-    edges: tuple[tuple, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
-
 def _greedy_cover(edges: list[tuple[CompRef, ...]]) -> list[CompRef]:
     uncovered = set(range(len(edges)))
     picked: list[CompRef] = []
@@ -194,8 +168,8 @@ def cover_number(edges: Iterable[Iterable[CompRef]]) -> int:
     return forced + _branch_and_bound(sorted(tuple(sorted(e)) for e in kernel))
 
 
-def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> CoverCertificate | None:
-    """Minimum vertex cover; None iff the optimum τ exceeds k_max.
+def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> tuple[CompRef, ...] | None:
+    """Minimum vertex cover, sorted; None iff the optimum τ exceeds k_max.
 
     τ comes from `cover_number`, and k_max is decided before any cover is
     built; when a greedy packing finds more than k_max pairwise disjoint
@@ -230,7 +204,7 @@ def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> CoverCertific
         return None
     greedy = _greedy_cover(edge_refs)
     if len(greedy) == tau:
-        return CoverCertificate(tuple(sorted(greedy)))
+        return tuple(sorted(greedy))
 
     chosen: list[CompRef] = []
     rest = edge_refs
@@ -242,11 +216,12 @@ def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> CoverCertific
                 break
         chosen.append(pick)
         rest = [e for e in rest if pick not in e]
-    return CoverCertificate(tuple(sorted(chosen)))
+    return tuple(sorted(chosen))
 
 
-def nu_exact(h: ComponentHypergraph) -> MatchingCertificate:
-    """Maximum matching by include/exclude branching.
+def nu_exact(h: ComponentHypergraph) -> tuple[tuple[int, int, int], ...]:
+    """Maximum matching, as hyperedges in `h.edges` order, by include/exclude
+    branching.
 
     The bounds at each node are the count of remaining hyperedges disjoint
     from the current partial matching, which closes immediately on the
@@ -281,19 +256,20 @@ def nu_exact(h: ComponentHypergraph) -> MatchingCertificate:
         search(i + 1, used, current)
 
     search(0, set(), [])
-    return MatchingCertificate(tuple(h.edges[i] for i in sorted(best)))
+    return tuple(h.edges[i] for i in sorted(best))
 
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Bipartite graph on integer-labelled sides.
+    """Bipartite graph between components of two colours.
 
-    `origin` maps each edge to the sorted ids of the pivot components whose
-    links contributed it.
+    `colours` holds the colour values of the left and right sides, and the
+    left ids are the keys of `adjacency`, in ascending order.  `origin`
+    maps each edge to the sorted ids of the pivot components whose links
+    contributed it.
     """
 
-    left: tuple[int, ...]
-    right: tuple[int, ...]
+    colours: tuple[int, int]
     adjacency: dict[int, tuple[int, ...]]  # left id -> sorted right ids
     origin: dict[tuple[int, int], tuple[int, ...]]
 
@@ -303,11 +279,10 @@ def link_union(h: ComponentHypergraph, pivot: Colour = Colour.RED) -> BipartiteG
 
     One bipartite edge per pair of non-pivot components that appears in a
     hyperedge with some pivot component; `origin` records which pivot
-    components contribute each edge.  With the default red pivot the left
-    side is the green ids and the right side the blue ids.
+    components contribute each edge.  The sides are the two other colours
+    in (red, green, blue) order: green and blue for the default red pivot.
     """
-    others = [c for c in COLOURS if c != pivot]
-    lc, rc = others[0], others[1]
+    lc, rc = (c for c in COLOURS if c != pivot)
     adj: dict[int, set[int]] = {cid: set() for cid in h.parts[lc]}
     origin: dict[tuple[int, int], set[int]] = {}
     for e in h.edges:
@@ -315,8 +290,7 @@ def link_union(h: ComponentHypergraph, pivot: Colour = Colour.RED) -> BipartiteG
         adj[a].add(b)
         origin.setdefault((a, b), set()).add(s)
     return BipartiteGraph(
-        h.parts[lc],
-        h.parts[rc],
+        (int(lc), int(rc)),
         {a: tuple(sorted(bs)) for a, bs in adj.items()},
         {pair: tuple(sorted(s)) for pair, s in origin.items()},
     )
@@ -333,14 +307,14 @@ def _alternating_layers(
     alternating path reaches it), and `limit` is the length of the shortest
     augmenting path, or _UNREACHED when the matching is maximum.  Layers at
     or beyond `limit` are not expanded."""
-    dist = {a: _UNREACHED if a in pair_l else 0 for a in l.left}
-    queue = deque(a for a in l.left if a not in pair_l)
+    dist = {a: _UNREACHED if a in pair_l else 0 for a in l.adjacency}
+    queue = deque(a for a in l.adjacency if a not in pair_l)
     limit = _UNREACHED
     while queue:
         a = queue.popleft()
         if dist[a] >= limit:
             continue
-        for b in l.adjacency.get(a, ()):
+        for b in l.adjacency[a]:
             if b not in pair_r:
                 limit = min(limit, dist[a] + 1)
             else:
@@ -351,8 +325,9 @@ def _alternating_layers(
     return dist, limit
 
 
-def max_matching_bipartite(l: BipartiteGraph) -> MatchingCertificate:
-    """Maximum matching via Hopcroft-Karp layered augmentation.
+def max_matching_bipartite(l: BipartiteGraph) -> tuple[tuple[int, int], ...]:
+    """Maximum matching via Hopcroft-Karp layered augmentation, as sorted
+    (left id, right id) pairs.
 
     Deterministic: vertices and neighbour lists are processed in sorted
     order, so a fixed input always yields the same matching.
@@ -361,7 +336,7 @@ def max_matching_bipartite(l: BipartiteGraph) -> MatchingCertificate:
     pair_r: dict[int, int] = {}
 
     def dfs(a: int) -> bool:
-        for b in l.adjacency.get(a, ()):
+        for b in l.adjacency[a]:
             if b not in pair_r:
                 if limit == dist[a] + 1:
                     pair_l[a] = b
@@ -379,39 +354,40 @@ def max_matching_bipartite(l: BipartiteGraph) -> MatchingCertificate:
     while True:
         dist, limit = _alternating_layers(l, pair_l, pair_r)
         if limit == _UNREACHED:
-            return MatchingCertificate(tuple(sorted(pair_l.items())))
-        for a in l.left:
+            return tuple(sorted(pair_l.items()))
+        for a in l.adjacency:
             if a not in pair_l:
                 dfs(a)
 
 
-def konig_cover(l: BipartiteGraph, m: MatchingCertificate) -> CoverCertificate:
+def konig_cover(l: BipartiteGraph, m: tuple[tuple[int, int], ...]) -> tuple[CompRef, ...]:
     """Vertex cover of size |m| by König's theorem: with Z the vertices
     that alternating paths from the free left vertices reach, the cover is
     the left vertices outside Z and the right vertices in Z.  Every right
     vertex in Z is matched to a left vertex in Z, so the right half is the
     partners of the reached matched left vertices.
 
-    Cover members are (0, left id) and (1, right id).  Raises RuntimeError
-    if m is not a maximum matching of l.
+    Cover members are sorted (colour, id) pairs, coloured by `l.colours`.
+    Raises RuntimeError if m is not a maximum matching of l.
     """
-    pair_l = {a: b for a, b in m.edges}
-    dist, limit = _alternating_layers(l, pair_l, {b: a for a, b in m.edges})
+    lc, rc = l.colours
+    pair_l = dict(m)
+    dist, limit = _alternating_layers(l, pair_l, {b: a for a, b in m})
     if limit != _UNREACHED:
         raise RuntimeError("an augmenting path exists; matching not maximum")
     cover = tuple(
         sorted(
-            [(0, a) for a in l.left if dist[a] == _UNREACHED]
-            + [(1, pair_l[a]) for a in l.left if a in pair_l and dist[a] != _UNREACHED]
+            [(lc, a) for a in l.adjacency if dist[a] == _UNREACHED]
+            + [(rc, pair_l[a]) for a in l.adjacency if a in pair_l and dist[a] != _UNREACHED]
         )
     )
-    if len(cover) != m.size:
+    if len(cover) != len(m):
         raise RuntimeError("cover size differs from matching size; matching not maximum")
     covered = set(cover)
     for a, bs in l.adjacency.items():
         for b in bs:
-            if (0, a) not in covered and (1, b) not in covered:
+            if (lc, a) not in covered and (rc, b) not in covered:
                 raise RuntimeError(
                     f"edge ({a}, {b}) uncovered; matching not maximum"
                 )
-    return CoverCertificate(cover)
+    return cover

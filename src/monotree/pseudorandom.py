@@ -16,7 +16,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, check_probability
 from .rng import SplitMix64, derive_seed
 
 
@@ -35,8 +35,8 @@ class PseudorandomConfig:
     pair_size: int | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if not 1 <= self.max_tuple <= 6:
             raise ValueError("max_tuple must lie in 1..6")
         if self.density_samples < 1 or self.neighbourhood_samples < 1:
@@ -128,6 +128,7 @@ def check_edge_density(
     up, and can be pinned with `pair_size`.  Marked vacuous when the graph is
     too small to host two disjoint qualifying sets.
     """
+    check_probability(p)
     n = g.n
     size = _qualifying_size(n, p, cfg)
     if size is None or 2 * size > n:
@@ -156,6 +157,7 @@ def check_edge_density(
 
 def check_degrees(g: SimpleGraph, p: float, cfg: PseudorandomConfig) -> CheckReport:
     """Exact check that every vertex degree lies in (1 +- epsilon) * p * n."""
+    check_probability(p)
     n = g.n
     if n == 0:
         return CheckReport(
@@ -179,6 +181,7 @@ def check_common_neighbourhoods(
     A tuple size whose expected count p^i * n falls below 1/epsilon is
     marked regime-invalid instead of being tested.
     """
+    check_probability(p)
     n = g.n
     outcomes: list[CheckOutcome] = []
     for i in range(1, cfg.max_tuple + 1):

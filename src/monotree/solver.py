@@ -303,21 +303,16 @@ def strategy_alpha2(
     full = cg.graph.full_mask
     link = link_union(h, Colour.RED)
     m = max_matching_bipartite(link)
-    trace = TraceReport(nu_link=m.size, matching=m.edges)
-    if m.size <= 3:
-        cover = konig_cover(link, m)
-        refs = tuple(
-            sorted(
-                (1 if side == 0 else 2, cid) for side, cid in cover.cover
-            )
-        )
+    trace = TraceReport(nu_link=len(m), matching=m)
+    if len(m) <= 3:
+        refs = konig_cover(link, m)
         # Every vertex's hyperedge projects to a link edge, so a link cover
         # always covers the whole vertex set.
         if _union_mask(lab, refs) != full:
             raise RuntimeError("link cover failed to cover the vertex set")
         return _finish(trace, refs, BRANCH_KONIG)
 
-    edges4 = list(m.edges[:4])
+    edges4 = list(m[:4])
     origins = [set(link.origin[e]) for e in edges4]
     coverage: dict[int, int] = {}
     for os in origins:
@@ -396,14 +391,11 @@ def strategy_alpha2(
 
 
 def components_to_trees(
-    cg: ColouredGraph,
-    comps: Iterable[CompRef],
-    labelling: ComponentLabelling | None = None,
+    cg: ColouredGraph, comps: Iterable[CompRef], lab: ComponentLabelling
 ) -> TreeCover:
-    """Breadth-first spanning tree of each component, rooted at its id
-    (the smallest vertex).  Raises ValueError if the union of the
+    """Breadth-first spanning tree of each component of `lab`, rooted at
+    its id (the smallest vertex).  Raises ValueError if the union of the
     components misses a vertex."""
-    lab = labelling if labelling is not None else monochromatic_components(cg)
     refs = tuple(sorted(_dedupe(comps)))
     union = _union_mask(lab, refs)
     if union != cg.graph.full_mask:
@@ -529,12 +521,8 @@ def solve_cover(cg: ColouredGraph) -> tuple[TreeCover, TraceReport]:
             h = build_component_hypergraph(lab)
         # Only a cover smaller than the strategy's can replace it, so ask
         # for one; None means the strategy's cover is optimal.
-        cert = tau_exact(h, k_max=len(strategy_cover) - 1 if strategy_cover else None)
-        if cert is None:
-            trace.exact_size = len(strategy_cover)
-        else:
-            exact_cover = cert.cover
-            trace.exact_size = cert.size
+        exact_cover = tau_exact(h, k_max=len(strategy_cover) - 1 if strategy_cover else None)
+        trace.exact_size = len(strategy_cover if exact_cover is None else exact_cover)
 
     if strategy_cover is None:
         assert exact_cover is not None

@@ -21,11 +21,10 @@ from monotree import (
     Colour,
     ColouredGraph,
     GraphFormatError,
-    MatchingCertificate,
     SimpleGraph,
 )
 from monotree.graphs import LETTER_TO_COLOUR, MAX_VERTICES, iter_bits
-from monotree.hypergraph import CompRef, ComponentHypergraph, CoverCertificate
+from monotree.hypergraph import CompRef, ComponentHypergraph
 
 BIG = 1 << 30
 
@@ -204,7 +203,7 @@ def _greedy_disjoint(edges: list[tuple[CompRef, ...]], indices: Iterable[int]) -
     return count
 
 
-def reference_tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> CoverCertificate | None:
+def reference_tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> tuple[CompRef, ...] | None:
     """Minimum vertex cover by 3-way branch and bound: the exact search
     monotree used before its hitting-set reductions, kept verbatim as the
     oracle that `tau_exact`'s covers are compared against.
@@ -218,7 +217,7 @@ def reference_tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> Cov
         raise ValueError("k_max must be non-negative")
     edge_refs = [h.refs_of(e) for e in h.edges]
     if not edge_refs:
-        return CoverCertificate(())
+        return ()
 
     greedy = _greedy_cover(edge_refs)
     best: list[CompRef] = greedy
@@ -256,7 +255,7 @@ def reference_tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> Cov
     search(all_indices, [])
     if k_max is not None and len(best) > k_max:
         return None
-    return CoverCertificate(tuple(sorted(best)))
+    return tuple(sorted(best))
 
 
 # The text reader and writer of the parent of the block tokeniser, verbatim
@@ -390,15 +389,14 @@ def from_edge_colours(n: int, items: Iterable[tuple[int, int, Colour]]) -> Colou
     )
 
 
-def bipartite_from_edges(
-    left: Iterable[int], right: Iterable[int], pairs: Iterable[tuple[int, int]]
-) -> BipartiteGraph:
-    """A bipartite graph with an empty `origin`: the matching code never reads it."""
+def bipartite_from_edges(left: Iterable[int], pairs: Iterable[tuple[int, int]]) -> BipartiteGraph:
+    """A green-blue link graph with an empty `origin`: the matching code
+    never reads it."""
     adj: dict[int, set[int]] = {a: set() for a in sorted(set(left))}
     for a, b in pairs:
         adj[a].add(b)
     adjacency = {a: tuple(sorted(bs)) for a, bs in adj.items()}
-    return BipartiteGraph(tuple(adj), tuple(sorted(set(right))), adjacency, {})
+    return BipartiteGraph((int(Colour.GREEN), int(Colour.BLUE)), adjacency, {})
 
 
 def bipartite_edges(bp: BipartiteGraph) -> list[tuple[int, int]]:
@@ -409,11 +407,13 @@ def is_cover(h: ComponentHypergraph, refs: tuple[CompRef, ...]) -> bool:
     return all(any(r in refs for r in h.refs_of(e)) for e in h.edges)
 
 
-def matching_to_independent_set(h: ComponentHypergraph, m: MatchingCertificate) -> tuple[int, ...]:
+def matching_to_independent_set(
+    h: ComponentHypergraph, m: tuple[tuple[int, int, int], ...]
+) -> tuple[int, ...]:
     """Witness vertices of a hypergraph matching, sorted: pairwise
     non-adjacent in the closure, since an edge between two would join two
     distinct components of its colour."""
-    return tuple(sorted(h.witness[e] for e in m.edges))
+    return tuple(sorted(h.witness[e] for e in m))
 
 
 def outcome(report: CheckReport, label: str) -> CheckOutcome:

@@ -120,9 +120,9 @@ def test_criterion_2_three_star_lower_bound():
         cg = colour_three_stars(g, *triple, base=Colour.RED)
         cover, trace = solve_cover(cg)
         h = build_component_hypergraph(monochromatic_components(cg))
-        cert = tau_exact(h)
-        if cert is None or cert.size != 3:
-            failures.append((trial, "oracle", None if cert is None else cert.size))
+        tau_cover = tau_exact(h)
+        if tau_cover is None or len(tau_cover) != 3:
+            failures.append((trial, "oracle", None if tau_cover is None else len(tau_cover)))
         if cover.size != 3:
             failures.append((trial, "cover", cover.size))
     elapsed = time.perf_counter() - start
@@ -208,10 +208,11 @@ def test_criterion_5_oracle_equivalence():
         seed = derive_seed(MASTER_SEED, 20_000 + trial)
         cg = colour_random(generate_gnp(n, p, seed), derive_seed(seed, 1))
         cover, _ = solve_cover(cg)
-        cert = tau_exact(build_component_hypergraph(monochromatic_components(cg)))
+        tau_cover = tau_exact(build_component_hypergraph(monochromatic_components(cg)))
         brute = support.min_component_cover_size(cg)
-        if cert is None or not cover.size == cert.size == brute:
-            failures.append((trial, n, p, cover.size, cert and cert.size, brute))
+        tau = None if tau_cover is None else len(tau_cover)
+        if not cover.size == tau == brute:
+            failures.append((trial, n, p, cover.size, tau, brute))
     elapsed = time.perf_counter() - start
     ok = not failures
     report(5, "oracle equivalence", ok, f"200 instances, {elapsed:.1f}s")
@@ -235,12 +236,12 @@ def test_criterion_6_konig_suite():
             for b in range(nr)
             if rng.randrange(100) < density
         ]
-        bp = support.bipartite_from_edges(range(nl), range(nr), edges)
+        bp = support.bipartite_from_edges(range(nl), edges)
         m = max_matching_bipartite(bp)
         cover = konig_cover(bp, m)
-        chosen = set(cover.cover)
-        if cover.size != m.size or not all(
-            (0, a) in chosen or (1, b) in chosen for a, b in edges
+        chosen = set(cover)
+        if len(cover) != len(m) or not all(
+            (1, a) in chosen or (2, b) in chosen for a, b in edges
         ):
             failures += 1
     elapsed = time.perf_counter() - start
@@ -265,11 +266,11 @@ def test_criterion_7_hypergraph_inequalities():
         cg = colour_random(generate_gnp(n, p, seed), derive_seed(seed, 1))
         lab = monochromatic_components(cg)
         h = build_component_hypergraph(lab)
-        nu_cert = nu_exact(h)
-        nu = nu_cert.size
-        cert = tau_exact(h)
-        assert cert is not None
-        tau = cert.size
+        matching = nu_exact(h)
+        nu = len(matching)
+        tau_cover = tau_exact(h)
+        assert tau_cover is not None
+        tau = len(tau_cover)
         if not nu <= tau <= 3 * nu and not (nu == 0 and tau == 0):
             failures.append((trial, "sandwich", nu, tau))
         if tau > 2 * nu and nu > 0:
@@ -278,7 +279,7 @@ def test_criterion_7_hypergraph_inequalities():
             alpha_two_seen += 1
             if nu > 2:
                 failures.append((trial, "nu above independence", nu))
-        verts = support.matching_to_independent_set(h, nu_cert)
+        verts = support.matching_to_independent_set(h, matching)
         closure = lab.closure()
         for i, u in enumerate(verts):
             for v in verts[i + 1 :]:

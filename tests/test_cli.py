@@ -150,6 +150,25 @@ class TestCheckPseudo:
         data = json.loads(out)
         assert set(data) == {"degrees", "edge_density", "common_neighbourhoods"}
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--p", "2.0"], "edge probability must lie in [0, 1], got 2.0"),
+            (["--p", "-1"], "edge probability must lie in [0, 1], got -1.0"),
+            (["--p", "nan"], "edge probability must lie in [0, 1], got nan"),
+            (["--p", "0.5", "--epsilon", "nan"], "epsilon must be finite and positive, got nan"),
+        ],
+        ids=["p-above-one", "p-negative", "p-nan", "epsilon-nan"],
+    )
+    def test_bad_parameters_on_a_file_exit_2(self, capsys, tmp_path, args, message):
+        path = str(tmp_path / "g.txt")
+        assert main(["gen", "--n", "60", "--p", "0.5", "--seed", "1", "--out", path]) == 0
+        code = main(["check-pseudo", "--file", path, *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_size_factor_flag_is_unrecognised(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check-pseudo", "--n", "300", "--p", "0.5", "--size-constant", "5"])

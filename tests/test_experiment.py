@@ -210,8 +210,8 @@ class TestRunTrial:
         g = generate_gnp(200, 0.6, _mix(base, 0))
         triple = first_nonadjacent_triple(g)
         cg = colour_three_stars(g, *triple, base=Colour.RED)
-        cert = tau_exact(build_component_hypergraph(monochromatic_components(cg)))
-        assert cert is not None and cert.size == 3
+        cover = tau_exact(build_component_hypergraph(monochromatic_components(cg)))
+        assert cover is not None and len(cover) == 3
 
 
 class TestFirstNonadjacentTriple:

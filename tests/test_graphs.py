@@ -64,10 +64,18 @@ class TestSimpleGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             support.graph_from_edges(3, [(1, 1)])
+        with pytest.raises(ValueError, match="^self-loop at vertex 0$"):
+            SimpleGraph(3, (0b001, 0, 0))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             support.graph_from_edges(3, [(0, 3)])
+        for row in (1 << 3, 1 << 40):
+            with pytest.raises(ValueError, match="^adjacency row 0 has out-of-range bits$"):
+                SimpleGraph(3, (row, 0, 0))
+        for adj in ((0, 0), (0, 0, 0, 0)):
+            with pytest.raises(ValueError, match="^adjacency length does not match vertex count$"):
+                SimpleGraph(3, adj)
 
     def test_common_neighbourhood_excludes_members(self):
         k4 = support.complete_graph(4)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from monotree import (
     Colour,
     ComponentHypergraph,
-    MatchingCertificate,
     build_component_hypergraph,
     colour_random,
     colour_three_stars,
@@ -83,22 +82,22 @@ class TestBuild:
 class TestTauExact:
     def test_all_red_triangle_cover_is_the_red_component(self):
         h = all_red_triangle_h()
-        cert = tau_exact(h, k_max=3)
-        assert cert is not None
-        assert cert.size == 1
-        assert cert.cover == ((0, 0),)
+        cover = tau_exact(h, k_max=3)
+        assert cover is not None
+        assert len(cover) == 1
+        assert cover == ((0, 0),)
         assert support.naive_tau(h) == 1
 
     def test_k6_star_instance_needs_three(self):
         h = k6_star_h()
-        cert = tau_exact(h, k_max=3)
-        assert cert is not None and cert.size == 3
+        cover = tau_exact(h, k_max=3)
+        assert cover is not None and len(cover) == 3
         assert support.naive_tau(h) == 3
 
     def test_no_hyperedges_gives_empty_cover(self):
         h = ComponentHypergraph(((), (), ()), (), {})
-        cert = tau_exact(h)
-        assert cert is not None and cert.size == 0
+        cover = tau_exact(h)
+        assert cover is not None and len(cover) == 0
 
     def test_k_max_too_small_returns_none(self):
         assert tau_exact(k6_star_h(), k_max=2) is None
@@ -107,17 +106,17 @@ class TestTauExact:
         # 40 isolated vertices: 40 disjoint hyperedges, minimum cover 40.
         cg = support.from_edge_colours(40, [])
         h = build_component_hypergraph(monochromatic_components(cg))
-        cert = tau_exact(h)
-        assert cert is not None and cert.size == 40
+        cover = tau_exact(h)
+        assert cover is not None and len(cover) == 40
 
     @settings(max_examples=50, deadline=None)
     @given(support.coloured_graphs(max_n=8))
     def test_agrees_with_subset_enumeration(self, cg):
         h = build_component_hypergraph(monochromatic_components(cg))
-        cert = tau_exact(h)
-        assert cert is not None
-        assert support.is_cover(h, cert.cover)
-        assert cert.size == support.naive_tau(h)
+        cover = tau_exact(h)
+        assert cover is not None
+        assert support.is_cover(h, cover)
+        assert len(cover) == support.naive_tau(h)
 
 
 @st.composite
@@ -191,10 +190,10 @@ class TestAgainstReferenceSearch:
         digest = hashlib.sha256()
         for n, p, seed, cg in _sparse_instances():
             h = build_component_hypergraph(monochromatic_components(cg))
-            cert = tau_exact(h)
-            assert support.is_cover(h, cert.cover)
+            cover = tau_exact(h)
+            assert support.is_cover(h, cover)
             if (n, p, seed) not in unfinished:
-                digest.update(json.dumps([n, p, seed, [list(r) for r in cert.cover]]).encode())
+                digest.update(json.dumps([n, p, seed, [list(r) for r in cover]]).encode())
         assert digest.hexdigest() == (
             "f194ca5702ec8ac096323a66f4c447fa1e544f9a8128d1b2779361dec4a2801f"
         )
@@ -217,28 +216,28 @@ def _matching_instances():
 
 class TestNuExact:
     def test_common_vertex_forces_one(self):
-        assert nu_exact(all_red_triangle_h()).size == 1
+        assert len(nu_exact(all_red_triangle_h())) == 1
 
     def test_two_disjoint_hyperedges(self):
         cg = support.from_edge_colours(2, [])
         h = build_component_hypergraph(monochromatic_components(cg))
-        assert nu_exact(h).size == 2
+        assert len(nu_exact(h)) == 2
 
     def test_empty(self):
         h = ComponentHypergraph(((), (), ()), (), {})
-        assert nu_exact(h).size == 0
+        assert len(nu_exact(h)) == 0
 
     @settings(max_examples=50, deadline=None)
     @given(support.coloured_graphs(max_n=8))
     def test_agrees_with_subset_enumeration(self, cg):
         h = build_component_hypergraph(monochromatic_components(cg))
-        cert = nu_exact(h)
+        matching = nu_exact(h)
         used = set()
-        for e in cert.edges:
+        for e in matching:
             refs = set(h.refs_of(e))
             assert not refs & used
             used |= refs
-        assert cert.size == support.naive_nu(h)
+        assert len(matching) == support.naive_nu(h)
 
     def test_matchings_pinned(self):
         # SHA-256 of the matchings of 384 seeded instances but one, generated
@@ -249,13 +248,13 @@ class TestNuExact:
         count = 0
         for n, p, seed, mode, cg in _matching_instances():
             h = build_component_hypergraph(monochromatic_components(cg))
-            cert = nu_exact(h)
-            refs = [r for e in cert.edges for r in h.refs_of(e)]
+            matching = nu_exact(h)
+            refs = [r for e in matching for r in h.refs_of(e)]
             assert len(refs) == len(set(refs))
             count += 1
             if (n, p, seed, mode) == unfinished:
                 continue
-            digest.update(json.dumps([n, p, seed, mode, [list(e) for e in cert.edges]]).encode())
+            digest.update(json.dumps([n, p, seed, mode, [list(e) for e in matching]]).encode())
         assert count == 384
         assert digest.hexdigest() == (
             "d646b1d6cfd57b7c4094bb31a43e2c9b0ff16b5b35ffb209aec4aee6d9c44002"
@@ -267,13 +266,14 @@ class TestNuExact:
         cg = colour_random(generate_gnp(90, 0.03, seed=9), derive_seed(9, 1))
         h = build_component_hypergraph(monochromatic_components(cg))
         start = time.perf_counter()
-        assert nu_exact(h).size == 27
+        assert len(nu_exact(h)) == 27
         assert time.perf_counter() - start < 3.0
 
 
 class TestLinkUnion:
     def test_all_red_triangle(self):
         link = link_union(all_red_triangle_h())
+        assert link.colours == (Colour.GREEN, Colour.BLUE)
         assert support.bipartite_edges(link) == [(0, 0), (1, 1), (2, 2)]
         assert all(link.origin[e] == (0,) for e in link.origin)
 
@@ -295,6 +295,7 @@ class TestLinkUnion:
         h = all_red_triangle_h()
         link = link_union(h, pivot=Colour.GREEN)
         # sides become (red, blue); the red component 0 meets every blue one
+        assert link.colours == (Colour.RED, Colour.BLUE)
         assert support.bipartite_edges(link) == [(0, 0), (0, 1), (0, 2)]
 
     @settings(max_examples=100, deadline=None)
@@ -312,45 +313,45 @@ class TestLinkUnion:
 
 class TestBipartiteMatching:
     def test_four_cycle(self):
-        bp = support.bipartite_from_edges([0, 1], [0, 1], [(0, 0), (0, 1), (1, 0), (1, 1)])
-        assert max_matching_bipartite(bp).size == 2
+        bp = support.bipartite_from_edges([0, 1], [(0, 0), (0, 1), (1, 0), (1, 1)])
+        assert len(max_matching_bipartite(bp)) == 2
 
     def test_star(self):
-        bp = support.bipartite_from_edges([0], [0, 1, 2], [(0, 0), (0, 1), (0, 2)])
-        assert max_matching_bipartite(bp).size == 1
+        bp = support.bipartite_from_edges([0], [(0, 0), (0, 1), (0, 2)])
+        assert len(max_matching_bipartite(bp)) == 1
 
     def test_path_of_three(self):
-        bp = support.bipartite_from_edges([0, 1], [0], [(0, 0), (1, 0)])
-        assert max_matching_bipartite(bp).size == 1
+        bp = support.bipartite_from_edges([0, 1], [(0, 0), (1, 0)])
+        assert len(max_matching_bipartite(bp)) == 1
 
     def test_deterministic(self):
         bp = support.bipartite_from_edges(
-            range(5), range(5), [(a, b) for a in range(5) for b in range(5) if (a + b) % 2]
+            range(5), [(a, b) for a in range(5) for b in range(5) if (a + b) % 2]
         )
-        assert max_matching_bipartite(bp).edges == max_matching_bipartite(bp).edges
+        assert max_matching_bipartite(bp) == max_matching_bipartite(bp)
 
 
 class TestKonigCover:
     def test_four_cycle(self):
-        bp = support.bipartite_from_edges([0, 1], [0, 1], [(0, 0), (0, 1), (1, 0), (1, 1)])
+        bp = support.bipartite_from_edges([0, 1], [(0, 0), (0, 1), (1, 0), (1, 1)])
         m = max_matching_bipartite(bp)
         cover = konig_cover(bp, m)
-        assert cover.size == 2
+        assert len(cover) == 2
 
     def test_star_cover_is_centre(self):
-        bp = support.bipartite_from_edges([0], [0, 1, 2], [(0, 0), (0, 1), (0, 2)])
+        bp = support.bipartite_from_edges([0], [(0, 0), (0, 1), (0, 2)])
         cover = konig_cover(bp, max_matching_bipartite(bp))
-        assert cover.cover == ((0, 0),)
+        assert cover == ((1, 0),)
 
     def test_empty(self):
-        bp = support.bipartite_from_edges([], [], [])
-        cover = konig_cover(bp, MatchingCertificate(()))
-        assert cover.size == 0
+        bp = support.bipartite_from_edges([], [])
+        cover = konig_cover(bp, ())
+        assert len(cover) == 0
 
     def test_non_maximum_matching_rejected(self):
-        bp = support.bipartite_from_edges([0, 1], [0, 1], [(0, 0), (1, 1)])
+        bp = support.bipartite_from_edges([0, 1], [(0, 0), (1, 1)])
         with pytest.raises(RuntimeError):
-            konig_cover(bp, MatchingCertificate(((0, 0),)))
+            konig_cover(bp, ((0, 0),))
 
     def test_random_suite(self):
         rng = SplitMix64(2024)
@@ -363,23 +364,23 @@ class TestKonigCover:
                 for b in range(nr)
                 if rng.randrange(100) < 25
             ]
-            bp = support.bipartite_from_edges(range(nl), range(nr), pairs)
+            bp = support.bipartite_from_edges(range(nl), pairs)
             m = max_matching_bipartite(bp)
             cover = konig_cover(bp, m)
-            assert cover.size == m.size
-            chosen = set(cover.cover)
+            assert len(cover) == len(m)
+            chosen = set(cover)
             for a, b in support.bipartite_edges(bp):
-                assert (0, a) in chosen or (1, b) in chosen
+                assert (1, a) in chosen or (2, b) in chosen
 
 
 class TestMatchingToIndependentSet:
     def test_empty_matching(self):
         h = all_red_triangle_h()
-        assert support.matching_to_independent_set(h, MatchingCertificate(())) == ()
+        assert support.matching_to_independent_set(h, ()) == ()
 
     def test_single_edge(self):
         h = all_red_triangle_h()
-        m = MatchingCertificate(((0, 0, 0),))
+        m = ((0, 0, 0),)
         assert support.matching_to_independent_set(h, m) == (0,)
 
     @settings(max_examples=50, deadline=None)
@@ -400,10 +401,10 @@ class TestInequalities:
     @given(support.coloured_graphs(max_n=9))
     def test_sandwich_and_tripartite_bounds(self, cg):
         h = build_component_hypergraph(monochromatic_components(cg))
-        nu = nu_exact(h).size
-        cert = tau_exact(h)
-        assert cert is not None
-        tau = cert.size
+        nu = len(nu_exact(h))
+        cover = tau_exact(h)
+        assert cover is not None
+        tau = len(cover)
         assert nu <= tau <= 3 * nu or (nu == 0 and tau == 0)
         assert tau <= 2 * nu or nu == 0
 
@@ -411,25 +412,25 @@ class TestInequalities:
     @given(support.coloured_graphs(max_n=9))
     def test_cover_number_equals_component_cover_oracle(self, cg):
         h = build_component_hypergraph(monochromatic_components(cg))
-        cert = tau_exact(h)
-        assert cert is not None
-        assert cert.size == support.min_component_cover_size(cg)
+        cover = tau_exact(h)
+        assert cover is not None
+        assert len(cover) == support.min_component_cover_size(cg)
 
     @settings(max_examples=40, deadline=None)
     @given(support.coloured_graphs(max_n=9))
     def test_hypergraph_tau_below_link_cover(self, cg):
         h = build_component_hypergraph(monochromatic_components(cg))
-        cert = tau_exact(h)
-        assert cert is not None
+        tau_cover = tau_exact(h)
+        assert tau_cover is not None
         link = link_union(h)
-        cover = konig_cover(link, max_matching_bipartite(link))
-        assert cert.size <= cover.size
+        link_cover = konig_cover(link, max_matching_bipartite(link))
+        assert len(tau_cover) <= len(link_cover)
 
     def test_medium_random_instances(self):
         for seed in range(10):
             cg = colour_random(generate_gnp(11, 0.45, seed=seed), seed=seed + 100)
             h = build_component_hypergraph(monochromatic_components(cg))
-            nu = nu_exact(h).size
-            cert = tau_exact(h)
-            assert cert is not None
-            assert nu <= cert.size <= 2 * nu
+            nu = len(nu_exact(h))
+            cover = tau_exact(h)
+            assert cover is not None
+            assert nu <= len(cover) <= 2 * nu

@@ -24,6 +24,25 @@ class TestConfig:
             PseudorandomConfig(max_tuple=7)
         with pytest.raises(ValueError):
             PseudorandomConfig(pair_size=0)
+        for epsilon in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^epsilon must be finite and positive, got "):
+                PseudorandomConfig(epsilon=epsilon)
+
+
+@pytest.mark.parametrize("p", [-1.0, 1.5, 2.0, float("nan")])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda g, p, cfg: check_degrees(g, p, cfg),
+        lambda g, p, cfg: check_edge_density(g, p, cfg, seed=1),
+        lambda g, p, cfg: check_common_neighbourhoods(g, p, cfg, seed=1),
+    ],
+    ids=["degrees", "edge-density", "common-neighbourhoods"],
+)
+def test_checks_reject_p_outside_unit_interval(check, p):
+    g = generate_gnp(60, 0.5, seed=1)
+    with pytest.raises(ValueError, match=r"edge probability must lie in \[0, 1\], got "):
+        check(g, p, PseudorandomConfig())
 
 
 class TestEdgeDensity:

@@ -143,7 +143,7 @@ class TestSolveCover:
             assert cover.size <= 2
         if ac.kind == "two":
             h = build_component_hypergraph(lab)
-            assert nu_exact(h).size <= 2
+            assert len(nu_exact(h)) <= 2
 
 
 class TestStrategyAlphaGe3:
@@ -284,8 +284,8 @@ class TestStrategyAlpha2:
             for c, cid in refs:
                 mask |= lab.members[c][cid]
             assert mask == cg.graph.full_mask
-            cert = tau_exact(h)
-            assert cert is not None and cert.size <= len(refs)
+            tau_cover = tau_exact(h)
+            assert tau_cover is not None and len(tau_cover) <= len(refs)
 
 
 class TestEgpPartitionSearch:
@@ -326,7 +326,7 @@ class TestEgpPartitionSearch:
 class TestComponentsToTrees:
     def test_single_red_component_tree(self):
         cg = cg_from(3, [(0, 1, R), (0, 2, R), (1, 2, R)])
-        cover = components_to_trees(cg, [(0, 0)])
+        cover = components_to_trees(cg, [(0, 0)], monochromatic_components(cg))
         assert cover.size == 1
         tree = cover.trees[0]
         assert tree.root == 0
@@ -335,7 +335,7 @@ class TestComponentsToTrees:
     def test_missing_vertex_rejected(self):
         cg = cg_from(3, [(0, 1, R)])
         with pytest.raises(ValueError, match="cover"):
-            components_to_trees(cg, [(0, 0)])
+            components_to_trees(cg, [(0, 0)], monochromatic_components(cg))
 
     def test_overlapping_components_allowed(self):
         cg = cg_from(3, [(0, 1, R), (0, 2, G), (1, 2, B)])
@@ -346,14 +346,14 @@ class TestComponentsToTrees:
 
     def test_singleton_component_tree(self):
         cg = cg_from(2, [(0, 1, R)])
-        cover = components_to_trees(cg, [(0, 0), (1, 0), (1, 1)])
+        cover = components_to_trees(cg, [(0, 0), (1, 0), (1, 1)], monochromatic_components(cg))
         assert {t.vertices for t in cover.trees} == {(0, 1), (0,), (1,)}
 
 
 class TestVerifyCover:
     def test_valid_cover_passes(self):
         cg = cg_from(3, [(0, 1, R), (0, 2, R), (1, 2, R)])
-        cover = components_to_trees(cg, [(0, 0)])
+        cover = components_to_trees(cg, [(0, 0)], monochromatic_components(cg))
         assert verify_cover(cg, cover) == []
 
     def test_overlapping_trees_allowed(self):
@@ -409,6 +409,16 @@ class TestVerifyCover:
 # solve_cover traces of the hand-built branch instances above, pinned
 # literally so that a dropped note, witness or field shows up.
 TRACE_PINS = [
+    (
+        # The empty strategy cover must not be read as "no cover": the exact
+        # search then runs without a bound and finds the same empty cover.
+        "egp-empty",
+        lambda: cg_from(0, []),
+        {
+            "alpha": "one", "branch": "egp", "component_count": 0,
+            "cover": [], "exact_size": 0, "notes": [], "strategy_size": 0,
+        },
+    ),
     (
         "egp",
         lambda: cg_from(

@@ -5,12 +5,13 @@ vector, which keeps the hot operations downstream (neighbourhood
 intersections, component unions, coverage tests) inside C integer
 arithmetic.  All values are immutable after construction.
 
-Sampling keeps the same discipline.  The dense G(n, p) stream and the
-random colouring draw their splitmix64 values in lane blocks
-(`SplitMix64.lanes`): one Python int holds up to LANES draws, draw j in
-bits [128j, 128j + 64) of its own 128-bit lane, so a whole block is a
-fixed number of big-int operations and no lane carries into the next.
-The per-pair outcome is read out of each lane's bytes with
+Sampling keeps the same discipline.  G(n, p) and the random colouring
+draw their splitmix64 values in lane blocks (`SplitMix64.lanes`): one
+Python int holds up to LANES draws, draw j in bits [128j, 128j + 64) of
+its own 128-bit lane, so a whole block is a fixed number of big-int
+operations and no lane carries into the next.  The sparse path reads
+the draws back as an array of 64-bit words; the dense per-pair outcome
+is read out of each lane's bytes with
 `to_bytes(...)[k::16]`, rows are rebuilt from binary digit strings with
 int(..., 2) (linear time for base 2), and the upper triangle is mirrored
 into the lower one a band of columns at a time (`_mirror`).  numpy is not
@@ -35,6 +36,8 @@ per-line work to naming the first faulty line.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain, compress, repeat
@@ -158,8 +161,9 @@ def generate_gnp(n: int, p: float, seed: int) -> SimpleGraph:
     (`SplitMix64.lanes`), where the test z < T is bit 64 of the lane
     2^64 + T - 1 - z, and the upper triangle is then mirrored by
     `_mirror`.  Sparse p (below 0.1) skips geometric gaps along the pair
-    sequence, one scalar draw per edge, since its gaps need a float `log`.
-    Both paths are pure functions of (n, p, seed).
+    sequence, one draw and one float `log` per edge; its draws are read
+    from lane blocks too, sized to the edges still expected.  Both paths
+    are pure functions of (n, p, seed).
     """
     check_probability(p)
     if n < 0:
@@ -238,14 +242,20 @@ def _sample_sparse(n: int, p: float, rng: SplitMix64) -> tuple[int, ...]:
         starts[u] = starts[u - 1] + (n - u)
     index = -1
     while True:
-        gap = int(log(1.0 - rng.random()) / ln_q)
-        index += gap + 1
-        if index >= total:
-            return tuple(int.from_bytes(row, "little") for row in rows)
-        u = bisect_right(starts, index) - 1
-        v = u + 1 + (index - starts[u])
-        rows[u][v >> 3] |= 1 << (v & 7)
-        rows[v][u >> 3] |= 1 << (u & 7)
+        # about as many draws as edges are left; the rng is private, so
+        # reading past the last edge changes nothing
+        z, lanes = rng.lanes(int(p * (total - index)) + 1)
+        words = array("Q", z.to_bytes(16 * lanes, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        for w in words[::2]:
+            index += int(log(1.0 - (w >> 11) * 1.1102230246251565e-16) / ln_q) + 1  # 2**-53
+            if index >= total:
+                return tuple(int.from_bytes(row, "little") for row in rows)
+            u = bisect_right(starts, index) - 1
+            v = u + 1 + (index - starts[u])
+            rows[u][v >> 3] |= 1 << (v & 7)
+            rows[v][u >> 3] |= 1 << (u & 7)
 
 
 @dataclass(frozen=True)

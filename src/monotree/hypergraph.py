@@ -5,10 +5,13 @@ so it induces one (red, green, blue) component triple; the deduplicated
 triples are the hyperedges.  A set of components covers the vertex set of
 the graph iff it is a vertex cover of this hypergraph, which is what makes
 the exact solvers here usable as ground-truth oracles for the tree-cover
-pipeline.  The exact cover number comes from the classic hitting-set
-reductions (Weihe 1998; Abu-Khzam 2010) followed by one branch and bound
-on the reduced kernel; the exact cover is then recovered by a descent
-that the cover number guides.  The module also carries the bipartite
+pipeline.  A minimum cover comes from the classic hitting-set reductions
+(Weihe 1998; Abu-Khzam 2010), applied incrementally where the last one
+may have made another fire, followed by one branch and bound on the
+reduced kernel.  The cover `tau_exact` returns is then recovered by a
+descent that keeps an optimal cover of what is left and runs the exact
+search only where a swap and a packing bound do not decide the next
+step.  The module also carries the bipartite
 machinery: the union of link graphs over one colour class, maximum
 matching by Hopcroft-Karp, and the matching-sized vertex cover given by
 König's theorem, read from the alternating layering of the last phase.
@@ -16,9 +19,10 @@ König's theorem, read from the alternating layering of the last phase.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from itertools import combinations
+from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Iterable
 
 from .components import ComponentLabelling
@@ -60,16 +64,37 @@ def build_component_hypergraph(lab: ComponentLabelling) -> ComponentHypergraph:
 
 
 def _greedy_cover(edges: list[tuple[CompRef, ...]]) -> list[CompRef]:
-    uncovered = set(range(len(edges)))
+    """Greedy cover: repeatedly pick the component on the most uncovered
+    edges, the least such component on ties.
+
+    Counts only fall, so a heap of (-count, component) entries may hold
+    stale counts: a popped entry whose count is out of date is pushed back
+    with its current count, and a current one is the true minimum of
+    (-count, component) over all components.
+    """
+    through: defaultdict[CompRef, list[int]] = defaultdict(list)
+    for i, refs in enumerate(edges):
+        for r in refs:
+            through[r].append(i)
+    counts = {r: len(es) for r, es in through.items()}
+    heap = [(-count, r) for r, count in counts.items()]
+    heapify(heap)
+    covered = [False] * len(edges)
+    left = len(edges)
     picked: list[CompRef] = []
-    while uncovered:
-        counts: dict[CompRef, int] = {}
-        for i in uncovered:
-            for r in edges[i]:
-                counts[r] = counts.get(r, 0) + 1
-        best = min(counts, key=lambda r: (-counts[r], r))
-        picked.append(best)
-        uncovered = {i for i in uncovered if best not in edges[i]}
+    while left:
+        count, r = heappop(heap)
+        if -count != counts[r]:
+            if counts[r]:
+                heappush(heap, (-counts[r], r))
+            continue
+        picked.append(r)
+        for i in through[r]:
+            if not covered[i]:
+                covered[i] = True
+                left -= 1
+                for s in edges[i]:
+                    counts[s] -= 1
     return picked
 
 
@@ -84,96 +109,143 @@ def _greedy_disjoint(edges: list[tuple[CompRef, ...]], indices: Iterable[int]) -
     return count
 
 
-def _kernel(edges: Iterable[Iterable[CompRef]]) -> tuple[int, set[frozenset[CompRef]]]:
+def _kernel(
+    edges: Iterable[Iterable[CompRef]],
+) -> tuple[set[CompRef], list[tuple[CompRef, ...]]]:
     """Apply the hitting-set reductions until none fires; returns the
-    number of forced components and the kernel, which has the same cover
-    number as the input minus that count.
+    components they force and the kernel they leave, as sorted edges.  A
+    minimum cover of the kernel joined with the forced components is a
+    minimum cover of the input.
 
-    * Unit edge: an edge with one component left forces that component.
-    * Edge domination: an edge containing another edge is covered by
-      every cover of the smaller one, so it is dropped.
-    * Component domination: a is dropped when every edge through a also
-      contains some b that lies on strictly more edges, or on the same
-      edges with b < a; any cover can swap a for b.  Domination is
-      transitive and the smallest of a set of equals survives, so each
-      dropped component keeps a surviving dominator and one sweep may
-      drop all dominated components at once.
+    * Unit edge: an edge with one component left forces that component,
+      and the edges through it are dropped.
+    * Edge domination: an edge containing another edge, or equal to it,
+      is covered by every cover of the other, so it is dropped.
+    * Component domination: a is dropped from its edges when some b lies
+      on every edge through a and on strictly more edges, or on the same
+      edges with b < a; any cover can swap a for b.
+
+    Each reduction is applied on its own, and only where the last ones
+    may have made it fire: an edge is checked again when it loses a
+    component, and a component when it loses an edge.  An edge can come
+    to contain another only when the other shrinks, and a component can
+    become dominated only when its own edges thin out, so once both
+    queues are empty no reduction fires anywhere.
     """
-    kernel = {frozenset(e) for e in edges}
-    forced = 0
-    while True:
-        units = {r for e in kernel if len(e) == 1 for r in e}
-        if units:
-            forced += len(units)
-            kernel = {e for e in kernel if not e & units}
+    edges = list(edges)
+    degree = Counter(chain.from_iterable(edges))
+    forced: set[CompRef] = set()
+    members: dict[int, set[CompRef]] = {}  # edge id -> the edge's components
+    through: defaultdict[CompRef, set[int]] = defaultdict(set)  # the reverse
+    for i, e in enumerate(edges):
+        # Component domination of the components on one edge, all at once:
+        # a member on more edges dominates them, or else the least member,
+        # which the edge then forces.
+        kept = {r for r in e if degree[r] > 1}
+        if kept:
+            members[i] = kept
+            for r in kept:
+                through[r].add(i)
+        else:
+            forced.add(min(e))
+    shrunk = list(members)  # edges to check for a unit or a sub-edge
+    thinned = set(through)  # components to check for a dominator
+
+    def drop(i: int) -> None:
+        for r in members.pop(i):
+            left = through[r]
+            left.discard(i)
+            if left:
+                thinned.add(r)
+            else:
+                del through[r]
+
+    while shrunk or thinned:
+        if shrunk:
+            i = shrunk.pop()
+            e = members.get(i)
+            if e is None:
+                continue
+            if len(e) == 1:
+                forced |= e
+                for j in list(through[next(iter(e))]):
+                    drop(j)
+                continue
+            containing = set.intersection(*[through[r] for r in e])
+            containing.discard(i)
+            for j in containing:
+                drop(j)
             continue
-        # Only an edge longer than the shortest can contain another.
-        least = min(map(len, kernel), default=0)
-        dominated = {
-            e for e in kernel
-            if len(e) > least and any(
-                frozenset(sub) in kernel
-                for k in range(least, len(e)) for sub in combinations(e, k)
-            )
-        }
-        if dominated:
-            kernel -= dominated
+        a = thinned.pop()
+        own = through.get(a)
+        if own is None:
             continue
-        through: dict[CompRef, list[frozenset[CompRef]]] = {}
-        for e in kernel:
-            for r in e:
-                through.setdefault(r, []).append(e)
-        drop = {
-            a for a, es in through.items()
-            if any(
-                len(through[b]) > len(es) or b < a
-                for b in frozenset.intersection(*es) - {a}
-            )
-        }
-        if not drop:
-            return forced, kernel
-        kernel = {e - drop for e in kernel}
+        for b in members[next(iter(own))]:
+            other = through[b]
+            if b != a and own <= other and (len(other) > len(own) or b < a):
+                del through[a]
+                for i in own:
+                    members[i].discard(a)
+                    shrunk.append(i)
+                break
+    return forced, sorted(tuple(sorted(e)) for e in members.values())
 
 
-def _branch_and_bound(edges: list[tuple[CompRef, ...]]) -> int:
-    """Cover number of a kernel: branch on the first uncovered edge, with
+def _branch_and_bound(edges: list[tuple[CompRef, ...]]) -> list[CompRef]:
+    """A minimum cover of a kernel: branch on the first uncovered edge, with
     a greedy cover as incumbent and a greedy disjoint-edge packing as
     lower bound."""
     incidence: dict[CompRef, set[int]] = {}
     for i, refs in enumerate(edges):
         for r in refs:
             incidence.setdefault(r, set()).add(i)
-    best = len(_greedy_cover(edges))
+    best = _greedy_cover(edges)
+    chosen: list[CompRef] = []
 
-    def search(uncovered: frozenset[int], depth: int) -> None:
+    def search(uncovered: frozenset[int]) -> None:
         nonlocal best
         if not uncovered:
-            best = min(best, depth)
+            best = list(chosen)  # it passed its parent's bound, so it is smaller
             return
-        if depth + _greedy_disjoint(edges, sorted(uncovered)) >= best:
+        if len(chosen) + _greedy_disjoint(edges, sorted(uncovered)) >= len(best):
             return
         for r in edges[min(uncovered)]:
-            search(uncovered - incidence[r], depth + 1)
+            chosen.append(r)
+            search(uncovered - incidence[r])
+            chosen.pop()
 
-    search(frozenset(range(len(edges))), 0)
+    search(frozenset(range(len(edges))))
     return best
 
 
-def cover_number(edges: Iterable[Iterable[CompRef]]) -> int:
-    """Minimum number of components meeting every edge: the components the
+def min_cover(edges: Iterable[Iterable[CompRef]]) -> set[CompRef]:
+    """A minimum set of components meeting every edge: the components the
     reductions force plus the branch-and-bound optimum of the kernel they
     leave.  The kernel is not split into connected pieces: after the
     reductions it is almost always empty and has never been seen to split."""
     forced, kernel = _kernel(edges)
-    return forced + _branch_and_bound(sorted(tuple(sorted(e)) for e in kernel))
+    return forced.union(_branch_and_bound(kernel))
+
+
+def _swap_out(rest: list[tuple[CompRef, ...]], cover: set[CompRef], r: CompRef) -> CompRef | None:
+    """The least member c of `cover` such that cover - {c} + {r} still meets
+    every edge of `rest`, or None: c must be the only member of no edge
+    that misses r."""
+    free = set(cover)
+    for e in rest:
+        if r not in e:
+            hit = [s for s in e if s in cover]
+            if len(hit) == 1:
+                free.discard(hit[0])
+    return min(free, default=None)
 
 
 def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> tuple[CompRef, ...] | None:
     """Minimum vertex cover, sorted; None iff the optimum τ exceeds k_max.
 
-    τ comes from `cover_number`, and k_max is decided before any cover is
-    built; when a greedy packing finds more than k_max pairwise disjoint
-    hyperedges, that settles it without τ.
+    τ is the size of the cover `min_cover` returns, and k_max is decided
+    before the returned cover is built; when a greedy packing finds more
+    than k_max pairwise disjoint hyperedges, that settles it without τ.
 
     The cover is the one a depth-first branch and bound returns when it
     branches on the first uncovered hyperedge in `h.edges` order, tries
@@ -191,19 +263,33 @@ def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> tuple[CompRef
     * once that leaf is found, nothing smaller can replace it.
 
     Here the leaf is found by guided descent: at each node take the first
-    component of the first uncovered hyperedge whose residual has cover
-    number one lower.  One of them always does, so the last needs no test.
+    component r of the first uncovered hyperedge whose residual (the
+    hyperedges that miss r) has a cover one smaller, that is, the first r
+    that some optimal cover of the node's hyperedges contains.  The
+    descent keeps C, an optimal cover of the node's hyperedges, and
+    decides each r in turn:
+
+    * r is in C: take r, and C - {r} covers the residual;
+    * C - {c} + {r} still covers for some c in C: that is an optimal cover
+      holding r, so take r, and C - {c} covers the residual;
+    * a greedy packing of the residual is at least |C|: skip r;
+    * otherwise take r iff `min_cover` of the residual is smaller than C,
+      and then that cover becomes C.
+
+    When neither of the first two components is taken, neither is in C,
+    and C meets the hyperedge, so the third is in C: it is taken with no
+    test, and C minus it covers the residual.
     """
     if k_max is not None and k_max < 0:
         raise ValueError("k_max must be non-negative")
     edge_refs = [h.refs_of(e) for e in h.edges]
     if k_max is not None and _greedy_disjoint(edge_refs, range(len(edge_refs))) > k_max:
         return None
-    tau = cover_number(edge_refs)
-    if k_max is not None and tau > k_max:
+    cover = min_cover(edge_refs)
+    if k_max is not None and len(cover) > k_max:
         return None
     greedy = _greedy_cover(edge_refs)
-    if len(greedy) == tau:
+    if len(greedy) == len(cover):
         return tuple(sorted(greedy))
 
     chosen: list[CompRef] = []
@@ -211,9 +297,24 @@ def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> tuple[CompRef
     while rest:
         *tested, pick = rest[0]
         for r in tested:
-            if cover_number([e for e in rest if r not in e]) == tau - len(chosen) - 1:
+            if r in cover:
+                cover.remove(r)
                 pick = r
                 break
+            out = _swap_out(rest, cover, r)
+            if out is not None:
+                cover.remove(out)
+                pick = r
+                break
+            residual = [e for e in rest if r not in e]
+            if _greedy_disjoint(residual, range(len(residual))) < len(cover):
+                smaller = min_cover(residual)
+                if len(smaller) < len(cover):
+                    cover = smaller
+                    pick = r
+                    break
+        else:
+            cover.remove(pick)
         chosen.append(pick)
         rest = [e for e in rest if pick not in e]
     return tuple(sorted(chosen))
@@ -244,7 +345,7 @@ def nu_exact(h: ComponentHypergraph) -> tuple[tuple[int, int, int], ...]:
             if len(current) > len(best):
                 best = list(current)
             return
-        if len(current) + cover_number(edge_refs[j] for j in available) <= len(best):
+        if len(current) + len(min_cover(edge_refs[j] for j in available)) <= len(best):
             return
         i = available[0]
         refs = edge_refs[i]
@@ -368,11 +469,17 @@ def konig_cover(l: BipartiteGraph, m: tuple[tuple[int, int], ...]) -> tuple[Comp
     partners of the reached matched left vertices.
 
     Cover members are sorted (colour, id) pairs, coloured by `l.colours`.
-    Raises RuntimeError if m is not a maximum matching of l.
+    Raises RuntimeError if m is not a matching of l, or not a maximum one.
     """
     lc, rc = l.colours
     pair_l = dict(m)
-    dist, limit = _alternating_layers(l, pair_l, {b: a for a, b in m})
+    pair_r = {b: a for a, b in m}
+    if len(pair_l) != len(m) or len(pair_r) != len(m):
+        raise RuntimeError("two pairs share an endpoint; not a matching")
+    for a, b in m:
+        if b not in l.adjacency.get(a, ()):
+            raise RuntimeError(f"pair ({a}, {b}) is not an edge; not a matching")
+    dist, limit = _alternating_layers(l, pair_l, pair_r)
     if limit != _UNREACHED:
         raise RuntimeError("an augmenting path exists; matching not maximum")
     cover = tuple(

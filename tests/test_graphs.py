@@ -5,7 +5,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monotree import (
@@ -579,6 +579,16 @@ def _tabs(lines, breaks, i, k):
     lines[i] = lines[i].replace(" ", "\t")
 
 
+def _arabic_indic(token):
+    """token with its first decimal digit, which may follow a sign or an
+    earlier mutation's prefix, spelt as the Arabic-Indic digit of the same
+    value; a token with no digit is left alone."""
+    for j, c in enumerate(token):
+        if c.isdecimal():
+            return f"{token[:j]}{chr(0x660 + int(c))}{token[j + 1:]}"
+    return token
+
+
 def _copy_of_earlier(lines, k, conflicting=False):
     parts = lines[1 + k % (len(lines) - 1)].split()
     if len(parts) == 3 and conflicting and parts[2] in "rgb":
@@ -597,7 +607,7 @@ MUTATIONS = [
     _edit_tokens(lambda t, k: f"+{t[0]} {t[1]} {t[2]}"),
     _edit_tokens(lambda t, k: f"0{t[0]} {t[1]} {t[2]}"),
     _edit_tokens(lambda t, k: f"{t[0]} {t[1][0]}_{t[1][1:]} {t[2]}" if len(t[1]) > 1 else f"{t[0]} 0_{t[1]} {t[2]}"),
-    _edit_tokens(lambda t, k: f"{chr(0x660 + int(t[0][0]))}{t[0][1:]} {t[1]} {t[2]}"),
+    _edit_tokens(lambda t, k: f"{_arabic_indic(t[0])} {t[1]} {t[2]}"),
     _edit_tokens(lambda t, k: f"{t[0]}|{t[1]} {t[2]}"),
     _edit_tokens(lambda t, k: f"{t[0]} {t[1]}| {t[2]}"),
     _edit_tokens(lambda t, k: f"{t[0]} | {t[2]}"),
@@ -636,6 +646,8 @@ class TestReferenceParity:
         ),
         st.none() | st.tuples(st.integers(0, 1), st.integers(0, 2)),
     )
+    # a sign put before the token that the Arabic-Indic mutation rewrites
+    @example(mutations=[(20, 0.5, 0), (9, 0.5, 0)], after_boundary=None)
     def test_same_graph_or_same_error(self, mutations, after_boundary):
         lines = list(parity_base())
         breaks = ["\n"] * len(lines)

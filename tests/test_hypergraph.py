@@ -21,7 +21,7 @@ from monotree import (
     tau_exact,
 )
 from monotree.experiment import first_nonadjacent_triple
-from monotree.hypergraph import _kernel, cover_number
+from monotree.hypergraph import _greedy_cover, _kernel, min_cover
 from monotree.rng import SplitMix64, derive_seed
 
 import support
@@ -168,7 +168,20 @@ class TestAgainstReferenceSearch:
     @settings(max_examples=300, deadline=None)
     @given(small_hypergraphs)
     def test_reductions_keep_the_cover_number(self, edges):
-        assert cover_number(edges) == support.naive_cover_number(edges)
+        cover = min_cover(edges)
+        assert all(cover.intersection(e) for e in edges)
+        assert len(cover) == support.naive_cover_number(edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), min_size=1, max_size=3,
+                 unique=True).map(tuple),
+        max_size=20,
+    ))
+    def test_greedy_cover_picks_as_the_rescan_does(self, edges):
+        # Few components on many edges, so counts tie often and the least
+        # component must win each tie, as the per-pick rescan decides it.
+        assert _greedy_cover(edges) == support._greedy_cover(edges)
 
     def test_irreducible_kernel_splits_into_pieces(self):
         # Two triangles and a 5-cycle of pairs: no reduction fires, and the
@@ -179,8 +192,8 @@ class TestAgainstReferenceSearch:
 
         edges = cycle(0, 3) + cycle(1, 3) + cycle(2, 5)
         forced, kernel = _kernel(edges)
-        assert forced == 0 and len(kernel) == len(edges) == 11
-        assert cover_number(edges) == support.naive_cover_number(edges) == 7
+        assert not forced and len(kernel) == len(edges) == 11
+        assert len(min_cover(edges)) == support.naive_cover_number(edges) == 7
 
     def test_sparse_covers_pinned(self):
         # SHA-256 of the covers of 320 seeded sparse instances but two,
@@ -352,6 +365,21 @@ class TestKonigCover:
         bp = support.bipartite_from_edges([0, 1], [(0, 0), (1, 1)])
         with pytest.raises(RuntimeError):
             konig_cover(bp, ((0, 0),))
+
+    @pytest.mark.parametrize(
+        "pairs, m",
+        [
+            ([(0, 0), (1, 1)], ((5, 0),)),
+            ([(0, 0), (1, 1)], ((0, 1),)),
+            ([(0, 0), (1, 1)], ((0, 0), (1, 0))),
+            ([(0, 0), (0, 1), (1, 0)], ((0, 0), (0, 1))),
+        ],
+        ids=["unknown-left", "non-edge", "shared-right", "shared-left"],
+    )
+    def test_non_matching_rejected(self, pairs, m):
+        bp = support.bipartite_from_edges([0, 1], pairs)
+        with pytest.raises(RuntimeError, match="not a matching"):
+            konig_cover(bp, m)
 
     def test_random_suite(self):
         rng = SplitMix64(2024)

@@ -125,12 +125,14 @@ def _kernel(
       on every edge through a and on strictly more edges, or on the same
       edges with b < a; any cover can swap a for b.
 
-    Each reduction is applied on its own, and only where the last ones
-    may have made it fire: an edge is checked again when it loses a
-    component, and a component when it loses an edge.  An edge can come
-    to contain another only when the other shrinks, and a component can
-    become dominated only when its own edges thin out, so once both
-    queues are empty no reduction fires anywhere.
+    One pass first applies component domination to every component on a
+    single edge.  After it, each reduction is applied on its own, and
+    only where the last ones may have made it fire: an edge is checked
+    again when it loses a component, and a component when it loses an
+    edge.  An edge can come to contain another only when the other
+    shrinks, and a component can become dominated only when its own
+    edges thin out, so once both queues are empty no reduction fires
+    anywhere.
     """
     edges = list(edges)
     degree = Counter(chain.from_iterable(edges))

@@ -113,10 +113,13 @@ class TrialRecord:
     p: float
     mode: str
     trial: int
-    skipped: bool
-    size: int | None
+    size: int | None  # None for a skipped trial
     branch: str | None
     exact_size: int | None
+
+    @property
+    def skipped(self) -> bool:
+        return self.size is None
 
 
 def _float_bits(p: float) -> int:
@@ -146,14 +149,14 @@ def run_trial(cfg: ExperimentConfig, n: int, p: float, mode: str, trial: int) ->
     if mode == MODE_THREE_STAR:
         triple = first_nonadjacent_triple(g)
         if triple is None:
-            return TrialRecord(n, p, mode, trial, True, None, None, None)
+            return TrialRecord(n, p, mode, trial, None, None, None)
         cg = colour_three_stars(g, *triple, base=Colour.RED)
     else:
         cg = colour_random(g, _mix(base_seed, 1))
     cover, trace = solve_cover(cg)
     small = trace.component_count <= REPORTED_EXACT_MAX_COMPONENTS
     return TrialRecord(
-        n, p, mode, trial, False, cover.size, trace.branch,
+        n, p, mode, trial, cover.size, trace.branch,
         trace.exact_size if small else None,
     )
 

@@ -10,11 +10,11 @@ pipeline.  A minimum cover comes from the classic hitting-set reductions
 may have made another fire, followed by one branch and bound on the
 reduced kernel.  The cover `tau_exact` returns is then recovered by a
 descent that keeps an optimal cover of what is left and runs the exact
-search only where a swap and a packing bound do not decide the next
-step.  The module also carries the bipartite
-machinery: the union of link graphs over one colour class, maximum
-matching by Hopcroft-Karp, and the matching-sized vertex cover given by
-König's theorem, read from the alternating layering of the last phase.
+search only for a component outside it.  The module also carries the
+bipartite machinery: the union of link graphs over one colour class,
+maximum matching by Hopcroft-Karp, and the matching-sized vertex cover
+given by König's theorem, read from the alternating layering of the last
+phase.
 """
 
 from __future__ import annotations
@@ -229,19 +229,6 @@ def min_cover(edges: Iterable[Iterable[CompRef]]) -> set[CompRef]:
     return forced.union(_branch_and_bound(kernel))
 
 
-def _swap_out(rest: list[tuple[CompRef, ...]], cover: set[CompRef], r: CompRef) -> CompRef | None:
-    """The least member c of `cover` such that cover - {c} + {r} still meets
-    every edge of `rest`, or None: c must be the only member of no edge
-    that misses r."""
-    free = set(cover)
-    for e in rest:
-        if r not in e:
-            hit = [s for s in e if s in cover]
-            if len(hit) == 1:
-                free.discard(hit[0])
-    return min(free, default=None)
-
-
 def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> tuple[CompRef, ...] | None:
     """Minimum vertex cover, sorted; None iff the optimum τ exceeds k_max.
 
@@ -272,9 +259,6 @@ def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> tuple[CompRef
     decides each r in turn:
 
     * r is in C: take r, and C - {r} covers the residual;
-    * C - {c} + {r} still covers for some c in C: that is an optimal cover
-      holding r, so take r, and C - {c} covers the residual;
-    * a greedy packing of the residual is at least |C|: skip r;
     * otherwise take r iff `min_cover` of the residual is smaller than C,
       and then that cover becomes C.
 
@@ -303,18 +287,11 @@ def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> tuple[CompRef
                 cover.remove(r)
                 pick = r
                 break
-            out = _swap_out(rest, cover, r)
-            if out is not None:
-                cover.remove(out)
+            smaller = min_cover(e for e in rest if r not in e)
+            if len(smaller) < len(cover):
+                cover = smaller
                 pick = r
                 break
-            residual = [e for e in rest if r not in e]
-            if _greedy_disjoint(residual, range(len(residual))) < len(cover):
-                smaller = min_cover(residual)
-                if len(smaller) < len(cover):
-                    cover = smaller
-                    pick = r
-                    break
         else:
             cover.remove(pick)
         chosen.append(pick)

@@ -4,10 +4,12 @@ Three checks used as diagnostics and acceptance gates: pairwise edge
 density between disjoint vertex sets, degree concentration, and
 common-neighbourhood sizes of small tuples.  Each compares an observed
 count against the band (1 +- epsilon) times its expectation under edge
-probability p, and each is explicit about regimes where the band is
-meaningless: too few vertices for qualifying sets ("vacuous") or an
-expectation below 1/epsilon ("regime-invalid").  A report never counts a
-pass in such a regime.
+probability p.  A check is marked "vacuous", counting no pass, when it
+has nothing to sample: too few vertices, or for edge density no
+qualifying set size at p = 0.  Only the common-neighbourhood check also
+marks a tuple size "regime-invalid", counting no pass, when its
+expectation is below 1/epsilon; the degree and edge-density checks tally
+counts against any expectation, 0 included.
 """
 
 from __future__ import annotations
@@ -110,14 +112,6 @@ def _tally(
 _QUALIFYING_SIZE_FACTOR = 10.0
 
 
-def _qualifying_size(n: int, p: float, cfg: PseudorandomConfig) -> int | None:
-    if cfg.pair_size is not None:
-        return cfg.pair_size
-    if p <= 0 or n < 2:
-        return None
-    return max(1, math.ceil(_QUALIFYING_SIZE_FACTOR * math.log(n) / p))
-
-
 def check_edge_density(
     g: SimpleGraph, p: float, cfg: PseudorandomConfig, seed: int
 ) -> CheckReport:
@@ -125,22 +119,24 @@ def check_edge_density(
     (1 +- epsilon) * p * |X| * |Y| edges, and at least one edge.
 
     Set sizes default to the minimum qualifying size, 10 ln(n)/p rounded
-    up, and can be pinned with `pair_size`.  Marked vacuous when the graph is
-    too small to host two disjoint qualifying sets.
+    up, and can be pinned with `pair_size`.  Marked vacuous, with a note
+    naming the reason, when there is no qualifying size (fewer than two
+    vertices, or p = 0) or the graph is too small to host two disjoint
+    sets of it.
     """
     check_probability(p)
     n = g.n
-    size = _qualifying_size(n, p, cfg)
+    size = cfg.pair_size
+    if size is None and n >= 2 and p > 0:
+        size = max(1, math.ceil(_QUALIFYING_SIZE_FACTOR * math.log(n) / p))
     if size is None or 2 * size > n:
-        return CheckReport(
-            (
-                CheckOutcome(
-                    "edge-density",
-                    "vacuous",
-                    notes=(f"no two disjoint sets of size {size} fit in {n} vertices",),
-                ),
-            )
-        )
+        if size is not None:
+            note = f"no two disjoint sets of size {size} fit in {n} vertices"
+        elif n < 2:
+            note = f"no qualifying set size: fewer than 2 vertices ({n})"
+        else:
+            note = "no qualifying set size: 10 ln(n)/p is unbounded at p = 0"
+        return CheckReport((CheckOutcome("edge-density", "vacuous", notes=(note,)),))
     mean = p * size * size
 
     def span(s: int) -> int:

@@ -169,6 +169,22 @@ class TestCheckPseudo:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "n, p, note",
+        [
+            ("1", "0.5", "no qualifying set size: fewer than 2 vertices (1)"),
+            ("100", "0", "no qualifying set size: 10 ln(n)/p is unbounded at p = 0"),
+        ],
+        ids=["one-vertex", "p-zero"],
+    )
+    def test_density_without_a_qualifying_size_names_the_reason(self, capsys, n, p, note):
+        code, out = run(capsys, "check-pseudo", "--n", n, "--p", p)
+        assert code == 0
+        (density,) = json.loads(out)["edge_density"]["outcomes"]
+        assert density["status"] == "vacuous"
+        assert density["passes"] == 0
+        assert density["notes"] == [note]
+
     def test_size_factor_flag_is_unrecognised(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check-pseudo", "--n", "300", "--p", "0.5", "--size-constant", "5"])

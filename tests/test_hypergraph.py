@@ -154,6 +154,17 @@ def _sparse_instances():
                 yield n, p, seed, colour_random(g, seed=seed + 11)
 
 
+def _large_sparse_instances():
+    # Seeded sparse samples larger than those above: n = 150..400 at
+    # p = 1.5/n and 3/n, 6 seeds per cell.  In 25 of the 36 the greedy
+    # cover is not optimal, so the descent runs.
+    for n in (150, 250, 400):
+        for c in (1.5, 3.0):
+            for seed in range(6):
+                g = generate_gnp(n, c / n, seed=104729 * n + seed)
+                yield n, c, seed, colour_random(g, seed=seed + 13)
+
+
 class TestAgainstReferenceSearch:
     """The reduction-based `tau_exact` against the plain branch and bound
     it replaced (`support.reference_tau_exact`)."""
@@ -209,6 +220,20 @@ class TestAgainstReferenceSearch:
                 digest.update(json.dumps([n, p, seed, [list(r) for r in cover]]).encode())
         assert digest.hexdigest() == (
             "f194ca5702ec8ac096323a66f4c447fa1e544f9a8128d1b2779361dec4a2801f"
+        )
+
+    def test_large_sparse_covers_pinned(self):
+        # SHA-256 of the covers of 36 larger seeded sparse instances,
+        # generated before the descent lost its swap test and packing skip.
+        # It pins the order in which the descent tests an edge's components.
+        digest = hashlib.sha256()
+        for n, c, seed, cg in _large_sparse_instances():
+            h = build_component_hypergraph(monochromatic_components(cg))
+            cover = tau_exact(h)
+            assert support.is_cover(h, cover)
+            digest.update(json.dumps([n, c, seed, [list(r) for r in cover]]).encode())
+        assert digest.hexdigest() == (
+            "c461fffb91a2ba03e5fbdb48ed77f0d0c79ffc6ff4d278c661f73f918492869a"
         )
 
 

@@ -15,6 +15,7 @@ import struct
 from dataclasses import dataclass
 
 from .graphs import (
+    MAX_VERTICES,
     Colour,
     ColouredGraph,
     colour_random,
@@ -67,6 +68,8 @@ class ExperimentConfig:
         for n in self.n_values:
             if n < 0:
                 raise ValueError(f"n values must be non-negative, got n={n}")
+            if n > MAX_VERTICES:
+                raise ValueError(f"n values must be at most {MAX_VERTICES}, got n={n}")
             if self.p_exponent is not None and n < 2:
                 raise ValueError(f"p_exponent needs every n >= 2, got n={n}")
         if self.trials < 1:

@@ -151,6 +151,12 @@ def check_probability(p: float) -> None:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
 
 
+# The largest vertex count `loads` reads and `generate_gnp` samples.  The
+# per-vertex rows are allocated from it before any edge, so an unchecked
+# count would let a one-line file or a single flag exhaust memory.
+MAX_VERTICES = 1 << 16
+
+
 def generate_gnp(n: int, p: float, seed: int) -> SimpleGraph:
     """Sample the binomial random graph: every unordered pair is an edge
     independently with probability p, driven by the splitmix64 stream of
@@ -168,6 +174,8 @@ def generate_gnp(n: int, p: float, seed: int) -> SimpleGraph:
     check_probability(p)
     if n < 0:
         raise ValueError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     if n < 2 or p == 0.0:
         return SimpleGraph.empty(n)
     if p < 0.1:
@@ -403,12 +411,6 @@ _SEPARATOR = " | "
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 # `dumps` writes an edge of colour c as the hex digit c + 1, 0 for none.
 _HEX_TO_LETTER = bytes.maketrans(b"0123", b"\0rgb")
-
-# The largest vertex count `loads` accepts.  The header is read before any
-# edge, and the graph's per-vertex rows are allocated from it, so an
-# unchecked count would let a one-line file exhaust memory.
-MAX_VERTICES = 1 << 16
-
 
 def dumps(cg: ColouredGraph) -> str:
     """Serialize to the text interchange format.

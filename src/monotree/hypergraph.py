@@ -8,13 +8,13 @@ the exact solvers here usable as ground-truth oracles for the tree-cover
 pipeline.  A minimum cover comes from the classic hitting-set reductions
 (Weihe 1998; Abu-Khzam 2010), applied incrementally where the last one
 may have made another fire, followed by one branch and bound on the
-reduced kernel.  The cover `tau_exact` returns is then recovered by a
-descent that keeps an optimal cover of what is left and runs the exact
-search only for a component outside it.  The module also carries the
-bipartite machinery: the union of link graphs over one colour class,
-maximum matching by Hopcroft-Karp, and the matching-sized vertex cover
-given by König's theorem, read from the alternating layering of the last
-phase.
+reduced kernel.  The reductions are sound in any order, but which cover
+they leave depends on the order, so they run in one that no hash
+decides, and `tau_exact` returns the canonical cover that they and the
+branch and bound leave.  The module also carries the bipartite
+machinery: the union of link graphs over one colour class, maximum
+matching by Hopcroft-Karp, and the matching-sized vertex cover given by
+König's theorem, read from the alternating layering of the last phase.
 """
 
 from __future__ import annotations
@@ -132,7 +132,8 @@ def _kernel(
     edge.  An edge can come to contain another only when the other
     shrinks, and a component can become dominated only when its own
     edges thin out, so once both queues are empty no reduction fires
-    anywhere.
+    anywhere.  The component queue is filled in sorted order and drained
+    last in, first out, so no hash of a component decides the cover left.
     """
     edges = list(edges)
     degree = Counter(chain.from_iterable(edges))
@@ -151,14 +152,14 @@ def _kernel(
         else:
             forced.add(min(e))
     shrunk = list(members)  # edges to check for a unit or a sub-edge
-    thinned = set(through)  # components to check for a dominator
+    thinned = dict.fromkeys(sorted(through))  # components to check for a dominator
 
     def drop(i: int) -> None:
-        for r in members.pop(i):
+        for r in sorted(members.pop(i)):
             left = through[r]
             left.discard(i)
             if left:
-                thinned.add(r)
+                thinned[r] = None
             else:
                 del through[r]
 
@@ -178,7 +179,7 @@ def _kernel(
             for j in containing:
                 drop(j)
             continue
-        a = thinned.pop()
+        a, _ = thinned.popitem()
         own = through.get(a)
         if own is None:
             continue
@@ -232,39 +233,10 @@ def min_cover(edges: Iterable[Iterable[CompRef]]) -> set[CompRef]:
 def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> tuple[CompRef, ...] | None:
     """Minimum vertex cover, sorted; None iff the optimum τ exceeds k_max.
 
-    τ is the size of the cover `min_cover` returns, and k_max is decided
-    before the returned cover is built; when a greedy packing finds more
-    than k_max pairwise disjoint hyperedges, that settles it without τ.
-
-    The cover is the one a depth-first branch and bound returns when it
-    branches on the first uncovered hyperedge in `h.edges` order, tries
-    its components in (red, green, blue) order, starts from the greedy
-    cover as incumbent, replaces the incumbent only by a strictly smaller
-    leaf, prunes by a greedy disjoint-packing bound and skips an uncovered
-    set that a memo saw with no more components chosen.  That search
-    returns the greedy cover when the greedy cover is optimal, and
-    otherwise its first optimal leaf in depth-first order:
-
-    * while the incumbent exceeds τ, a node on an optimal path has
-      len(chosen) + packing bound <= τ < incumbent, so no bound prunes it;
-    * a memo hit only skips an uncovered set already searched with no
-      more components chosen, whose subtree held an earlier optimal leaf;
-    * once that leaf is found, nothing smaller can replace it.
-
-    Here the leaf is found by guided descent: at each node take the first
-    component r of the first uncovered hyperedge whose residual (the
-    hyperedges that miss r) has a cover one smaller, that is, the first r
-    that some optimal cover of the node's hyperedges contains.  The
-    descent keeps C, an optimal cover of the node's hyperedges, and
-    decides each r in turn:
-
-    * r is in C: take r, and C - {r} covers the residual;
-    * otherwise take r iff `min_cover` of the residual is smaller than C,
-      and then that cover becomes C.
-
-    When neither of the first two components is taken, neither is in C,
-    and C meets the hyperedge, so the third is in C: it is taken with no
-    test, and C minus it covers the residual.
+    When a greedy packing finds more than k_max pairwise disjoint
+    hyperedges, that settles k_max without τ.  The cover is `min_cover`'s:
+    the canonical one that the fixed-order reductions and the branch and
+    bound on their kernel leave, the same on every platform.
     """
     if k_max is not None and k_max < 0:
         raise ValueError("k_max must be non-negative")
@@ -274,29 +246,7 @@ def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> tuple[CompRef
     cover = min_cover(edge_refs)
     if k_max is not None and len(cover) > k_max:
         return None
-    greedy = _greedy_cover(edge_refs)
-    if len(greedy) == len(cover):
-        return tuple(sorted(greedy))
-
-    chosen: list[CompRef] = []
-    rest = edge_refs
-    while rest:
-        *tested, pick = rest[0]
-        for r in tested:
-            if r in cover:
-                cover.remove(r)
-                pick = r
-                break
-            smaller = min_cover(e for e in rest if r not in e)
-            if len(smaller) < len(cover):
-                cover = smaller
-                pick = r
-                break
-        else:
-            cover.remove(pick)
-        chosen.append(pick)
-        rest = [e for e in rest if pick not in e]
-    return tuple(sorted(chosen))
+    return tuple(sorted(cover))
 
 
 def nu_exact(h: ComponentHypergraph) -> tuple[tuple[int, int, int], ...]:

@@ -1,12 +1,22 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from monotree import Colour, dumps, loads
+from monotree import (
+    Colour,
+    build_component_hypergraph,
+    dumps,
+    loads,
+    monochromatic_components,
+)
 from monotree.cli import build_parser, main
+from monotree.graphs import MAX_VERTICES
 
 import support
 
@@ -93,24 +103,30 @@ class TestHyper:
     def test_outputs_pinned(self, capsys, tmp_path):
         # SHA-256 of `hyper` with every pivot on ten seeded `gen` instances
         # (τ up to 27, ν_link up to 32): pins `tau_cover`, `nu_matching`,
-        # `nu_link` and `konig_cover`.
+        # `nu_link` and `konig_cover`.  Each `tau_cover` is a cover of the
+        # size the reference search finds.
         instances = [
             (12, 0.5, 1, "random"), (16, 0.4, 2, "three-star"), (30, 0.2, 3, "random"),
             (40, 0.1, 4, "random"), (45, 0.3, 5, "three-star"), (50, 0.08, 5, "random"),
             (60, 0.05, 6, "random"), (70, 0.05, 7, "random"), (80, 0.04, 8, "random"),
             (90, 0.03, 9, "random"),
         ]
-        path = str(tmp_path / "g.txt")
+        path = tmp_path / "g.txt"
         digest = hashlib.sha256()
         for n, p, seed, colouring in instances:
             run(capsys, "gen", "--n", str(n), "--p", str(p), "--seed", str(seed),
-                "--colouring", colouring, "--out", path)
+                "--colouring", colouring, "--out", str(path))
+            h = build_component_hypergraph(monochromatic_components(loads(path.read_text())))
+            tau = len(support.reference_tau_exact(h))
             for pivot in "rgb":
-                code, out = run(capsys, "hyper", path, "--pivot", pivot)
+                code, out = run(capsys, "hyper", str(path), "--pivot", pivot)
                 assert code == 0
+                cover = tuple((Colour[name.upper()], cid) for name, cid in json.loads(out)["tau_cover"])
+                assert support.is_cover(h, cover)
+                assert len(cover) == tau
                 digest.update(out.encode())
         assert digest.hexdigest() == (
-            "b9b2af7f96d44d8c137bc5af13c04fada0f9020a189b0d97cbc6ea9be0eec280"
+            "e2d65293c86362c209a2505a167c5d78fefb68e75caf3d2a47c65378caa2cd2b"
         )
 
 
@@ -282,6 +298,51 @@ class TestErrors:
         assert code == 2
         assert captured.err == f"error: {message}\n"
         assert out.read_bytes() == b"earlier results\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "--out", "OUT"], "vertex count {n} exceeds the limit of {limit}"),
+            (["check-pseudo"], "vertex count {n} exceeds the limit of {limit}"),
+            (["probe", "--trials", "1", "--out", "OUT"], "n values must be at most {limit}, got n={n}"),
+        ],
+        ids=["gen", "check-pseudo", "probe"],
+    )
+    def test_sampled_size_over_the_limit_exits_2(self, capsys, tmp_path, argv, message):
+        # Refused before anything is drawn or any output file is opened.
+        n = MAX_VERTICES + 1
+        message = message.format(n=n, limit=MAX_VERTICES)
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"earlier results\n")
+        argv = [str(out) if a == "OUT" else a for a in argv]
+        code = main([*argv, "--n", str(n), "--p", "1e-9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert out.read_bytes() == b"earlier results\n"
+
+    def test_closed_stdout_stops_quietly(self):
+        # `gen --n 400 --p 0.2` writes about 150 kB, more than a pipe buffer
+        # holds, so a write fails once the reader has closed the pipe.  The
+        # child gets Python's default buffering: an unbuffered stdout drops
+        # what is left of a partial write without raising.
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "monotree", "gen", "--n", "400", "--p", "0.2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+        )
+        assert proc.stdout.read(10).startswith(b"n 400\n")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
     def test_missing_file_reports_error(self, capsys):
         code = main(["solve", "/nonexistent/file.txt"])

@@ -15,6 +15,7 @@ from monotree import (
 )
 from monotree import experiment
 from monotree.experiment import MODE_RANDOM, MODE_THREE_STAR, trial_seed
+from monotree.graphs import MAX_VERTICES
 from monotree.solver import solve_cover
 
 import support
@@ -68,6 +69,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^n values must be non-negative, got n=-5$"):
             ExperimentConfig(n_values=(10, -5), trials=1, seed=0, p_values=(0.5,))
         ExperimentConfig(n_values=(0, 1), trials=1, seed=0, p_values=(0.5,))
+
+    def test_rejects_n_over_the_vertex_limit(self):
+        with pytest.raises(
+            ValueError, match=rf"^n values must be at most {MAX_VERTICES}, got n={MAX_VERTICES + 1}$"
+        ):
+            ExperimentConfig(n_values=(10, MAX_VERTICES + 1), trials=1, seed=0, p_values=(1e-9,))
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_exponent_form_rejects_n_below_two(self, n):

@@ -113,6 +113,12 @@ class TestGenerateGnp:
         with pytest.raises(ValueError):
             generate_gnp(10, -0.1, seed=0)
 
+    def test_rejects_vertex_count_over_the_limit(self):
+        # The limit `loads` applies, checked before anything is drawn.
+        message = f"^vertex count {MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES}$"
+        with pytest.raises(ValueError, match=message):
+            generate_gnp(MAX_VERTICES + 1, 1e-9, seed=0)
+
     def test_sparse_density_sane(self):
         g = generate_gnp(400, 0.02, seed=17)
         mean = math.comb(400, 2) * 0.02

@@ -156,8 +156,8 @@ def _sparse_instances():
 
 def _large_sparse_instances():
     # Seeded sparse samples larger than those above: n = 150..400 at
-    # p = 1.5/n and 3/n, 6 seeds per cell.  In 25 of the 36 the greedy
-    # cover is not optimal, so the descent runs.
+    # p = 1.5/n and 3/n, 6 seeds per cell.  In 25 of the 36 a greedy cover
+    # of the whole hypergraph is not optimal.
     for n in (150, 250, 400):
         for c in (1.5, 3.0):
             for seed in range(6):
@@ -172,9 +172,18 @@ class TestAgainstReferenceSearch:
     @settings(max_examples=150, deadline=None)
     @given(seeded_coloured_graphs())
     def test_same_cover_for_every_k_max(self, cg):
+        # One cover whatever k_max is, of the reference search's size, and
+        # None for exactly the k_max for which the reference returns None.
         h = build_component_hypergraph(monochromatic_components(cg))
+        cover = tau_exact(h)
+        assert support.is_cover(h, cover)
         for k_max in (None, 0, 1, 2, 3):
-            assert tau_exact(h, k_max) == support.reference_tau_exact(h, k_max)
+            reference = support.reference_tau_exact(h, k_max)
+            if reference is None:
+                assert tau_exact(h, k_max) is None
+            else:
+                assert tau_exact(h, k_max) == cover
+                assert len(cover) == len(reference)
 
     @settings(max_examples=300, deadline=None)
     @given(small_hypergraphs)
@@ -207,34 +216,94 @@ class TestAgainstReferenceSearch:
         assert len(min_cover(edges)) == support.naive_cover_number(edges) == 7
 
     def test_sparse_covers_pinned(self):
-        # SHA-256 of the covers of 320 seeded sparse instances but two,
+        # SHA-256 of the cover sizes of 320 seeded sparse instances but two,
         # generated with the reference search, which did not finish those
-        # two within 5 s (one was still running after 8 minutes).
+        # two within 5 s (one was still running after 8 minutes), and of the
+        # canonical covers of all 320.
         unfinished = {(100, 0.02, 5), (100, 0.02, 7)}
-        digest = hashlib.sha256()
+        sizes, covers = hashlib.sha256(), hashlib.sha256()
         for n, p, seed, cg in _sparse_instances():
             h = build_component_hypergraph(monochromatic_components(cg))
             cover = tau_exact(h)
             assert support.is_cover(h, cover)
             if (n, p, seed) not in unfinished:
-                digest.update(json.dumps([n, p, seed, [list(r) for r in cover]]).encode())
-        assert digest.hexdigest() == (
-            "f194ca5702ec8ac096323a66f4c447fa1e544f9a8128d1b2779361dec4a2801f"
+                sizes.update(json.dumps([n, p, seed, len(cover)]).encode())
+            covers.update(json.dumps([n, p, seed, [list(r) for r in cover]]).encode())
+        assert sizes.hexdigest() == (
+            "603e1f14139da9485e615e8db3b9dbd9f297eff18eb421baa703c4a6a556b2d3"
+        )
+        assert covers.hexdigest() == (
+            "b968cddc31eb6ff463cf2afd760bda11fa7e3462976a07140f7574fb38293dfa"
         )
 
     def test_large_sparse_covers_pinned(self):
-        # SHA-256 of the covers of 36 larger seeded sparse instances,
-        # generated before the descent lost its swap test and packing skip.
-        # It pins the order in which the descent tests an edge's components.
-        digest = hashlib.sha256()
+        # SHA-256 of the cover sizes of 36 larger seeded sparse instances,
+        # generated with the earlier `tau_exact`, which returned the covers
+        # a plain depth-first search finds, and of the canonical covers.
+        # The reference search finished only 5 of the 36 within 5 s, and
+        # agreed on their sizes.
+        sizes, covers = hashlib.sha256(), hashlib.sha256()
         for n, c, seed, cg in _large_sparse_instances():
             h = build_component_hypergraph(monochromatic_components(cg))
             cover = tau_exact(h)
             assert support.is_cover(h, cover)
-            digest.update(json.dumps([n, c, seed, [list(r) for r in cover]]).encode())
-        assert digest.hexdigest() == (
-            "c461fffb91a2ba03e5fbdb48ed77f0d0c79ffc6ff4d278c661f73f918492869a"
+            sizes.update(json.dumps([n, c, seed, len(cover)]).encode())
+            covers.update(json.dumps([n, c, seed, [list(r) for r in cover]]).encode())
+        assert sizes.hexdigest() == (
+            "ef959aa586e8762dc5b452ce4231735554e59eae2e2fad4d280d8003faab1d6e"
         )
+        assert covers.hexdigest() == (
+            "8ca5f940b7089ab18abdda81f5f882a67f28b139fcf768119ec3b756dbb4d252"
+        )
+
+
+def _salted_refs(salt):
+    class SaltedRef(tuple):
+        """A component reference whose hash depends on `salt`, as tuple
+        hashes differ between 32-bit and 64-bit builds."""
+
+        def __hash__(self):
+            return hash((salt, *self))
+
+    return SaltedRef
+
+
+def _canonical_instances():
+    # Seeded sparse samples where the reductions have choices to make:
+    # n = 60..200, p = 0.02..0.05, 8 seeds per cell, and two more samples of
+    # (140, 0.02) whose covers change under some salts when `_kernel` drops
+    # an edge's components in hash order, even with its queue in order.
+    cells = [(n, p, seed) for n in (60, 100, 140, 200) for p in (0.02, 0.03, 0.04, 0.05)
+             for seed in range(8)]
+    for n, p, seed in cells + [(140, 0.02, 17), (140, 0.02, 94)]:
+        g = generate_gnp(n, p, seed=1000 * n + seed)
+        yield colour_random(g, seed=seed + 3)
+
+
+def test_cover_does_not_depend_on_hashes(monkeypatch):
+    # `min_cover` and `tau_exact` return the same cover whatever the hash of
+    # a component reference is, since no work queue is drained in hash
+    # order, and `tau_exact` returns the sorted `min_cover`.
+    refs_of = ComponentHypergraph.refs_of
+    hypergraphs = [
+        build_component_hypergraph(monochromatic_components(cg)) for cg in _canonical_instances()
+    ]
+    assert len(hypergraphs) == 130
+
+    def covers():
+        for h in hypergraphs:
+            cover = tuple(sorted(min_cover(h.refs_of(e) for e in h.edges)))
+            yield cover, tau_exact(h)
+
+    expected = list(covers())
+    for salt in range(4):
+        ref = _salted_refs(salt)
+        monkeypatch.setattr(
+            ComponentHypergraph, "refs_of", lambda h, e: tuple(map(ref, refs_of(h, e)))
+        )
+        assert type(hypergraphs[0].refs_of(hypergraphs[0].edges[0])[0]) is ref
+        assert list(covers()) == expected
+    assert all(cover == tau for cover, tau in expected)
 
 
 def _matching_instances():

@@ -509,7 +509,7 @@ TRACE_PINS = [
         lambda: cg_from(5, [(0, 1, R), (1, 2, R), (2, 3, R), (3, 4, G), (2, 4, B)]),
         {
             "alpha": "two", "branch": "case3", "case": 3, "component_count": 10,
-            "cover": [["red", 0], ["red", 4]], "exact_size": 2,
+            "cover": [["red", 0], ["green", 3]], "exact_size": 2,
             "j_witnesses": {"J1": 0, "J2": 1, "J3": 2, "J4": 3, "J5": 4},
             "matching": [[0, 0], [1, 1], [2, 2], [3, 3]],
             "notes": ["exact cover smaller than strategy candidate"],
@@ -524,8 +524,19 @@ TRACE_PINS = [
     "make, expected", [pin[1:] for pin in TRACE_PINS], ids=[pin[0] for pin in TRACE_PINS]
 )
 def test_trace_json_pinned(make, expected):
-    _, trace = solve_cover(make())
+    cg = make()
+    _, trace = solve_cover(cg)
     assert trace.to_json() == expected
+    _check_against_reference(cg, trace)
+
+
+def _check_against_reference(cg, trace):
+    # The reported components cover, and the exact size is the reference
+    # search's optimum.
+    h = build_component_hypergraph(monochromatic_components(cg))
+    assert support.is_cover(h, trace.cover_refs)
+    if trace.exact_size is not None:
+        assert trace.exact_size == len(support.reference_tau_exact(h))
 
 
 def _gate_instances():
@@ -556,9 +567,10 @@ def test_closure_and_outputs_pinned():
         closure = shortcut_graph(cg)
         assert monochromatic_components(cg).closure() == closure.graph
         cover, trace = solve_cover(cg)
+        _check_against_reference(cg, trace)
         trees = [[support.letter(t.colour), t.root, sorted(t.parent.items())] for t in cover.trees]
         digest.update(json.dumps([trace.to_json(), trees], sort_keys=True).encode())
         digest.update(dumps(closure).encode())
     assert digest.hexdigest() == (
-        "9d6f3517126c0c71cf4cb0988ce7d860b134afd19870b55a13067de35c994287"
+        "dafaebae0bbf46ed5cafbc8175af01372732919fecb2281ea8d22659a28c8628"
     )

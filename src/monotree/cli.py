@@ -57,13 +57,36 @@ from .solver import solve_cover, verify_cover
 _COLOUR_NAMES = {c: c.name.lower() for c in COLOURS}
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout in full.
+
+    An unbuffered stdout (PYTHONUNBUFFERED) has a raw file as its binary
+    layer, whose write to a pipe may take only part of the bytes, and its
+    text layer drops the rest without a word.  So the bytes go to
+    `sys.stdout.buffer` until all of them are written, and a reader that
+    has gone raises BrokenPipeError at the next write.  Text already in
+    the text layer goes first.  A stdout with no binary layer, such as
+    the io.StringIO of `contextlib.redirect_stdout`, takes the text as it
+    is.
+    """
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        data = data[out.write(data) :]
+    out.flush()
+
+
 def _print_json(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+    _write_stdout(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        _write_stdout(text)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
@@ -243,9 +266,8 @@ def _cmd_probe(args) -> int:
     )
     rows = probe_threshold(cfg)
     if args.out is None:
-        print(CSV_HEADER)
-        for row in rows:
-            print(row.csv_row())
+        lines = [CSV_HEADER, *(row.csv_row() for row in rows)]
+        _write_stdout("".join(f"{line}\n" for line in lines))
     return 0
 
 

@@ -7,14 +7,16 @@ arithmetic.  All values are immutable after construction.
 
 Sampling keeps the same discipline.  G(n, p) and the random colouring
 draw their splitmix64 values in lane blocks (`SplitMix64.lanes`): one
-Python int holds up to LANES draws, draw j in bits [128j, 128j + 64) of
-its own 128-bit lane, so a whole block is a fixed number of big-int
-operations and no lane carries into the next.  The sparse path reads
-the draws back as an array of 64-bit words; the dense per-pair outcome
-is read out of each lane's bytes with
-`to_bytes(...)[k::16]`, rows are rebuilt from binary digit strings with
-int(..., 2) (linear time for base 2), and the upper triangle is mirrored
-into the lower one a band of columns at a time (`_mirror`).  numpy is not
+Python int holds LANES draws, draw j in bits [128j, 128j + 64) of its
+own 128-bit lane, so a whole block is a fixed number of big-int
+operations and no lane carries into the next.  Every sampler owns its
+generator, so the draws of the last block that it leaves unread change
+nothing.  The sparse path reads the draws back as an array of 64-bit
+words and sets both bits of each edge in int rows; the dense per-pair
+outcome is read out of each lane's bytes with `to_bytes(...)[k::16]`,
+rows are rebuilt from binary digit strings with int(..., 2) (linear
+time for base 2), and the upper triangle is mirrored into the lower one
+a band of columns at a time (`_mirror`).  numpy is not
 used: it would do the same arithmetic, but importing it alone raises a
 monotree process's RSS by about 11 MB (16 to 27.7 MB on Python 3.11),
 well past the 15% peak-memory bound of the dense-probe benchmark.
@@ -44,7 +46,7 @@ from itertools import chain, compress, repeat
 from operator import add, lshift, lt, or_, rshift
 from typing import Iterable, Iterator
 
-from .rng import MASK64, SplitMix64, lane_constants
+from .rng import LANE_MASK, LANE_ONES, LANES, MASK64, SplitMix64
 
 
 class Colour(IntEnum):
@@ -168,15 +170,19 @@ def generate_gnp(n: int, p: float, seed: int) -> SimpleGraph:
     2^64 + T - 1 - z, and the upper triangle is then mirrored by
     `_mirror`.  Sparse p (below 0.1) skips geometric gaps along the pair
     sequence, one draw and one float `log` per edge; its draws are read
-    from lane blocks too, sized to the edges still expected.  Both paths
-    are pure functions of (n, p, seed).
+    from lane blocks too.  Both paths are pure functions of (n, p, seed).
+
+    A p so small that 1 - p rounds to 1 (p <= 2^-54) gives the empty
+    graph, as p = 0 does: the gaps' log(1 - p) would be 0, and the
+    expected edge count is below 2^-54 * MAX_VERTICES^2 / 2 = 2^-23, about
+    1.2e-7.
     """
     check_probability(p)
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
-    if n < 2 or p == 0.0:
+    if n < 2 or 1.0 - p == 1.0:
         return SimpleGraph.empty(n)
     if p < 0.1:
         return SimpleGraph(n, _sample_sparse(n, p, SplitMix64(seed)))
@@ -186,20 +192,15 @@ def generate_gnp(n: int, p: float, seed: int) -> SimpleGraph:
 def _bernoulli_rows(n: int, p: float, rng: SplitMix64) -> list[int]:
     """The strict upper triangle of G(n, p): row u holds the bits v > u."""
     threshold = int(p * 18446744073709551616.0)  # floor(p * 2**64)
-    left = n * (n - 1) // 2  # draws not yet taken from rng
+    bias = LANE_ONES * (MASK64 + threshold)  # 2^64 + threshold - 1 in every lane
     rows = []
     bits = b""  # one byte 0 or 1 per drawn pair not yet placed in a row
-    bias = bias_lanes = 0  # 2^64 + threshold - 1 in each of bias_lanes lanes
     for u in range(n - 1):
         width = n - 1 - u
         while len(bits) < width:
-            z, lanes = rng.lanes(left)
-            left -= lanes
-            if lanes != bias_lanes:
-                bias, bias_lanes = lane_constants(lanes)[0] * (MASK64 + threshold), lanes
             # every lane of the difference lies in [0, 2^65): no borrow
             # crosses a lane, and its byte 8 is the lane's bit 64
-            bits += (bias - z).to_bytes(16 * lanes, "little")[8::16]
+            bits += (bias - rng.lanes()).to_bytes(16 * LANES, "little")[8::16]
         rows.append(int(bits[width - 1 :: -1].translate(_DIGITS), 2) << (u + 1))
         bits = bits[width:]
     rows.append(0)
@@ -238,32 +239,27 @@ def _mirror(rows: list[int]) -> list[int]:
 
 
 def _sample_sparse(n: int, p: float, rng: SplitMix64) -> tuple[int, ...]:
-    from bisect import bisect_right
     from math import log
 
-    rows = [bytearray((n + 7) // 8) for _ in range(n)]
+    rows = [0] * n
     total = n * (n - 1) // 2
     ln_q = log(1.0 - p)
-    # starts[u] = index of pair (u, u+1) in the row-major pair sequence
-    starts = [0] * n
-    for u in range(1, n):
-        starts[u] = starts[u - 1] + (n - u)
-    index = -1
+    index = -1  # the pair index of the last edge, in row-major order
+    u, start = 0, 0  # the row of pair `index`, and the index of pair (u, u + 1)
     while True:
-        # about as many draws as edges are left; the rng is private, so
-        # reading past the last edge changes nothing
-        z, lanes = rng.lanes(int(p * (total - index)) + 1)
-        words = array("Q", z.to_bytes(16 * lanes, "little"))
+        words = array("Q", rng.lanes().to_bytes(16 * LANES, "little"))
         if sys.byteorder == "big":
             words.byteswap()
         for w in words[::2]:
             index += int(log(1.0 - (w >> 11) * 1.1102230246251565e-16) / ln_q) + 1  # 2**-53
             if index >= total:
-                return tuple(int.from_bytes(row, "little") for row in rows)
-            u = bisect_right(starts, index) - 1
-            v = u + 1 + (index - starts[u])
-            rows[u][v >> 3] |= 1 << (v & 7)
-            rows[v][u >> 3] |= 1 << (u & 7)
+                return tuple(rows)
+            while index >= start + n - 1 - u:
+                start += n - 1 - u
+                u += 1
+            v = u + 1 + (index - start)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
 
 
 @dataclass(frozen=True)
@@ -320,7 +316,6 @@ def colour_random(g: SimpleGraph, seed: int) -> ColouredGraph:
     """
     rng = SplitMix64(seed)
     n = g.n
-    left = g.edge_count()  # edges whose colour is not yet drawn
     red, green = [], []
     colours = b""  # drawn colours not yet placed, one byte 0, 1 or 2 each
     group = max(1, GROUP_CHARS // max(n, 1))
@@ -330,9 +325,7 @@ def colour_random(g: SimpleGraph, seed: int) -> ColouredGraph:
         digits = "|".join(map(bin, reversed(ups)))
         k = digits.count("1")
         while len(colours) < k:
-            fresh = _colour_block(rng, left)
-            left -= len(fresh)
-            colours += fresh
+            colours += _colour_block(rng)
         code = digits.replace("1", "%c") % tuple(colours[:k][::-1])
         colours = colours[k:]
         for rows, table in ((red, _RED_DIGITS), (green, _GREEN_DIGITS)):
@@ -344,7 +337,7 @@ def colour_random(g: SimpleGraph, seed: int) -> ColouredGraph:
     return ColouredGraph(g, (tuple(red), tuple(green), blue))
 
 
-def _colour_block(rng: SplitMix64, wanted: int) -> bytes:
+def _colour_block(rng: SplitMix64) -> bytes:
     """The next block of `randrange(3)` outcomes of rng, one byte each.
 
     randrange(3) is z mod 3 = z - 3 * ((z * 0xAAAAAAAAAAAAAAAB) >> 65),
@@ -353,14 +346,13 @@ def _colour_block(rng: SplitMix64, wanted: int) -> bytes:
     is marked 3 and dropped, so the block may hold fewer outcomes than
     it has lanes, and the stream has still advanced past every lane.
     """
-    z, lanes = rng.lanes(wanted)
-    ones, _, mask = lane_constants(lanes)
-    quotient = (z * 0xAAAAAAAAAAAAAAAB >> 65) & (mask ^ (ones << 63))
+    z = rng.lanes()
+    quotient = (z * 0xAAAAAAAAAAAAAAAB >> 65) & (LANE_MASK ^ (LANE_ONES << 63))
     colours = z - 3 * quotient
-    rejected = (z + ones) & (ones << 64)
+    rejected = (z + LANE_ONES) & (LANE_ONES << 64)
     if rejected:
         colours += (rejected >> 64) * 3
-    return colours.to_bytes(16 * lanes, "little")[::16].translate(None, b"\x03")
+    return colours.to_bytes(16 * LANES, "little")[::16].translate(None, b"\x03")
 
 
 def colour_three_stars(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Iterable
 
@@ -65,36 +64,20 @@ def build_component_hypergraph(lab: ComponentLabelling) -> ComponentHypergraph:
 
 def _greedy_cover(edges: list[tuple[CompRef, ...]]) -> list[CompRef]:
     """Greedy cover: repeatedly pick the component on the most uncovered
-    edges, the least such component on ties.
-
-    Counts only fall, so a heap of (-count, component) entries may hold
-    stale counts: a popped entry whose count is out of date is pushed back
-    with its current count, and a current one is the true minimum of
-    (-count, component) over all components.
+    edges, the least such component on ties.  Each pick recounts the
+    uncovered edges; it runs only on branch and bound kernels, which are
+    small.
     """
-    through: defaultdict[CompRef, list[int]] = defaultdict(list)
-    for i, refs in enumerate(edges):
-        for r in refs:
-            through[r].append(i)
-    counts = {r: len(es) for r, es in through.items()}
-    heap = [(-count, r) for r, count in counts.items()]
-    heapify(heap)
-    covered = [False] * len(edges)
-    left = len(edges)
+    uncovered = set(range(len(edges)))
     picked: list[CompRef] = []
-    while left:
-        count, r = heappop(heap)
-        if -count != counts[r]:
-            if counts[r]:
-                heappush(heap, (-counts[r], r))
-            continue
-        picked.append(r)
-        for i in through[r]:
-            if not covered[i]:
-                covered[i] = True
-                left -= 1
-                for s in edges[i]:
-                    counts[s] -= 1
+    while uncovered:
+        counts: dict[CompRef, int] = {}
+        for i in uncovered:
+            for r in edges[i]:
+                counts[r] = counts.get(r, 0) + 1
+        best = min(counts, key=lambda r: (-counts[r], r))
+        picked.append(best)
+        uncovered = {i for i in uncovered if best not in edges[i]}
     return picked
 
 

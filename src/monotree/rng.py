@@ -18,14 +18,19 @@ number of big-int operations instead of one interpreted loop per draw.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
-# The most draws `SplitMix64.lanes` computes in one block; smaller blocks
-# are the power of two that covers what is wanted.
+# The draws `SplitMix64.lanes` computes in one block.
 LANES = 256
+# For one block of 128-bit lanes: 1 in every lane, j * GOLDEN mod 2^64
+# in lane j, and 2^64 - 1 in every lane.
+LANE_ONES = int.from_bytes(b"\x01".ljust(16, b"\x00") * LANES, "little")
+LANE_STEPS = int.from_bytes(
+    b"".join(((j * GOLDEN) & MASK64).to_bytes(16, "little") for j in range(LANES)),
+    "little",
+)
+LANE_MASK = LANE_ONES * MASK64
 
 
 def finalise64(z: int) -> int:
@@ -46,21 +51,6 @@ def derive_seed(seed: int, index: int) -> int:
     return finalise64((seed + (index + 1) * GOLDEN) & MASK64)
 
 
-@lru_cache(maxsize=LANES.bit_length())
-def lane_constants(lanes: int) -> tuple[int, int, int]:
-    """(ones, steps, mask) for a block of `lanes` 128-bit lanes: 1 in every
-    lane, j * GOLDEN mod 2^64 in lane j, and 2^64 - 1 in every lane.
-
-    Only powers of two up to LANES are asked for, so the cache is bounded.
-    """
-    ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * lanes, "little")
-    steps = int.from_bytes(
-        b"".join(((j * GOLDEN) & MASK64).to_bytes(16, "little") for j in range(lanes)),
-        "little",
-    )
-    return ones, steps, ones * MASK64
-
-
 class SplitMix64:
     """A splitmix64 stream plus the few sampling helpers used here."""
 
@@ -73,31 +63,22 @@ class SplitMix64:
         self.state = (self.state + GOLDEN) & MASK64
         return finalise64(self.state)
 
-    def lanes(self, wanted: int) -> tuple[int, int]:
-        """The next `lanes` outputs packed into one int, and `lanes`.
+    def lanes(self) -> int:
+        """The next LANES outputs packed into one int; the stream advances
+        by LANES draws.
 
-        `lanes` is LANES, or the smallest power of two >= `wanted` when
-        fewer are wanted; the stream advances by `lanes` draws either way.
         Output j sits in bits [128j, 128j + 64) and the upper half of every
-        lane is zero.  The states are a cached progression j * GOLDEN plus
-        one broadcast constant; each xor-shift of `finalise64` is a shift,
-        an xor and a lane mask; and each multiply is one big-int by 64-bit
+        lane is zero.  The states are the progression LANE_STEPS plus one
+        broadcast constant; each xor-shift of `finalise64` is a shift, an
+        xor and a lane mask; and each multiply is one big-int by 64-bit
         product, whose lane products stay below 2^128, so no carry crosses
-        a lane.
+        a lane.  A caller that needs fewer draws leaves the rest unread.
         """
-        if wanted <= 0:
-            raise ValueError("need at least one draw")
-        lanes = LANES if wanted >= LANES else 1 << (wanted - 1).bit_length()
-        ones, steps, mask = lane_constants(lanes)
-        z = (steps + ((self.state + GOLDEN) & MASK64) * ones) & mask
-        self.state = (self.state + lanes * GOLDEN) & MASK64
-        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
-        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
-        return (z ^ (z >> 31)) & mask, lanes
-
-    def random(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 1.1102230246251565e-16  # 2**-53
+        z = (LANE_STEPS + ((self.state + GOLDEN) & MASK64) * LANE_ONES) & LANE_MASK
+        self.state = (self.state + LANES * GOLDEN) & MASK64
+        z = ((z ^ (z >> 30)) & LANE_MASK) * 0xBF58476D1CE4E5B9 & LANE_MASK
+        z = ((z ^ (z >> 27)) & LANE_MASK) * 0x94D049BB133111EB & LANE_MASK
+        return (z ^ (z >> 31)) & LANE_MASK
 
     def randrange(self, bound: int) -> int:
         """Uniform integer in [0, bound), unbiased via rejection."""

@@ -61,6 +61,11 @@ class TestGen:
         assert code == 0
         assert loads(out).n == 12
 
+    @pytest.mark.parametrize("p", ["1e-17", "5e-324"])
+    def test_gen_below_the_float_step_writes_the_empty_graph(self, capsys, p):
+        # 1 - p rounds to 1 for these p
+        assert run(capsys, "gen", "--n", "10", "--p", p) == (0, "n 10\n")
+
 
 class TestComponents:
     def test_triangle_components(self, capsys, triangle_file):
@@ -322,14 +327,17 @@ class TestErrors:
         assert captured.err == f"error: {message}\n"
         assert out.read_bytes() == b"earlier results\n"
 
-    def test_closed_stdout_stops_quietly(self):
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["unset", "1"])
+    def test_closed_stdout_stops_quietly(self, unbuffered):
         # `gen --n 400 --p 0.2` writes about 150 kB, more than a pipe buffer
-        # holds, so a write fails once the reader has closed the pipe.  The
-        # child gets Python's default buffering: an unbuffered stdout drops
-        # what is left of a partial write without raising.
+        # holds, so a write fails once the reader has closed the pipe.  An
+        # unbuffered stdout (PYTHONUNBUFFERED=1) may first take part of a
+        # write, which must not end the output early without an error.
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered is not None:
+            env["PYTHONUNBUFFERED"] = unbuffered
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
         )

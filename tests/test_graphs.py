@@ -92,6 +92,11 @@ class TestGenerateGnp:
         g = generate_gnp(5, 0.0, seed=3)
         assert g.edge_count() == 0
 
+    @pytest.mark.parametrize("p", [1e-17, 5e-324])
+    def test_p_below_the_float_step_gives_empty_graph(self, p):
+        # 1 - p rounds to 1, so log(1 - p) is 0 and no gap can be drawn
+        assert generate_gnp(10, p, seed=1) == SimpleGraph.empty(10)
+
     def test_deterministic_for_fixed_seed(self):
         a = generate_gnp(100, 0.5, seed=42)
         b = generate_gnp(100, 0.5, seed=42)
@@ -128,7 +133,7 @@ class TestGenerateGnp:
     def test_dense_path_matches_reference_stream(self):
         # generate_gnp draws the pairs in lane blocks; cross-check it
         # against a plain per-pair draw from the same stream.  n = 80 has
-        # 3160 pairs: twelve full 256-lane blocks and a 128-lane one.
+        # 3160 pairs: twelve 256-lane blocks and part of a thirteenth.
         n, seed = 80, 99
         for p in (0.1, 0.37, 1.0):
             rng = SplitMix64(seed)
@@ -179,11 +184,11 @@ class TestColourRandom:
     @pytest.mark.parametrize(
         "n, p, graph_seed, index",
         [
-            (40, 0.3, 111, 100),  # 256 edges: mid-block, then a one-lane block
-            (40, 0.3, 111, 255),  # on the last lane of the only full block
+            (40, 0.3, 111, 100),  # 256 edges: mid-block, so the last comes from a second block
+            (40, 0.3, 111, 255),  # on the last lane of the first block, and the same
             (30, 1.0, 0, 255),  # 435 edges: last lane of the first block
             (30, 1.0, 0, 300),  # mid-block in the second block
-            (12, 0.5, 3, 30),  # 31 edges in a 32-lane block: the spare lane fills in
+            (12, 0.5, 3, 30),  # 31 edges: the 32nd lane fills in
         ],
     )
     def test_rejected_draw_matches_reference_stream(self, n, p, graph_seed, index):
@@ -347,6 +352,18 @@ def test_sampling_memory_stays_near_the_per_pair_samplers():
         tracemalloc.stop()
     assert gnp_peak <= 1.5 * 1.231e6
     assert colour_peak - before <= 1.5 * 1.849e6
+
+
+def test_sparse_sampling_memory_follows_the_edges():
+    # 2,082 edges on 20,000 vertices: int rows take about 5.6 MB at the
+    # peak on Python 3.11, where n byte rows of n/8 bytes took 57.6 MB
+    tracemalloc.start()
+    try:
+        generate_gnp(20000, 1e-5, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
 
 
 class TestSerialization:

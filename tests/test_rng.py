@@ -30,13 +30,6 @@ def test_derive_seed_rejects_negative_index():
         derive_seed(1, -1)
 
 
-def test_random_unit_interval_and_rough_uniformity():
-    rng = SplitMix64(7)
-    xs = [rng.random() for _ in range(20000)]
-    assert all(0.0 <= x < 1.0 for x in xs)
-    assert abs(sum(xs) / len(xs) - 0.5) < 0.01
-
-
 def test_randrange_bounds_and_rejection():
     rng = SplitMix64(99)
     draws = [rng.randrange(7) for _ in range(5000)]
@@ -60,16 +53,14 @@ def test_finalise_is_a_bijection_sample():
     assert len(outs) == 4096
 
 
-@pytest.mark.parametrize("wanted, lanes", [(1, 1), (3, 4), (129, 256), (256, 256), (1000, LANES)])
-def test_lanes_pack_the_next_draws(wanted, lanes):
-    # draw j of the block sits in bits [128j, 128j + 64), and the stream
-    # moves on by the whole block, as if next_u64 had been called per lane
+def test_lanes_pack_the_next_draws():
+    # draw j of a block sits in bits [128j, 128j + 64) with the upper half
+    # of its lane zero, and each block moves the stream on by LANES draws,
+    # as if next_u64 had been called per lane
     block, reference = SplitMix64(2024), SplitMix64(2024)
-    z, got = block.lanes(wanted)
-    assert got == lanes
-    draws = [(z >> (128 * j)) & ((1 << 128) - 1) for j in range(lanes)]
-    assert draws == [reference.next_u64() for _ in range(lanes)]
-    assert z >> (128 * lanes) == 0
-    assert block.state == reference.state
-    with pytest.raises(ValueError):
-        block.lanes(0)
+    for _ in range(2):
+        z = block.lanes()
+        lanes = [(z >> (128 * j)) & ((1 << 128) - 1) for j in range(LANES)]
+        assert lanes == [reference.next_u64() for _ in range(LANES)]
+        assert z >> (128 * LANES) == 0
+        assert block.state == reference.state

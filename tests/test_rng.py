@@ -1,4 +1,4 @@
-from monotree.rng import LANES, SplitMix64, derive_seed, finalise64
+from monotree.rng import GOLDEN, LANES, MASK64, SplitMix64, derive_seed, finalise64
 
 import pytest
 
@@ -53,14 +53,22 @@ def test_finalise_is_a_bijection_sample():
     assert len(outs) == 4096
 
 
-def test_lanes_pack_the_next_draws():
+# (wanted, lanes): a caller needing `wanted` draws, and the width of the
+# narrower block that a draw count once bought (the smallest power of two
+# >= wanted, at most LANES); the fixed block starts with those same lanes
+@pytest.mark.parametrize("wanted, lanes", [(1, 1), (3, 4), (129, 256), (256, 256), (1000, LANES)])
+def test_lanes_pack_the_next_draws(wanted, lanes):
     # draw j of a block sits in bits [128j, 128j + 64) with the upper half
     # of its lane zero, and each block moves the stream on by LANES draws,
     # as if next_u64 had been called per lane
     block, reference = SplitMix64(2024), SplitMix64(2024)
-    for _ in range(2):
+    draws = []
+    while len(draws) < wanted:
         z = block.lanes()
-        lanes = [(z >> (128 * j)) & ((1 << 128) - 1) for j in range(LANES)]
-        assert lanes == [reference.next_u64() for _ in range(LANES)]
         assert z >> (128 * LANES) == 0
-        assert block.state == reference.state
+        draws += [(z >> (128 * j)) & ((1 << 128) - 1) for j in range(LANES)]
+    assert len(draws) == -(-wanted // LANES) * LANES
+    assert draws == [reference.next_u64() for _ in draws]
+    assert block.state == reference.state
+    narrow = [finalise64((2024 + (j + 1) * GOLDEN) & MASK64) for j in range(lanes)]
+    assert draws[:lanes] == narrow

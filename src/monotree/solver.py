@@ -407,22 +407,23 @@ def components_to_trees(
         rows = cg.colour_adj[c]
         root = cid
         parent: dict[int, int | None] = {root: None}
-        seen = 1 << root
+        unseen = mask ^ (1 << root)
         frontier = [root]
         while frontier:
             nxt: list[int] = []
             for u in frontier:
-                novel = rows[u] & mask & ~seen
-                seen |= novel
-                for v in iter_bits(novel):
-                    parent[v] = u
-                    nxt.append(v)
+                novel = rows[u] & unseen
+                if novel:
+                    unseen ^= novel
+                    for v in iter_bits(novel):
+                        parent[v] = u
+                        nxt.append(v)
             frontier = nxt
-        if seen != mask:
+        if unseen:
             raise RuntimeError(
                 f"component ({Colour(c).name}, {cid}) is not connected in its colour"
             )
-        trees.append(Tree(Colour(c), root, parent))
+        trees.append(Tree(COLOURS[c], root, parent))
     return TreeCover(tuple(trees))
 
 
@@ -432,7 +433,73 @@ def verify_cover(cg: ColouredGraph, tc: TreeCover) -> list[str]:
     Checks, per tree: vertices in range, a unique root, every parent edge
     present in the host graph with the tree's colour, and no cycles in the
     parent relation.  Globally: the tree vertex sets cover the graph.
+
+    Two stages, each deciding validity on its own: `_cover_holds` accepts
+    a valid cover on bitsets, and only a cover it rejects goes to
+    `_cover_faults`, the per-vertex scan that words every violation.
     """
+    if _cover_holds(cg, tc):
+        return []
+    return _cover_faults(cg, tc)
+
+
+def _cover_holds(cg: ColouredGraph, tc: TreeCover) -> bool:
+    """True iff `tc` is a valid tree cover of cg, read on bitsets.
+
+    Per tree: every vertex lies in range, the root is the one vertex whose
+    parent is None, and every parent is a tree vertex.  The children of
+    each parent form one mask, which must lie in the parent's row of the
+    tree's colour; a walk from the root over these masks must reach every
+    parent, which rules out cycles.  The trees' vertex sets must union to
+    every vertex.  A vertex that is not an int makes it return False.
+    The range test comes before any shift, so that an id far out of range
+    never builds a huge int.
+    """
+    n = cg.n
+    covered = 0
+    try:
+        for tree in tc.trees:
+            parent, root = tree.parent, tree.root
+            if (
+                tree.colour not in COLOURS
+                or parent.get(root, 0) is not None
+                or min(parent) < 0
+                or max(parent) >= n
+            ):
+                return False
+            if len(parent) == 1:
+                covered |= 1 << root
+                continue
+            children: dict[int | None, int] = {}
+            for v, p in parent.items():
+                children[p] = children.get(p, 0) | 1 << v
+            if (
+                children.pop(None) != 1 << root
+                or not children.keys() <= parent.keys()
+            ):
+                return False
+            covered |= sum(children.values(), 1 << root)
+            inner = 0
+            for p in children:
+                inner |= 1 << p
+            rows = cg.colour_adj[tree.colour]
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                kids = children.pop(u, 0)
+                if kids & ~rows[u]:
+                    return False
+                stack.extend(iter_bits(kids & inner))
+            if children:
+                return False
+    except TypeError:
+        return False
+    return covered == cg.graph.full_mask
+
+
+def _cover_faults(cg: ColouredGraph, tc: TreeCover) -> list[str]:
+    """Every violation of the tree-cover contract, vertex by vertex, in
+    tree order, then the uncovered vertices."""
     issues: list[str] = []
     covered = 0
     for t_index, tree in enumerate(tc.trees):

@@ -27,6 +27,7 @@ from monotree import (
     tau_exact,
     verify_cover,
 )
+from monotree.graphs import COLOURS, iter_bits
 from monotree.rng import SplitMix64
 from monotree.solver import (
     BRANCH_ALPHA3,
@@ -37,6 +38,9 @@ from monotree.solver import (
     BRANCH_FALLBACK,
     BRANCH_KONIG,
     BRANCHES,
+    TreeCover,
+    _cover_faults,
+    _cover_holds,
 )
 
 import support
@@ -350,6 +354,10 @@ class TestComponentsToTrees:
         assert {t.vertices for t in cover.trees} == {(0, 1), (0,), (1,)}
 
 
+# the valid tree of TestVerifyCover.test_each_message_pinned's graph
+MESSAGE_PATH = {0: None, 1: 0, 2: 1, 3: 2}
+
+
 class TestVerifyCover:
     def test_valid_cover_passes(self):
         cg = cg_from(3, [(0, 1, R), (0, 2, R), (1, 2, R)])
@@ -404,6 +412,189 @@ class TestVerifyCover:
         bad = TreeCover((Tree(R, 0, {0: None, 1: 2, 2: 1}),))
         issues = verify_cover(cg, bad)
         assert any("cycle" in i for i in issues)
+
+    @pytest.mark.parametrize(
+        "trees, expected",
+        [
+            pytest.param(
+                (Tree(R, 0, MESSAGE_PATH), Tree(R, 4, {4: None})),
+                ["tree 1 (red, root 4): vertex 4 out of range"],
+                id="out-of-range",
+            ),
+            pytest.param(
+                (Tree(R, 0, MESSAGE_PATH), Tree(G, 3, {0: None})),
+                ["tree 1 (green, root 3): root missing from vertex set"],
+                id="root-missing",
+            ),
+            pytest.param(
+                (Tree(R, 0, {0: 1, 1: None, 2: 1, 3: 2}),),
+                [
+                    "tree 0 (red, root 0): root has a parent",
+                    "tree 0 (red, root 0): second root 1",
+                ],
+                id="root-has-parent",
+            ),
+            pytest.param(
+                (Tree(R, 0, {0: None, 1: 0, 2: None, 3: 2}),),
+                ["tree 0 (red, root 0): second root 2"],
+                id="second-root",
+            ),
+            pytest.param(
+                (Tree(R, 0, {0: None, 1: 0, 3: 2}), Tree(R, 2, {2: None})),
+                ["tree 0 (red, root 0): parent 2 of 3 outside tree"],
+                id="parent-outside",
+            ),
+            pytest.param(
+                (Tree(R, 0, {0: None, 2: 0, 1: 2, 3: 2}),),
+                ["tree 0 (red, root 0): missing edge (0, 2)"],
+                id="missing-edge",
+            ),
+            pytest.param(
+                (Tree(R, 0, {0: None, 1: 0, 2: 1, 3: 0}),),
+                ["tree 0 (red, root 0): edge (0, 3) is green"],
+                id="wrong-colour",
+            ),
+            pytest.param(
+                (Tree(R, 0, {0: None, 1: 2, 2: 1, 3: 2}),),
+                ["tree 0 (red, root 0): cycle through vertex 1"],
+                id="cycle",
+            ),
+            pytest.param(
+                (Tree(R, 0, {0: None, 1: 0, 2: 1}),),
+                ["uncovered vertex 3"],
+                id="uncovered",
+            ),
+        ],
+    )
+    def test_each_message_pinned(self, trees, expected):
+        # a red path 0-1-2-3 closed by the green edge (0, 3)
+        cg = cg_from(4, [(0, 1, R), (1, 2, R), (2, 3, R), (0, 3, G)])
+        assert verify_cover(cg, TreeCover((Tree(R, 0, MESSAGE_PATH),))) == []
+        assert verify_cover(cg, TreeCover(trees)) == expected
+
+    def test_bitset_check_reads_no_row_out_of_range(self):
+        cg = cg_from(4, [(0, 1, R), (1, 2, R), (2, 3, R), (0, 3, G)])
+        bad = TreeCover((Tree(R, 0, MESSAGE_PATH), Tree(R, 4, {4: None, 0: 4})))
+        assert not _cover_holds(cg, bad)
+        assert verify_cover(cg, bad) == ["tree 1 (red, root 4): vertex 4 out of range"]
+
+    def test_bitset_check_takes_only_the_three_colours(self):
+        # colour_adj[-2] is the green rows, where (0, 3) lies
+        cg = cg_from(4, [(0, 1, R), (1, 2, R), (2, 3, R), (0, 3, G)])
+        bad = TreeCover((Tree(R, 0, MESSAGE_PATH), Tree(-2, 0, {0: None, 3: 0})))
+        assert not _cover_holds(cg, bad)
+
+    @pytest.mark.parametrize(
+        "n, p, seeds",
+        [
+            pytest.param(100, 0.03, range(30), id="sparse-100-0.03"),
+            pytest.param(100, 0.05, range(30), id="sparse-100-0.05"),
+            pytest.param(100, 0.08, range(30), id="sparse-100-0.08"),
+            pytest.param(60, 0.1, range(30), id="sparse-60-0.1"),
+            pytest.param(
+                300, 1.5 * (math.log(300) / 300) ** (1 / 6), range(6), id="dense-300"
+            ),
+        ],
+    )
+    def test_stages_agree_on_corrupted_covers(self, n, p, seeds):
+        """The bitset check accepts a corrupted cover exactly when the
+        per-vertex scan finds nothing, and verify_cover words it as the
+        scan does."""
+        rejected = 0
+        for seed in seeds:
+            cg = colour_random(generate_gnp(n, p, seed), seed + 100)
+            cover, _ = solve_cover(cg)
+            assert _cover_holds(cg, cover) and _cover_faults(cg, cover) == []
+            rng = SplitMix64(seed + 200)
+            for kind in CORRUPTIONS:
+                for _ in range(2):
+                    bad = _corrupt(cg, cover, kind, rng)
+                    if bad is None:
+                        continue
+                    faults = _cover_faults(cg, bad)
+                    assert _cover_holds(cg, bad) == (faults == []), (kind, bad)
+                    assert verify_cover(cg, bad) == faults
+                    if kind in ALWAYS_INVALID:
+                        assert faults, (kind, bad)
+                    rejected += bool(faults)
+        assert rejected >= len(seeds) * 2 * len(ALWAYS_INVALID)
+
+
+CORRUPTIONS = (
+    "drop-vertex",
+    "drop-tree",
+    "other-colour",
+    "non-neighbour",
+    "outside-tree",
+    "in-tree",
+    "recolour",
+    "negative",
+    "too-high",
+    "two-cycle",
+    "second-root",
+    "key-minus-one",
+    "key-n",
+)
+# "drop-vertex", "drop-tree", "in-tree" (a parent of the tree's colour
+# inside the tree) and "recolour" (of a one-vertex tree) may leave the
+# cover valid
+ALWAYS_INVALID = frozenset(CORRUPTIONS) - {
+    "drop-vertex", "drop-tree", "in-tree", "recolour"
+}
+
+
+def _pick(rng, items):
+    items = list(items)
+    return items[rng.randrange(len(items))] if items else None
+
+
+def _corrupt(cg, cover, kind, rng):
+    """`cover` with one corruption of the given kind, or None when the
+    picked tree leaves no room for it."""
+    trees = list(cover.trees)
+    if kind == "drop-tree":
+        del trees[rng.randrange(len(trees))]
+        return TreeCover(tuple(trees))
+    index = rng.randrange(len(trees))
+    tree = trees[index]
+    parent = dict(tree.parent)
+    n, root = cg.n, tree.root
+    if kind == "recolour":
+        colour = COLOURS[(tree.colour + 1 + rng.randrange(2)) % 3]
+        trees[index] = Tree(colour, root, parent)
+        return TreeCover(tuple(trees))
+    inside = sum(1 << v for v in parent)
+    v = _pick(rng, (u for u in parent if u != root))
+    if kind == "drop-vertex":
+        del parent[_pick(rng, parent)]
+    elif kind == "key-minus-one":
+        parent[-1] = root
+    elif kind == "key-n":
+        parent[n] = root
+    elif v is None:
+        return None
+    elif kind == "negative":
+        parent[v] = -1 - rng.randrange(n)
+    elif kind == "too-high":
+        parent[v] = n + rng.randrange(n)
+    elif kind == "two-cycle":
+        parent[parent[v]] = v
+    elif kind == "second-root":
+        parent[v] = None
+    else:
+        row = cg.colour_adj[tree.colour][v]
+        mask = {
+            "other-colour": cg.graph.adj[v] & ~row,
+            "non-neighbour": cg.graph.full_mask & ~cg.graph.adj[v] & ~(1 << v),
+            "outside-tree": cg.graph.full_mask & ~inside,
+            "in-tree": row & inside,
+        }[kind]
+        u = _pick(rng, iter_bits(mask))
+        if u is None:
+            return None
+        parent[v] = u
+    trees[index] = Tree(tree.colour, root, parent)
+    return TreeCover(tuple(trees))
 
 
 # solve_cover traces of the hand-built branch instances above, pinned

@@ -21,16 +21,18 @@ used: it would do the same arithmetic, but importing it alone raises a
 monotree process's RSS by about 11 MB (16 to 27.7 MB on Python 3.11),
 well past the 15% peak-memory bound of the dense-probe benchmark.
 
-The text format is read and written the same way.  `dumps` writes a row
-at a time: the row's three colour rows become one hex number whose digit
-k is the colour of column u + 1 + k, and its digits select the row's edge
-columns.  `loads` tokenises blocks of about BLOCK_CHARS characters with
-one `str.split`, each line of a block followed by a separator token "|"
-that neither the vertex-name table nor the colour table accepts, so one
-count of tokens checks the shape of every line.  A block of ASCII text
-whose only line breaks are line feeds is split as it stands, each line
-feed replaced by " | "; any other block is split into lines first.  The
-name table (`_VertexNames`) calls int() once per distinct spelling of a
+The text format is read and written the same way.  `dump_rows` writes a
+row at a time: the row's three colour rows become one hex number whose
+digit k is the colour of column u + 1 + k, and its digits select the
+row's edge columns.  It is the one serialiser: `dumps` joins its chunks,
+and `store` and the CLI stream them, so a writer holds one row's text at
+a time, not the whole text.  `loads` tokenises blocks of about
+BLOCK_CHARS characters with one `str.split`, each line of a block
+followed by a separator token "|" that neither the vertex-name table nor
+the colour table accepts, so one count of tokens checks the shape of
+every line.  A block of ASCII text whose only line breaks are line feeds
+is split as it stands, each line feed replaced by " | "; any other block
+is split into lines first.  The name table (`_VertexNames`) calls int() once per distinct spelling of a
 vertex and checks its range as it does, so a vertex named 760 times
 costs one conversion.  `loads` sets both bits of each edge, and leaves
 per-line work to naming the first faulty line.
@@ -401,26 +403,34 @@ _SEPARATOR = " | "
 # ends a line; a block holding one, or a non-ASCII character, is split
 # into lines before it is tokenised.
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
-# `dumps` writes an edge of colour c as the hex digit c + 1, 0 for none.
+# `dump_rows` writes an edge of colour c as the hex digit c + 1, 0 for none.
 _HEX_TO_LETTER = bytes.maketrans(b"0123", b"\0rgb")
 
 def dumps(cg: ColouredGraph) -> str:
     """Serialize to the text interchange format.
 
     First line "n <count>", then one line "u v c" per edge with u < v and
-    c in {r, g, b}; '#' starts a comment.
+    c in {r, g, b}; '#' starts a comment.  The text is the join of
+    `dump_rows(cg)`; a writer that streams those chunks instead holds one
+    row at a time.
+    """
+    return "".join(dump_rows(cg))
 
-    The text is built a row at a time.  Row u's colour rows above column
-    u, written in binary and read back as hexadecimal, put column u + 1 + k
-    of each colour in hex digit k; red + 2 green + 3 blue then holds the
-    colour of that pair, plus one, in digit k (0: no edge).  Its hex
-    digits, lowest first, mapped to letters, select the " v " names of
-    the row's edges, and one join writes the row's lines.  The work per
-    row is the row's significant width, not n.
+
+def dump_rows(cg: ColouredGraph) -> Iterator[str]:
+    """The text of `dumps(cg)` in chunks: the "n <count>" header line, then
+    the lines of each row u that has an edge to a higher vertex.
+
+    Row u's colour rows above column u, written in binary and read back as
+    hexadecimal, put column u + 1 + k of each colour in hex digit k; red +
+    2 green + 3 blue then holds the colour of that pair, plus one, in digit
+    k (0: no edge).  Its hex digits, lowest first, mapped to letters,
+    select the " v " names of the row's edges, and one join writes the
+    row's lines.  The work per row is the row's significant width, not n.
     """
     n = cg.n
     names = [f" {v} " for v in range(n)]
-    out = [f"n {n}\n"]
+    yield f"n {n}\n"
     for u, (r, g, b) in enumerate(zip(*cg.colour_adj)):
         above = u + 1
         r, g, b = r >> above, g >> above, b >> above
@@ -429,8 +439,7 @@ def dumps(cg: ColouredGraph) -> str:
             letters = format(x, "x")[::-1].encode().translate(_HEX_TO_LETTER)
             picked = compress(names[above : above + len(letters)], letters)
             colours = letters.replace(b"\0", b"").decode()
-            out.append(f"{u}" + f"\n{u}".join(map(add, picked, colours)) + "\n")
-    return "".join(out)
+            yield f"{u}" + f"\n{u}".join(map(add, picked, colours)) + "\n"
 
 
 def loads(text: str) -> ColouredGraph:
@@ -605,7 +614,7 @@ def _first_fault(text: str, n: int) -> GraphFormatError:
 
 def store(path: str, cg: ColouredGraph) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(dumps(cg))
+        f.writelines(dump_rows(cg))
 
 
 def load(path: str) -> ColouredGraph:

@@ -499,21 +499,39 @@ def _cover_holds(cg: ColouredGraph, tc: TreeCover) -> bool:
 
 def _cover_faults(cg: ColouredGraph, tc: TreeCover) -> list[str]:
     """Every violation of the tree-cover contract, vertex by vertex, in
-    tree order, then the uncovered vertices."""
+    tree order, then the uncovered vertices.
+
+    A tree colour other than the three and a vertex that is not an int are
+    violations too.  Such a colour is compared with no edge, and such a
+    vertex takes no part in the edge and coverage checks.
+    """
+    n = cg.n
+
+    def inside(v) -> bool:
+        return isinstance(v, int) and 0 <= v < n
+
     issues: list[str] = []
     covered = 0
     for t_index, tree in enumerate(tc.trees):
-        label = f"tree {t_index} ({tree.colour.name.lower()}, root {tree.root})"
+        colour = Colour(tree.colour) if tree.colour in COLOURS else None
+        name = repr(tree.colour) if colour is None else colour.name.lower()
+        label = f"tree {t_index} ({name}, root {tree.root})"
+        if colour is None:
+            issues.append(f"{label}: colour {tree.colour!r} is not red, green or blue")
         verts = set(tree.parent)
-        for v in sorted(verts):
-            if not 0 <= v < cg.n:
+        ints = sorted(v for v in verts if isinstance(v, int))
+        order = ints + sorted(verts.difference(ints), key=repr)
+        for v in order:
+            if not isinstance(v, int):
+                issues.append(f"{label}: vertex {v!r} is not an int")
+            elif not 0 <= v < n:
                 issues.append(f"{label}: vertex {v} out of range")
         if tree.root not in verts:
             issues.append(f"{label}: root missing from vertex set")
             continue
         if tree.parent[tree.root] is not None:
             issues.append(f"{label}: root has a parent")
-        for v in sorted(verts):
+        for v in order:
             p = tree.parent[v]
             if p is None:
                 if v != tree.root:
@@ -522,16 +540,16 @@ def _cover_faults(cg: ColouredGraph, tc: TreeCover) -> list[str]:
             if p not in verts:
                 issues.append(f"{label}: parent {p} of {v} outside tree")
                 continue
-            if not (0 <= v < cg.n and 0 <= p < cg.n):
+            if not (inside(v) and inside(p)):
                 continue
             if not cg.graph.has_edge(p, v):
                 issues.append(f"{label}: missing edge ({p}, {v})")
-            elif cg.colour_of(p, v) != tree.colour:
+            elif colour is not None and cg.colour_of(p, v) != colour:
                 issues.append(
                     f"{label}: edge ({p}, {v}) is {cg.colour_of(p, v).name.lower()}"
                 )
         state: dict[int, int] = {}  # 0 walking, 1 reaches root
-        for v in sorted(verts):
+        for v in order:
             path = []
             u: int | None = v
             while u is not None and u in verts and u not in state:
@@ -544,7 +562,7 @@ def _cover_faults(cg: ColouredGraph, tc: TreeCover) -> list[str]:
             for w in path:
                 state[w] = 1
         for v in verts:
-            if 0 <= v < cg.n:
+            if inside(v):
                 covered |= 1 << v
     uncovered = cg.graph.full_mask & ~covered
     for v in iter_bits(uncovered):

@@ -144,6 +144,29 @@ class TestSolve:
         assert data["size"] == 1
         assert data["trace"]["branch"] == "egp"
 
+    def test_cover_is_verified_once(self, capsys, monkeypatch, tmp_path):
+        # solve_cover verifies its own cover, so `solve` needs no second
+        # check; the CLI's own binding is counted too.
+        import monotree.cli
+        import monotree.solver
+
+        verify = monotree.solver.verify_cover
+        calls = []
+
+        def counted(cg, cover):
+            calls.append(cover)
+            return verify(cg, cover)
+
+        monkeypatch.setattr(monotree.solver, "verify_cover", counted)
+        monkeypatch.setattr(monotree.cli, "verify_cover", counted)
+        path = tmp_path / "g.txt"
+        assert main(["gen", "--n", "40", "--p", "0.1", "--seed", "7", "--out", str(path)]) == 0
+        code, out = run(capsys, "solve", str(path))
+        assert code == 0
+        data = json.loads(out)
+        assert (data["valid"], data["violations"]) == (True, [])
+        assert len(calls) == 1
+
 
 class TestOracle:
     def test_minimum_cover(self, capsys, triangle_file):
@@ -327,12 +350,24 @@ class TestErrors:
         assert captured.err == f"error: {message}\n"
         assert out.read_bytes() == b"earlier results\n"
 
-    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["unset", "1"])
-    def test_closed_stdout_stops_quietly(self, unbuffered):
-        # `gen --n 400 --p 0.2` writes about 150 kB, more than a pipe buffer
-        # holds, so a write fails once the reader has closed the pipe.  An
-        # unbuffered stdout (PYTHONUNBUFFERED=1) may first take part of a
-        # write, which must not end the output early without an error.
+    @pytest.mark.parametrize(
+        "command, unbuffered",
+        [("gen", None), ("gen", "1"), ("shortcut", None), ("shortcut", "1")],
+        ids=["unset", "1", "shortcut-unset", "shortcut-1"],
+    )
+    def test_closed_stdout_stops_quietly(self, tmp_path, command, unbuffered):
+        # `gen --n 400 --p 0.2` writes about 150 kB, and `shortcut` on that
+        # file about 1 MB, row by row: more than a pipe buffer holds, so a
+        # write fails once the reader has closed the pipe.  An unbuffered
+        # stdout (PYTHONUNBUFFERED=1) may first take part of a write, which
+        # must not end the output early without an error.
+        gen = ["gen", "--n", "400", "--p", "0.2"]
+        if command == "gen":
+            argv = gen
+        else:
+            path = tmp_path / "g.txt"
+            assert main([*gen, "--out", str(path)]) == 0
+            argv = ["shortcut", str(path)]
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env.pop("PYTHONUNBUFFERED", None)
@@ -342,7 +377,7 @@ class TestErrors:
             p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
         )
         proc = subprocess.Popen(
-            [sys.executable, "-m", "monotree", "gen", "--n", "400", "--p", "0.2"],
+            [sys.executable, "-m", "monotree", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
         )
         assert proc.stdout.read(10).startswith(b"n 400\n")

@@ -464,6 +464,16 @@ class TestVerifyCover:
                 ["uncovered vertex 3"],
                 id="uncovered",
             ),
+            pytest.param(
+                (Tree(R, 0, MESSAGE_PATH), Tree(-2, 0, {0: None, 3: 0})),
+                ["tree 1 (-2, root 0): colour -2 is not red, green or blue"],
+                id="not-a-colour",
+            ),
+            pytest.param(
+                (Tree(R, 0, MESSAGE_PATH), Tree(R, 0, {0: None, 1.0: 0})),
+                ["tree 1 (red, root 0): vertex 1.0 is not an int"],
+                id="not-an-int",
+            ),
         ],
     )
     def test_each_message_pinned(self, trees, expected):

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .components import monochromatic_components, shortcut_graph
 from .experiment import CSV_HEADER, ExperimentConfig, probe_threshold
@@ -32,7 +32,6 @@ from .graphs import (
     colour_random,
     colour_three_stars,
     dump_rows,
-    dumps,
     first_nonadjacent_triple,
     generate_gnp,
     iter_bits,
@@ -54,12 +53,15 @@ from .pseudorandom import (
     check_edge_density,
 )
 from .rng import derive_seed
-from .solver import solve_cover, verify_cover
+from .solver import solve_cover
 
 # perfbench's tracer wraps `dumps` and `verify_cover` by their names in
 # this module.  Neither is called here any more: `gen` and `shortcut`
 # stream `dump_rows`, and `solve_cover` verifies its own cover.  Both stay
 # bound until the tracer's target list is brought up to date.
+from .graphs import dumps  # noqa: F401
+from .solver import verify_cover  # noqa: F401
+
 _COLOUR_NAMES = {c: c.name.lower() for c in COLOURS}
 
 
@@ -247,6 +249,18 @@ def _cmd_check_pseudo(args) -> int:
     return 0
 
 
+def _probe_chunks(cfg: ExperimentConfig, as_json: bool) -> Iterator[str]:
+    """The probe's rows as CSV lines or one JSON array.  The grid runs at
+    the first chunk, after `_write_text` has opened its file."""
+    rows = probe_threshold(cfg)
+    if as_json:
+        yield json.dumps([r.to_json() for r in rows], indent=2, sort_keys=True) + "\n"
+    else:
+        yield CSV_HEADER + "\n"
+        for row in rows:
+            yield row.csv_row() + "\n"
+
+
 def _cmd_probe(args) -> int:
     if args.p is not None:
         if args.p_exp is not None or args.p_scale is not None:
@@ -273,12 +287,8 @@ def _cmd_probe(args) -> int:
         p_exponent=p_exponent,
         p_scales=p_scales,
         modes=("random", "three-star") if args.mode == "both" else (args.mode,),
-        out_path=args.out,
     )
-    rows = probe_threshold(cfg)
-    if args.out is None:
-        lines = [CSV_HEADER, *(row.csv_row() for row in rows)]
-        _write_stdout(f"{line}\n" for line in lines)
+    _write_text(args.out, _probe_chunks(cfg, as_json=(args.out or "").endswith(".json")))
     return 0
 
 

@@ -3,13 +3,13 @@
 Sweeps a grid of (n, p, colouring-mode) cells, solves `trials` sampled
 instances per cell, and aggregates per-cell summaries.  Every trial's seed
 is derived from (master seed, n, p, mode, trial index) alone, so a trial's
-record does not depend on which trials ran before it, and the output files
-depend only on the config.
+record does not depend on which trials ran before it, and the summaries
+depend only on the config.  This module does no I/O: the caller writes
+the summaries out.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -50,8 +50,8 @@ CSV_HEADER = ",".join(
 class ExperimentConfig:
     """Grid definition: n values, p given either explicitly or as
     scale * (ln n / n) ** exponent per n, trials per cell, colouring
-    modes, master seed, and output path.  Which trials report an exact
-    cover size is fixed by `REPORTED_EXACT_MAX_COMPONENTS`."""
+    modes and master seed.  Which trials report an exact cover size is
+    fixed by `REPORTED_EXACT_MAX_COMPONENTS`."""
 
     n_values: tuple[int, ...]
     trials: int
@@ -60,7 +60,6 @@ class ExperimentConfig:
     p_exponent: float | None = None
     p_scales: tuple[float, ...] = ()
     modes: tuple[str, ...] = (MODE_RANDOM,)
-    out_path: str | None = None
 
     def __post_init__(self):
         if not self.n_values:
@@ -80,6 +79,8 @@ class ExperimentConfig:
             raise ValueError("p_exponent requires p_scales")
         if self.p_values and self.p_scales:
             raise ValueError("p_scales requires p_exponent, not p_values")
+        if not self.modes:
+            raise ValueError("need at least one colouring mode")
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown colouring mode {mode!r}")
@@ -112,10 +113,6 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    n: int
-    p: float
-    mode: str
-    trial: int
     size: int | None  # None for a skipped trial
     branch: str | None
     exact_size: int | None
@@ -152,16 +149,13 @@ def run_trial(cfg: ExperimentConfig, n: int, p: float, mode: str, trial: int) ->
     if mode == MODE_THREE_STAR:
         triple = first_nonadjacent_triple(g)
         if triple is None:
-            return TrialRecord(n, p, mode, trial, None, None, None)
+            return TrialRecord(None, None, None)
         cg = colour_three_stars(g, *triple, base=Colour.RED)
     else:
         cg = colour_random(g, _mix(base_seed, 1))
     cover, trace = solve_cover(cg)
     small = trace.component_count <= REPORTED_EXACT_MAX_COMPONENTS
-    return TrialRecord(
-        n, p, mode, trial, cover.size, trace.branch,
-        trace.exact_size if small else None,
-    )
+    return TrialRecord(cover.size, trace.branch, trace.exact_size if small else None)
 
 
 @dataclass(frozen=True)
@@ -228,26 +222,10 @@ def _summarise(n: int, p: float, mode: str, records: list[TrialRecord]) -> CellS
 
 def probe_threshold(cfg: ExperimentConfig) -> list[CellSummary]:
     """Run the grid one cell at a time, trials in index order, and return
-    per-cell summaries sorted by (n, p, mode); writes them to cfg.out_path
-    (CSV, or JSON for a .json path) when set.  Output bytes depend only on
-    the config."""
-    sink = None
-    if cfg.out_path is not None:
-        sink = open(cfg.out_path, "w", encoding="utf-8", newline="\n")
-    try:
-        rows = []
-        for n, p, mode in cfg.cells():
-            records = [run_trial(cfg, n, p, mode, t) for t in range(cfg.trials)]
-            rows.append(_summarise(n, p, mode, records))
-        if sink is not None:
-            if cfg.out_path.endswith(".json"):
-                json.dump([r.to_json() for r in rows], sink, indent=2, sort_keys=True)
-                sink.write("\n")
-            else:
-                sink.write(CSV_HEADER + "\n")
-                for row in rows:
-                    sink.write(row.csv_row() + "\n")
-        return rows
-    finally:
-        if sink is not None:
-            sink.close()
+    per-cell summaries sorted by (n, p, mode).  They depend only on the
+    config."""
+    rows = []
+    for n, p, mode in cfg.cells():
+        records = [run_trial(cfg, n, p, mode, t) for t in range(cfg.trials)]
+        rows.append(_summarise(n, p, mode, records))
+    return rows

@@ -503,12 +503,19 @@ def _cover_faults(cg: ColouredGraph, tc: TreeCover) -> list[str]:
 
     A tree colour other than the three and a vertex that is not an int are
     violations too.  Such a colour is compared with no edge, and such a
-    vertex takes no part in the edge and coverage checks.
+    vertex takes no part in the edge and coverage checks.  A root or
+    parent that cannot be hashed lies outside every tree.
     """
     n = cg.n
 
     def inside(v) -> bool:
         return isinstance(v, int) and 0 <= v < n
+
+    def in_tree(v) -> bool:
+        try:
+            return v in verts
+        except TypeError:
+            return False
 
     issues: list[str] = []
     covered = 0
@@ -526,7 +533,7 @@ def _cover_faults(cg: ColouredGraph, tc: TreeCover) -> list[str]:
                 issues.append(f"{label}: vertex {v!r} is not an int")
             elif not 0 <= v < n:
                 issues.append(f"{label}: vertex {v} out of range")
-        if tree.root not in verts:
+        if not in_tree(tree.root):
             issues.append(f"{label}: root missing from vertex set")
             continue
         if tree.parent[tree.root] is not None:
@@ -537,7 +544,7 @@ def _cover_faults(cg: ColouredGraph, tc: TreeCover) -> list[str]:
                 if v != tree.root:
                     issues.append(f"{label}: second root {v}")
                 continue
-            if p not in verts:
+            if not in_tree(p):
                 issues.append(f"{label}: parent {p} of {v} outside tree")
                 continue
             if not (inside(v) and inside(p)):
@@ -552,11 +559,11 @@ def _cover_faults(cg: ColouredGraph, tc: TreeCover) -> list[str]:
         for v in order:
             path = []
             u: int | None = v
-            while u is not None and u in verts and u not in state:
+            while u is not None and in_tree(u) and u not in state:
                 state[u] = 0
                 path.append(u)
                 u = tree.parent[u]
-            if u is not None and u in verts and state.get(u) == 0:
+            if u is not None and in_tree(u) and state.get(u) == 0:
                 issues.append(f"{label}: cycle through vertex {u}")
                 break
             for w in path:

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from monotree import (
     Colour,
-    ExperimentConfig,
     PseudorandomConfig,
     alpha_class,
     build_component_hypergraph,
@@ -33,11 +32,11 @@ from monotree import (
     max_matching_bipartite,
     monochromatic_components,
     nu_exact,
-    probe_threshold,
     solve_cover,
     tau_exact,
     verify_cover,
 )
+from monotree.cli import main
 from monotree.rng import SplitMix64, derive_seed
 
 import support
@@ -340,17 +339,10 @@ def test_criterion_9_probe_determinism(tmp_path):
     and from `python -m monotree probe` in two subprocesses with different
     string-hash seeds."""
     start = time.perf_counter()
+    grid = ["probe", "--n", "24,36", "--p", "0.5,0.9", "--mode", "both", "--trials", "6",
+            "--seed", "11"]
     in_process = tmp_path / "in-process.csv"
-    probe_threshold(
-        ExperimentConfig(
-            n_values=(24, 36),
-            trials=6,
-            seed=11,
-            p_values=(0.5, 0.9),
-            modes=("random", "three-star"),
-            out_path=str(in_process),
-        )
-    )
+    assert main([*grid, "--out", str(in_process)]) == 0
     outputs = [in_process.read_bytes()]
     for hash_seed in ("0", "1"):
         out = tmp_path / f"hashseed-{hash_seed}.csv"
@@ -359,9 +351,7 @@ def test_criterion_9_probe_determinism(tmp_path):
             p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
         )
         proc = subprocess.run(
-            [sys.executable, "-m", "monotree", "probe", "--n", "24,36",
-             "--p", "0.5,0.9", "--mode", "both", "--trials", "6", "--seed", "11",
-             "--out", str(out)],
+            [sys.executable, "-m", "monotree", *grid, "--out", str(out)],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr

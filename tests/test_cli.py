@@ -249,6 +249,15 @@ class TestProbe:
         assert lines[0].startswith("n,p,mode,trials,frac_le3")
         assert len(lines) == 3
 
+    def test_probe_dash_writes_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        args = ("probe", "--n", "8,10", "--p", "0.5", "--trials", "3", "--seed", "4")
+        code, out = run(capsys, *args, "--out", "-")
+        assert code == 0
+        assert run(capsys, *args, "--out", "rows.csv") == (0, "")
+        assert out.encode() == (tmp_path / "rows.csv").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["rows.csv"]
+
     def test_probe_exponent_form(self, capsys, tmp_path):
         out_path = str(tmp_path / "rows.csv")
         code, _ = run(

@@ -14,6 +14,7 @@ from monotree import (
     run_trial,
 )
 from monotree import experiment
+from monotree.cli import main
 from monotree.experiment import MODE_RANDOM, MODE_THREE_STAR, trial_seed
 from monotree.graphs import MAX_VERTICES
 from monotree.solver import solve_cover
@@ -31,6 +32,12 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# small_config() as `monotree probe` arguments, less --out
+SMALL_ARGV = [
+    "probe", "--n", "12,20", "--trials", "4", "--seed", "7", "--p", "0.4,0.8", "--mode", "both",
+]
 
 
 class TestConfig:
@@ -64,6 +71,10 @@ class TestConfig:
             small_config(n_values=(3,))  # three-star needs n >= 4
         with pytest.raises(ValueError, match="p_scales requires p_exponent"):
             small_config(p_scales=(1.0, 2.0))  # would be ignored beside p_values
+
+    def test_rejects_empty_modes(self):
+        with pytest.raises(ValueError, match="^need at least one colouring mode$"):
+            ExperimentConfig(n_values=(10,), trials=1, seed=0, p_values=(0.5,), modes=())
 
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError, match=r"^n values must be non-negative, got n=-5$"):
@@ -241,12 +252,14 @@ class TestFirstNonadjacentTriple:
 class TestProbeThreshold:
     def test_rows_and_header(self, tmp_path):
         out = str(tmp_path / "rows.csv")
-        rows = probe_threshold(small_config(out_path=out))
+        assert main([*SMALL_ARGV, "--out", out]) == 0
+        rows = probe_threshold(small_config())
         text = open(out).read()
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + len(rows)
         assert len(rows) == 8
+        assert lines[1:] == [row.csv_row() for row in rows]
 
     def test_complete_graph_row_fraction_one(self, tmp_path):
         cfg = ExperimentConfig(
@@ -259,22 +272,32 @@ class TestProbeThreshold:
     def test_repeat_runs_byte_identical(self, tmp_path):
         a = str(tmp_path / "a.csv")
         b = str(tmp_path / "b.csv")
-        probe_threshold(small_config(out_path=a))
-        probe_threshold(small_config(out_path=b))
+        assert main([*SMALL_ARGV, "--out", a]) == 0
+        assert main([*SMALL_ARGV, "--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_json_output(self, tmp_path):
         out = str(tmp_path / "rows.json")
-        rows = probe_threshold(small_config(out_path=out))
+        assert main([*SMALL_ARGV, "--out", out]) == 0
+        rows = probe_threshold(small_config())
         data = json.loads(open(out).read())
         assert len(data) == len(rows)
         assert data[0]["n"] == rows[0].n
         assert "branch_egp" in data[0]
+        assert data == [row.to_json() for row in rows]
 
-    def test_unwritable_path_fails_before_running(self, tmp_path):
-        cfg = small_config(out_path=str(tmp_path / "missing" / "out.csv"))
-        with pytest.raises(OSError):
-            probe_threshold(cfg)
+    def test_unwritable_path_fails_before_running(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return run_trial(*args)
+
+        monkeypatch.setattr(experiment, "run_trial", counted)
+        out = str(tmp_path / "missing" / "out.csv")
+        assert main([*SMALL_ARGV, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        assert calls == []
 
     def test_sizes_never_below_exact(self):
         for row, cell_records in _rows_with_records(small_config()):

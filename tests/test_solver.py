@@ -474,6 +474,16 @@ class TestVerifyCover:
                 ["tree 1 (red, root 0): vertex 1.0 is not an int"],
                 id="not-an-int",
             ),
+            pytest.param(
+                (Tree(R, 0, MESSAGE_PATH), Tree(R, 0, {0: None, 1: [0]})),
+                ["tree 1 (red, root 0): parent [0] of 1 outside tree"],
+                id="unhashable-parent",
+            ),
+            pytest.param(
+                (Tree(R, 0, MESSAGE_PATH), Tree(R, [0], {0: None})),
+                ["tree 1 (red, root [0]): root missing from vertex set"],
+                id="unhashable-root",
+            ),
         ],
     )
     def test_each_message_pinned(self, trees, expected):

@@ -16,7 +16,12 @@ words and sets both bits of each edge in int rows; the dense per-pair
 outcome is read out of each lane's bytes with `to_bytes(...)[k::16]`,
 rows are rebuilt from binary digit strings with int(..., 2) (linear
 time for base 2), and the upper triangle is mirrored into the lower one
-a band of columns at a time (`_mirror`).  numpy is not
+a band of columns at a time (`_mirror`).  `colour_random` has the same
+two regimes, both reading one byte per edge from the same lane blocks:
+below a mean degree of EDGE_DEGREE it walks the edges and sets both bits
+of each, and otherwise it colours rows from digit strings and mirrors
+them.  The rule is a function of the graph alone, and either regime
+gives the same rows.  numpy is not
 used: it would do the same arithmetic, but importing it alone raises a
 monotree process's RSS by about 11 MB (16 to 27.7 MB on Python 3.11),
 well past the 15% peak-memory bound of the dense-probe benchmark.
@@ -68,11 +73,14 @@ LETTER_TO_COLOUR = {"r": Colour.RED, "g": Colour.GREEN, "b": Colour.BLUE}
 
 # Columns per band when `_mirror` transposes an upper triangle.
 BAND = 128
-# Binary digits per group of rows that `colour_random` colours at once.
+# Binary digits per group of rows that `_colour_rows` colours at once.
 GROUP_CHARS = 1 << 15
+# `colour_random` colours edge by edge below this mean degree; its
+# docstring gives the measured break-even.
+EDGE_DEGREE = 32
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-# colour_random writes colour c as the character chr(c) among the digits
+# _colour_rows writes colour c as the character chr(c) among the digits
 _RED_DIGITS = str.maketrans("\x00\x01\x02", "100")
 _GREEN_DIGITS = str.maketrans("\x00\x01\x02", "010")
 
@@ -307,16 +315,72 @@ def colour_random(g: SimpleGraph, seed: int) -> ColouredGraph:
     three colours; deterministic for a given seed.  Edges are drawn in
     (u, v) lexicographic order, each taking `SplitMix64.randrange(3)`.
 
-    The draws come in lane blocks (`_colour_block`), and rows are
-    coloured in groups of about GROUP_CHARS binary digits with no Python
-    step per row or edge: the group's upper rows, last row first and each
-    from its highest bit down, are written as `bin` digits joined by "|",
-    so the edges appear in reverse draw order; each "1" becomes a "%c"
-    that the reversed colours fill in; and the red and green digits are
-    read back per row by int(..., 2).  The red and green upper triangles
-    are then mirrored by `_mirror`; blue is what is left.
+    Both regimes read those outcomes from the same lane blocks
+    (`_colour_block`), in the same order, so they give the same rows.  A
+    graph with 2m < EDGE_DEGREE * n, m its edge count, is coloured edge
+    by edge (`_colour_edges`), in time that follows n + m; any other
+    graph a group of rows at a time (`_colour_rows`), in time that
+    follows n^2 / BAND whatever m is.  Blue is what is left.
+
+    EDGE_DEGREE = 32 is about the break-even on small graphs.  Over
+    G(n, d / (n - 1)), the per-edge regime took 0.5 to 0.8 times the row
+    regime's time at mean degree d = 16, about as long at d = 24 to 32,
+    and 1.2 to 1.3 times at d = 48, for n = 60 and 100 (best of repeated
+    calls, 2-vCPU machine, Python 3.11).  The break-even rises with n, to
+    a mean degree of about 48 at n = 300, 64 to 96 at 600 and 100 at
+    1200, since only the row regime pays for n^2 pairs.  Sparse
+    experiment cells, with a mean degree under 10, take the per-edge
+    regime, and the paper's dense cells, above 200, the row regime.
     """
     rng = SplitMix64(seed)
+    sparse = 2 * g.edge_count() < EDGE_DEGREE * g.n
+    red, green = (_colour_edges if sparse else _colour_rows)(g, rng)
+    blue = tuple(a & ~(r | gr) for a, r, gr in zip(g.adj, red, green))
+    return ColouredGraph(g, (tuple(red), tuple(green), blue))
+
+
+def _colour_edges(g: SimpleGraph, rng: SplitMix64) -> tuple[list[int], list[int]]:
+    """The red and green rows of g, one edge at a time: edge k in (u, v)
+    order takes outcome k, and sets its bit in row u and in row v."""
+    edges = g.edge_count()
+    colours = bytearray()
+    while len(colours) < edges:
+        colours += _colour_block(rng)
+    red, green = [0] * g.n, [0] * g.n
+    k = 0
+    for u, row in enumerate(g.adj):
+        up = row >> u >> 1  # the bits above u, from bit 0
+        if not up:
+            continue
+        bit = 1 << u
+        r = gr = 0
+        while up:
+            low = up & -up
+            up ^= low
+            c = colours[k]
+            k += 1
+            if c == 0:
+                r |= low
+                red[u + low.bit_length()] |= bit
+            elif c == 1:
+                gr |= low
+                green[u + low.bit_length()] |= bit
+        red[u] |= r << u << 1
+        green[u] |= gr << u << 1
+    return red, green
+
+
+def _colour_rows(g: SimpleGraph, rng: SplitMix64) -> tuple[list[int], list[int]]:
+    """The red and green rows of g, a group of rows at a time.
+
+    Rows are coloured in groups of about GROUP_CHARS binary digits with no
+    Python step per row or edge: the group's upper rows, last row first
+    and each from its highest bit down, are written as `bin` digits joined
+    by "|", so the edges appear in reverse draw order; each "1" becomes a
+    "%c" that the reversed colours fill in; and the red and green digits
+    are read back per row by int(..., 2).  The red and green upper
+    triangles are then mirrored by `_mirror`.
+    """
     n = g.n
     red, green = [], []
     colours = b""  # drawn colours not yet placed, one byte 0, 1 or 2 each
@@ -333,10 +397,7 @@ def colour_random(g: SimpleGraph, seed: int) -> ColouredGraph:
         for rows, table in ((red, _RED_DIGITS), (green, _GREEN_DIGITS)):
             parts = reversed(code.translate(table).split("|"))
             rows += map(lshift, map(int, parts, repeat(2)), shifts)
-    _mirror(red)
-    _mirror(green)
-    blue = tuple(a & ~(r | gr) for a, r, gr in zip(g.adj, red, green))
-    return ColouredGraph(g, (tuple(red), tuple(green), blue))
+    return _mirror(red), _mirror(green)
 
 
 def _colour_block(rng: SplitMix64) -> bytes:

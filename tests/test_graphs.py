@@ -20,8 +20,9 @@ from monotree import (
     generate_gnp,
     loads,
 )
+from monotree import graphs
 from monotree.components import shortcut_graph
-from monotree.graphs import BLOCK_CHARS, MAX_VERTICES, dump_rows
+from monotree.graphs import BLOCK_CHARS, EDGE_DEGREE, MAX_VERTICES, dump_rows
 from monotree.rng import GOLDEN, MASK64, SplitMix64
 
 import support
@@ -41,6 +42,29 @@ def finalise64_inverse(z: int) -> int:
     z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) & MASK64
     z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) & MASK64
     return unshift(z, 30)
+
+
+def reference_colouring(g: SimpleGraph, seed: int) -> tuple[tuple[int, ...], ...]:
+    """The colour rows of `colour_random(g, seed)` by its definition: one
+    `randrange(3)` per edge, in (u, v) order."""
+    rng = SplitMix64(seed)
+    rows = [[0] * g.n for _ in Colour]
+    for u, v in support.graph_edges(g):
+        c = rng.randrange(3)
+        rows[c][u] |= 1 << v
+        rows[c][v] |= 1 << u
+    return tuple(tuple(r) for r in rows)
+
+
+def assert_regimes_match_reference(g: SimpleGraph, seed: int) -> None:
+    """`colour_random` and each of its two regimes give the reference's
+    rows: the per-edge regime and the row regime alike, whichever of
+    them the rule picks for g."""
+    expected = reference_colouring(g, seed)
+    assert colour_random(g, seed).colour_adj == expected
+    for regime in (graphs._colour_edges, graphs._colour_rows):
+        red, green = regime(g, SplitMix64(seed))
+        assert (tuple(red), tuple(green)) == expected[:2], regime.__name__
 
 
 def k6_minus_triangle() -> SimpleGraph:
@@ -193,19 +217,43 @@ class TestColourRandom:
     )
     def test_rejected_draw_matches_reference_stream(self, n, p, graph_seed, index):
         # randrange(3) redraws only z = 2^64 - 1; pick the seed whose draw
-        # number `index` is that value and compare with a per-edge loop
+        # number `index` is that value and compare both regimes with a
+        # per-edge loop
         g = generate_gnp(n, p, graph_seed)
         seed = (finalise64_inverse(MASK64) - (index + 1) * GOLDEN) & MASK64
         rng = SplitMix64(seed)
         draws = [rng.next_u64() for _ in range(index + 1)]
         assert draws[index] == MASK64 and MASK64 not in draws[:index]
-        rng = SplitMix64(seed)
-        rows = [[0] * n for _ in Colour]
-        for u, v in support.graph_edges(g):
-            c = rng.randrange(3)
-            rows[c][u] |= 1 << v
-            rows[c][v] |= 1 << u
-        assert colour_random(g, seed).colour_adj == tuple(tuple(r) for r in rows)
+        assert_regimes_match_reference(g, seed)
+
+    @pytest.mark.parametrize(
+        "g, regime",
+        [
+            (SimpleGraph.empty(0), "_colour_rows"),  # 2m = D * n = 0
+            (SimpleGraph.empty(1), "_colour_edges"),
+            (generate_gnp(2, 1.0, seed=1), "_colour_edges"),
+            (SimpleGraph.empty(50), "_colour_edges"),
+            (support.complete_graph(EDGE_DEGREE), "_colour_edges"),  # 2m = D * n - n
+            (support.complete_graph(EDGE_DEGREE + 1), "_colour_rows"),  # 2m = D * n
+            (generate_gnp(64, 0.508, seed=54), "_colour_edges"),  # 1023 edges: 2m = D * n - 2
+            (generate_gnp(64, 0.508, seed=30), "_colour_rows"),  # 1024 edges: 2m = D * n
+            (generate_gnp(64, 0.508, seed=2), "_colour_rows"),  # 1025 edges: 2m = D * n + 2
+            (generate_gnp(100, 0.03, seed=5), "_colour_edges"),
+            (generate_gnp(300, 0.8, seed=5), "_colour_rows"),
+        ],
+        ids=[
+            "n0", "n1", "n2", "empty", "complete-below", "complete-on",
+            "just-below", "on", "just-above", "sparse", "dense",
+        ],
+    )
+    def test_regimes_match_reference_across_the_switch(self, g, regime, monkeypatch):
+        # the rule picks `regime`, and both regimes give the reference rows
+        assert (2 * g.edge_count() < EDGE_DEGREE * g.n) == (regime == "_colour_edges")
+        for seed in (0, 7):
+            assert_regimes_match_reference(g, seed)
+        other = {"_colour_edges": "_colour_rows", "_colour_rows": "_colour_edges"}[regime]
+        monkeypatch.setattr(graphs, other, None)
+        assert colour_random(g, 7).colour_adj == reference_colouring(g, 7)
 
     def test_roughly_uniform_colours(self):
         g = support.complete_graph(60)
@@ -364,6 +412,21 @@ def test_sparse_sampling_memory_follows_the_edges():
     finally:
         tracemalloc.stop()
     assert peak <= 10e6
+
+
+def test_sparse_colouring_memory_follows_the_edges():
+    # 2,082 edges on 20,000 vertices: colouring them edge by edge peaks
+    # about 6.4 MB above the graph on Python 3.11, most of it the colour
+    # rows it returns; the row regime's band transposes took 13.0 MB
+    g = generate_gnp(20000, 1e-5, seed=1)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        colour_random(g, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.5 * 6.4e6
 
 
 class TestSerialization:
@@ -799,3 +862,15 @@ def test_huge_sparse_inputs_stay_cheap():
         dumped = time.perf_counter()
         assert loaded - start < 1.0
         assert dumped - loaded < 1.0
+
+
+def test_colouring_at_the_vertex_limit_stays_cheap():
+    # One edge on MAX_VERTICES vertices.  Mirroring two triangles of n^2/2
+    # pairs in bands of columns took 35.3 s on a 2-vCPU machine; the
+    # per-edge regime takes about 0.06 s there.
+    g = generate_gnp(MAX_VERTICES, 1e-9, seed=1)
+    assert g.edge_count() == 1
+    start = time.perf_counter()
+    cg = colour_random(g, seed=2)
+    assert time.perf_counter() - start < 1.0
+    assert cg.colour_adj == reference_colouring(g, 2)

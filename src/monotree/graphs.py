@@ -18,8 +18,8 @@ rows are rebuilt from binary digit strings with int(..., 2) (linear
 time for base 2), and the upper triangle is mirrored into the lower one
 a band of columns at a time (`_mirror`).  `colour_random` has the same
 two regimes, both reading one byte per edge from the same lane blocks:
-below a mean degree of EDGE_DEGREE it walks the edges and sets both bits
-of each, and otherwise it colours rows from digit strings and mirrors
+below a mean degree that grows with n it walks the edges and sets both
+bits of each, and otherwise it colours rows from digit strings and mirrors
 them.  The rule is a function of the graph alone, and either regime
 gives the same rows.  numpy is not
 used: it would do the same arithmetic, but importing it alone raises a
@@ -27,20 +27,21 @@ monotree process's RSS by about 11 MB (16 to 27.7 MB on Python 3.11),
 well past the 15% peak-memory bound of the dense-probe benchmark.
 
 The text format is read and written the same way.  `dump_rows` writes a
-row at a time: the row's three colour rows become one hex number whose
-digit k is the colour of column u + 1 + k, and its digits select the
-row's edge columns.  It is the one serialiser: `dumps` joins its chunks,
-and `store` and the CLI stream them, so a writer holds one row's text at
-a time, not the whole text.  `loads` tokenises blocks of about
-BLOCK_CHARS characters with one `str.split`, each line of a block
-followed by a separator token "|" that neither the vertex-name table nor
-the colour table accepts, so one count of tokens checks the shape of
-every line.  A block of ASCII text whose only line breaks are line feeds
-is split as it stands, each line feed replaced by " | "; any other block
-is split into lines first.  The name table (`_VertexNames`) calls int() once per distinct spelling of a
-vertex and checks its range as it does, so a vertex named 760 times
-costs one conversion.  `loads` sets both bits of each edge, and leaves
-per-line work to naming the first faulty line.
+row at a time, taking its lines from one table of the 3n lines " v c":
+a dense row selects them by its `bin` digits, a sparse row by its set
+bits.  It is the one serialiser: `dumps` joins its chunks, and `store`
+and the CLI stream them, so a writer holds one row's text at a time, not
+the whole text.  `loads` tokenises blocks of about BLOCK_CHARS characters
+with one `str.split`, each line of a block followed by a separator token
+"|" that neither the vertex-name table nor the colour table accepts, so
+one count of tokens checks the shape of every line.  A block of ASCII
+text whose only line breaks are line feeds is split as it stands, each
+line feed replaced by " | "; any other block is split into lines first.
+The name table (`_VertexNames`) calls int() once per distinct spelling
+of a vertex and checks its range as it does, so a vertex named 760 times
+costs one conversion.  A text with many lines against n^2 sets one bit
+of each edge and mirrors its colour rows once, any other both bits of
+each edge; per-line work is left to naming the first faulty line.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain, compress, repeat
-from operator import add, lshift, lt, or_, rshift
+from operator import lshift, lt, or_, rshift
 from typing import Iterable, Iterator
 
 from .rng import LANE_MASK, LANE_ONES, LANES, MASK64, SplitMix64
@@ -75,9 +76,11 @@ LETTER_TO_COLOUR = {"r": Colour.RED, "g": Colour.GREEN, "b": Colour.BLUE}
 BAND = 128
 # Binary digits per group of rows that `_colour_rows` colours at once.
 GROUP_CHARS = 1 << 15
-# `colour_random` colours edge by edge below this mean degree; its
-# docstring gives the measured break-even.
-EDGE_DEGREE = 32
+# `colour_random` colours edge by edge below a mean degree of
+# EDGE_DEGREE + EDGE_SLOPE * n / BAND; its docstring gives the measured
+# break-even.
+EDGE_DEGREE = 24
+EDGE_SLOPE = 8
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 # _colour_rows writes colour c as the character chr(c) among the digits
@@ -317,32 +320,38 @@ def colour_random(g: SimpleGraph, seed: int) -> ColouredGraph:
 
     Both regimes read those outcomes from the same lane blocks
     (`_colour_block`), in the same order, so they give the same rows.  A
-    graph with 2m < EDGE_DEGREE * n, m its edge count, is coloured edge
-    by edge (`_colour_edges`), in time that follows n + m; any other
-    graph a group of rows at a time (`_colour_rows`), in time that
-    follows n^2 / BAND whatever m is.  Blue is what is left.
+    graph with 2m < (EDGE_DEGREE + EDGE_SLOPE * n / BAND) * n, m its edge
+    count, is coloured edge by edge (`_colour_edges`), in time that
+    follows m times the row width; any other graph a group of rows at a
+    time (`_colour_rows`), in time that follows n^2 / BAND whatever m is.
+    Blue is what is left.
 
-    EDGE_DEGREE = 32 is about the break-even on small graphs.  Over
-    G(n, d / (n - 1)), the per-edge regime took 0.5 to 0.8 times the row
-    regime's time at mean degree d = 16, about as long at d = 24 to 32,
-    and 1.2 to 1.3 times at d = 48, for n = 60 and 100 (best of repeated
-    calls, 2-vCPU machine, Python 3.11).  The break-even rises with n, to
-    a mean degree of about 48 at n = 300, 64 to 96 at 600 and 100 at
-    1200, since only the row regime pays for n^2 pairs.  Sparse
+    The threshold follows the break-even mean degree, which rises with n
+    because only the row regime pays for n^2 pairs.  Over G(n, d / (n -
+    1)), best of repeated calls on a 2-vCPU machine with Python 3.11, the
+    per-edge regime and the row regime took the same time at d of about
+    28 for n = 100, 46 at 300, 55 at 600, 105 at 1200, 130 to 290 at
+    2400 (within a tenth all along) and 200 to 250 at 4800; the rule puts
+    the switch at 30, 43, 61, 99, 174 and 324.  Past n = 2400 the
+    per-edge regime's wider rows flatten the break-even, and between 250
+    and 324 at n = 4800 it took up to about 1.2 times as long.  Sparse
     experiment cells, with a mean degree under 10, take the per-edge
-    regime, and the paper's dense cells, above 200, the row regime.
+    regime, and the paper's dense cells, above 80, the row regime.
     """
     rng = SplitMix64(seed)
-    sparse = 2 * g.edge_count() < EDGE_DEGREE * g.n
-    red, green = (_colour_edges if sparse else _colour_rows)(g, rng)
+    n, m = g.n, g.edge_count()
+    if 2 * m * BAND < n * (EDGE_DEGREE * BAND + EDGE_SLOPE * n):
+        red, green = _colour_edges(g, rng, m)
+    else:
+        red, green = _colour_rows(g, rng)
     blue = tuple(a & ~(r | gr) for a, r, gr in zip(g.adj, red, green))
     return ColouredGraph(g, (tuple(red), tuple(green), blue))
 
 
-def _colour_edges(g: SimpleGraph, rng: SplitMix64) -> tuple[list[int], list[int]]:
-    """The red and green rows of g, one edge at a time: edge k in (u, v)
-    order takes outcome k, and sets its bit in row u and in row v."""
-    edges = g.edge_count()
+def _colour_edges(g: SimpleGraph, rng: SplitMix64, edges: int) -> tuple[list[int], list[int]]:
+    """The red and green rows of g, which has `edges` edges, one edge at a
+    time: edge k in (u, v) order takes outcome k, and sets its bit in row
+    u and in row v."""
     colours = bytearray()
     while len(colours) < edges:
         colours += _colour_block(rng)
@@ -464,8 +473,16 @@ _SEPARATOR = " | "
 # ends a line; a block holding one, or a non-ASCII character, is split
 # into lines before it is tokenised.
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
-# `dump_rows` writes an edge of colour c as the hex digit c + 1, 0 for none.
-_HEX_TO_LETTER = bytes.maketrans(b"0123", b"\0rgb")
+# `loads` sets one bit of each edge, and mirrors its colour rows once,
+# in a text of at least UPPER_LINES * n^2 / BAND lines; its docstring
+# gives the measured break-even.
+UPPER_LINES = 16
+# `dump_rows` writes a row edge by edge when SPARSE_ROW times its edge
+# count is below its width; its docstring gives the measured break-even.
+SPARSE_ROW = 16
+# `dump_rows` reads the bin digits of a row as its line selectors.
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
 
 def dumps(cg: ColouredGraph) -> str:
     """Serialize to the text interchange format.
@@ -482,25 +499,45 @@ def dump_rows(cg: ColouredGraph) -> Iterator[str]:
     """The text of `dumps(cg)` in chunks: the "n <count>" header line, then
     the lines of each row u that has an edge to a higher vertex.
 
-    Row u's colour rows above column u, written in binary and read back as
-    hexadecimal, put column u + 1 + k of each colour in hex digit k; red +
-    2 green + 3 blue then holds the colour of that pair, plus one, in digit
-    k (0: no edge).  Its hex digits, lowest first, mapped to letters,
-    select the " v " names of the row's edges, and one join writes the
-    row's lines.  The work per row is the row's significant width, not n.
+    Entry 3v + c of one table is the line " v c\n", c the colour's
+    letter, and row u's text is the name u before each entry it selects.
+    Its colour rows above column u, of width w up to their highest bit,
+    select in one of two ways.  A row with at least w / SPARSE_ROW edges
+    interleaves the `bin` digits of its red, green and blue rows, lowest
+    column first, into one bytearray of 3w selectors for the 3w entries
+    from column u + 1 on.  A row with fewer reads its set bits, each a
+    big-int step as wide as the row, and sorts their entries.  Over G(n,
+    p), writing every row the second way took as long as the first at p
+    of about 0.11 for n = 2000 and 0.07 for n = 8000, and 0.16 times as
+    long at p = 0.01 (best of three, 2-vCPU machine, Python 3.11).
     """
     n = cg.n
-    names = [f" {v} " for v in range(n)]
+    table = [f" {v} {letter}\n" for v in range(n) for letter in "rgb"]
     yield f"n {n}\n"
     for u, (r, g, b) in enumerate(zip(*cg.colour_adj)):
         above = u + 1
         r, g, b = r >> above, g >> above, b >> above
-        if r | g | b:
-            x = int(bin(r)[2:], 16) + 2 * int(bin(g)[2:], 16) + 3 * int(bin(b)[2:], 16)
-            letters = format(x, "x")[::-1].encode().translate(_HEX_TO_LETTER)
-            picked = compress(names[above : above + len(letters)], letters)
-            colours = letters.replace(b"\0", b"").decode()
-            yield f"{u}" + f"\n{u}".join(map(add, picked, colours)) + "\n"
+        row = r | g | b
+        if not row:
+            continue
+        width = row.bit_length()
+        if SPARSE_ROW * row.bit_count() < width:
+            start = 3 * above
+            picked = sorted(
+                start + 3 * k + c for c, bits in enumerate((r, g, b)) for k in iter_bits(bits)
+            )
+            lines = map(table.__getitem__, picked)
+        else:
+            top = 1 << width  # a sentinel bit, so that each bin has w digits
+            selectors = bytearray(3 * width)
+            selectors[0::3] = bin(r | top)[:2:-1].encode()
+            selectors[1::3] = bin(g | top)[:2:-1].encode()
+            selectors[2::3] = bin(b | top)[:2:-1].encode()
+            lines = compress(
+                table[3 * above : 3 * (above + width)], selectors.translate(_SELECTORS)
+            )
+        name = str(u)
+        yield name + name.join(lines)
 
 
 def loads(text: str) -> ColouredGraph:
@@ -519,6 +556,16 @@ def loads(text: str) -> ColouredGraph:
     fails again, or if the colour rows overlap at the end, the text holds
     a faulty line, and `_first_fault` names the first one, in line order,
     whether it is malformed or gives an edge a second colour.
+
+    Bit u of row v, for each edge u < v, is set edge by edge, or, in a
+    text with at least UPPER_LINES * n^2 / BAND line feeds (a bound on its
+    edge count, counted before any edge is read), once per colour after
+    the last edge by the band transpose `_mirror`, whose cost follows
+    n^2 / BAND.  Over G(n, p) texts with m = x n^2 / BAND edges (best of
+    five, 2-vCPU machine, Python 3.11), the mirroring read took as long at
+    x of about 20 for n = 300, 12 for n = 1200 and 7 for n = 4000, and 2.5
+    times as long at x = 1; at the paper's criterion density, x >= 40, it
+    takes about 0.83 times as long.
     """
     blocks = _text_blocks(text)
     lineno = 1
@@ -547,6 +594,7 @@ def loads(text: str) -> ColouredGraph:
     rows = ([0] * n, [0] * n, [0] * n)
     row_of = {letter: rows[c] for letter, c in LETTER_TO_COLOUR.items()}
     names = _VertexNames(n)
+    upper = text.count("\n") * BAND >= UPPER_LINES * n * n
     rest = "\n".join([*lines[header + 1 :], ""])
     for block in chain([rest], blocks):
         if not block.isascii() or any(map(block.__contains__, _OTHER_BREAKS)):
@@ -559,9 +607,16 @@ def loads(text: str) -> ColouredGraph:
             edges = _edge_block(data, names, row_of)
             if edges is None:
                 raise _first_fault(text, n)
-        for u, v, row in zip(*edges):
-            row[u] |= 1 << v
-            row[v] |= 1 << u
+        if upper:
+            for u, v, row in zip(*edges):
+                row[u] |= 1 << v
+        else:
+            for u, v, row in zip(*edges):
+                row[u] |= 1 << v
+                row[v] |= 1 << u
+    if upper:
+        for colour_rows in rows:
+            _mirror(colour_rows)
     red, green, blue = rows
     adj = tuple(map(or_, map(or_, red, green), blue))
     try:

@@ -22,7 +22,16 @@ from monotree import (
 )
 from monotree import graphs
 from monotree.components import shortcut_graph
-from monotree.graphs import BLOCK_CHARS, EDGE_DEGREE, MAX_VERTICES, dump_rows
+from monotree.graphs import (
+    BAND,
+    BLOCK_CHARS,
+    EDGE_DEGREE,
+    EDGE_SLOPE,
+    MAX_VERTICES,
+    SPARSE_ROW,
+    UPPER_LINES,
+    dump_rows,
+)
 from monotree.rng import GOLDEN, MASK64, SplitMix64
 
 import support
@@ -62,8 +71,8 @@ def assert_regimes_match_reference(g: SimpleGraph, seed: int) -> None:
     them the rule picks for g."""
     expected = reference_colouring(g, seed)
     assert colour_random(g, seed).colour_adj == expected
-    for regime in (graphs._colour_edges, graphs._colour_rows):
-        red, green = regime(g, SplitMix64(seed))
+    for regime, args in ((graphs._colour_edges, (g.edge_count(),)), (graphs._colour_rows, ())):
+        red, green = regime(g, SplitMix64(seed), *args)
         assert (tuple(red), tuple(green)) == expected[:2], regime.__name__
 
 
@@ -229,26 +238,39 @@ class TestColourRandom:
     @pytest.mark.parametrize(
         "g, regime",
         [
-            (SimpleGraph.empty(0), "_colour_rows"),  # 2m = D * n = 0
+            (SimpleGraph.empty(0), "_colour_rows"),  # 2m = 0 = threshold
             (SimpleGraph.empty(1), "_colour_edges"),
             (generate_gnp(2, 1.0, seed=1), "_colour_edges"),
             (SimpleGraph.empty(50), "_colour_edges"),
-            (support.complete_graph(EDGE_DEGREE), "_colour_edges"),  # 2m = D * n - n
-            (support.complete_graph(EDGE_DEGREE + 1), "_colour_rows"),  # 2m = D * n
-            (generate_gnp(64, 0.508, seed=54), "_colour_edges"),  # 1023 edges: 2m = D * n - 2
-            (generate_gnp(64, 0.508, seed=30), "_colour_rows"),  # 1024 edges: 2m = D * n
-            (generate_gnp(64, 0.508, seed=2), "_colour_rows"),  # 1025 edges: 2m = D * n + 2
+            # 2m * BAND against n * (EDGE_DEGREE * BAND + EDGE_SLOPE * n)
+            (support.complete_graph(26), "_colour_edges"),  # 83,200 < 85,280
+            (support.complete_graph(27), "_colour_rows"),  # 89,856 >= 88,776: the first past it
+            (generate_gnp(64, 0.444, seed=11), "_colour_edges"),  # 895 edges: threshold - 256
+            (generate_gnp(64, 0.444, seed=20), "_colour_rows"),  # 896 edges: on the threshold
+            (generate_gnp(64, 0.444, seed=22), "_colour_rows"),  # 897 edges: threshold + 256
+            # two mid-density graphs that a mean degree of 32 sent to rows
+            (generate_gnp(1200, 48 / 1199, seed=5), "_colour_edges"),
+            (generate_gnp(2400, 64 / 2399, seed=5), "_colour_edges"),
+            # the cell sizes of perfbench's sparse-exact and dense-probe
             (generate_gnp(100, 0.03, seed=5), "_colour_edges"),
+            (generate_gnp(100, 0.05, seed=5), "_colour_edges"),
+            (generate_gnp(100, 0.08, seed=5), "_colour_edges"),
+            (generate_gnp(60, 0.1, seed=5), "_colour_edges"),
+            (generate_gnp(300, 1.5 * (math.log(300) / 300) ** (1 / 6), seed=5), "_colour_rows"),
+            (generate_gnp(600, 1.5 * (math.log(600) / 600) ** (1 / 6), seed=5), "_colour_rows"),
             (generate_gnp(300, 0.8, seed=5), "_colour_rows"),
         ],
         ids=[
             "n0", "n1", "n2", "empty", "complete-below", "complete-on",
-            "just-below", "on", "just-above", "sparse", "dense",
+            "just-below", "on", "just-above", "mid-1200", "mid-2400",
+            "sparse", "exact-100-0.05", "exact-100-0.08", "exact-60-0.1",
+            "probe-300", "probe-600", "dense",
         ],
     )
     def test_regimes_match_reference_across_the_switch(self, g, regime, monkeypatch):
         # the rule picks `regime`, and both regimes give the reference rows
-        assert (2 * g.edge_count() < EDGE_DEGREE * g.n) == (regime == "_colour_edges")
+        by_edges = 2 * g.edge_count() * BAND < g.n * (EDGE_DEGREE * BAND + EDGE_SLOPE * g.n)
+        assert by_edges == (regime == "_colour_edges")
         for seed in (0, 7):
             assert_regimes_match_reference(g, seed)
         other = {"_colour_edges": "_colour_rows", "_colour_rows": "_colour_edges"}[regime]
@@ -848,6 +870,80 @@ class TestVertexNames:
             assert _outcome(loads, text) == _outcome(support.reference_loads, text)
 
 
+class TestReaderRegimes:
+    """`loads` mirrors its colour rows once in a text of at least
+    UPPER_LINES * n^2 / BAND line feeds, and sets both bits of each edge
+    in any other; either way it reads what the per-line reference reads,
+    and names the same faulty line."""
+
+    N = 64
+    THRESHOLD = UPPER_LINES * N * N // BAND  # 512 line feeds
+
+    @staticmethod
+    def mirror_calls(monkeypatch) -> list[int]:
+        """The length of each rows list that `loads` hands to `_mirror`."""
+        calls = []
+        mirror = graphs._mirror
+
+        def spy(rows):
+            calls.append(len(rows))
+            return mirror(rows)
+
+        monkeypatch.setattr(graphs, "_mirror", spy)
+        return calls
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("brk", ["\n", "\r\n"])
+    def test_line_count_just_below_on_and_above(self, extra, brk, monkeypatch):
+        # 302 edges, padded with comment lines to THRESHOLD + extra line feeds
+        assert self.THRESHOLD * BAND == UPPER_LINES * self.N * self.N
+        cg = colour_random(generate_gnp(self.N, 0.15, seed=3), seed=4)
+        lines = dumps(cg).split("\n")[:-1]
+        pad = ["# pad"] * (self.THRESHOLD + extra - len(lines))
+        text = brk.join([*lines[:100], *pad, *lines[100:], ""])
+        calls = self.mirror_calls(monkeypatch)
+        assert loads(text) == support.reference_loads(text) == cg
+        assert calls == ([self.N] * 3 if extra >= 0 else [])
+
+    @pytest.mark.parametrize(
+        "graph, upper",
+        [
+            (support.complete_graph(N), True),  # 2,016 edges
+            (generate_gnp(N, 0.15, seed=3), False),  # 302 edges
+            (generate_gnp(600, 0.05, seed=3), False),  # about 9,000 edges
+            (generate_gnp(600, 0.3, seed=3), True),  # about 54,000 edges, 45,000 needed
+        ],
+        ids=["complete", "sparse", "sparse-600", "dense-600"],
+    )
+    def test_same_graph_either_way(self, graph, upper, monkeypatch):
+        text = mangled(dumps(colour_random(graph, seed=5)))
+        calls = self.mirror_calls(monkeypatch)
+        assert loads(text) == support.reference_loads(text)
+        assert bool(calls) == upper
+
+    @pytest.mark.parametrize("graph", [support.complete_graph(N), generate_gnp(N, 0.15, seed=3)])
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (
+                lambda u, v, c: f"{u} {v} {'rgb'['rgb'.index(c) - 1]}",
+                "edge {u} {v} already declared with another colour",
+            ),
+            (lambda u, v, c: f"{v} {u} {c}", "need 0 <= u < v, got {v} {u}"),
+        ],
+        ids=["two-colours", "reversed"],
+    )
+    def test_faulty_pair_named_either_way(self, graph, fault, message):
+        # edge line 40 listed again at line 201, with another colour or
+        # with its ends swapped
+        lines = dumps(colour_random(graph, seed=5)).split("\n")[:-1]
+        u, v, c = lines[39].split()
+        lines.insert(200, fault(u, v, c))
+        text = "\n".join([*lines, ""])
+        expected = f"error: line 201: {message.format(u=u, v=v)}"
+        assert _outcome(loads, text) == _outcome(support.reference_loads, text) == expected
+
+
 def test_huge_sparse_inputs_stay_cheap():
     # Work per row over the full width n, or a transpose of all n columns,
     # costs n^2 steps: 4.3e9 on the first input and 4e8 on the second.
@@ -862,6 +958,27 @@ def test_huge_sparse_inputs_stay_cheap():
         dumped = time.perf_counter()
         assert loaded - start < 1.0
         assert dumped - loaded < 1.0
+
+
+def test_sparse_rows_are_written_edge_by_edge():
+    # Selecting a row's lines column by column costs its width per row,
+    # about n^2 / 2 steps in all: G(16384, 2e-4), 26,800 edges, took 3.5 s
+    # that way on a 2-vCPU machine, and takes about 0.2 s edge by edge.
+    cg = colour_random(generate_gnp(16384, 2e-4, seed=1), seed=2)
+    start = time.perf_counter()
+    text = dumps(cg)
+    assert time.perf_counter() - start < 1.0
+    assert text == support.reference_dumps(cg)
+
+
+def test_rows_of_both_kinds_in_one_text():
+    # In G(300, 0.02), 222 rows have under 1/SPARSE_ROW of their width in
+    # edges, and 34 rows near the end, narrow ones, have more.
+    cg = colour_random(generate_gnp(300, 0.02, seed=1), seed=2)
+    uppers = [row >> (u + 1) for u, row in enumerate(cg.graph.adj)]
+    sparse = [SPARSE_ROW * up.bit_count() < up.bit_length() for up in uppers if up]
+    assert (sparse.count(True), sparse.count(False)) == (222, 34)
+    assert dumps(cg) == support.reference_dumps(cg)
 
 
 def test_colouring_at_the_vertex_limit_stays_cheap():

@@ -42,17 +42,25 @@ of a vertex and checks its range as it does, so a vertex named 760 times
 costs one conversion.  A text with many lines against n^2 sets one bit
 of each edge and mirrors its colour rows once, any other both bits of
 each edge; per-line work is left to naming the first faulty line.
+`load` hands the same reader (`_read`) a file's blocks as it reads
+them, BLOCK_CHARS bytes at a time cut after the last line break and
+decoded one by one, so it too holds a block of the text, never the
+whole; a fault is named from a second pass over the file, and only a
+source that cannot seek, such as a pipe, is read whole.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import sys
 from array import array
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import partial
 from itertools import chain, compress, repeat
 from operator import lshift, lt, or_, rshift
-from typing import Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .rng import LANE_MASK, LANE_ONES, LANES, MASK64, SplitMix64
 
@@ -567,9 +575,17 @@ def loads(text: str) -> ColouredGraph:
     times as long at x = 1; at the paper's criterion density, x >= 40, it
     takes about 0.83 times as long.
     """
-    blocks = _text_blocks(text)
+    return _read(partial(_text_blocks, text), text.count("\n"))
+
+
+def _read(blocks: Callable[[], Iterator[str]], line_feeds: int) -> ColouredGraph:
+    """The body of `loads` and `load`: the graph of a text, which each
+    call of blocks yields from its start in blocks of whole lines, and
+    which holds line_feeds line feeds.  The first call is the one pass
+    that reads the graph; `_first_fault` makes another to name a fault."""
+    stream = blocks()
     lineno = 1
-    for block in blocks:
+    for block in stream:
         lines = block.splitlines()
         header = next((i for i, line in enumerate(lines) if _is_data(line)), None)
         if header is not None:
@@ -594,9 +610,9 @@ def loads(text: str) -> ColouredGraph:
     rows = ([0] * n, [0] * n, [0] * n)
     row_of = {letter: rows[c] for letter, c in LETTER_TO_COLOUR.items()}
     names = _VertexNames(n)
-    upper = text.count("\n") * BAND >= UPPER_LINES * n * n
+    upper = line_feeds * BAND >= UPPER_LINES * n * n
     rest = "\n".join([*lines[header + 1 :], ""])
-    for block in chain([rest], blocks):
+    for block in chain([rest], stream):
         if not block.isascii() or any(map(block.__contains__, _OTHER_BREAKS)):
             # split into lines as `str.splitlines` does, and join them
             # again with line feeds
@@ -606,7 +622,7 @@ def loads(text: str) -> ColouredGraph:
             data = "\n".join([*filter(_is_data, block.splitlines()), ""])
             edges = _edge_block(data, names, row_of)
             if edges is None:
-                raise _first_fault(text, n)
+                raise _first_fault(blocks, n)
         if upper:
             for u, v, row in zip(*edges):
                 row[u] |= 1 << v
@@ -624,7 +640,7 @@ def loads(text: str) -> ColouredGraph:
     except ValueError:
         # Every edge was validated, so only a pair listed with two colours,
         # which sets its bit in two colour rows, can be rejected here.
-        raise _first_fault(text, n) from None
+        raise _first_fault(blocks, n) from None
 
 
 def _text_blocks(text: str) -> Iterator[str]:
@@ -694,14 +710,15 @@ def _edge_block(
     return us, vs, colour_rows
 
 
-def _first_fault(text: str, n: int) -> GraphFormatError:
-    """The error for the first faulty edge line of a text whose header
-    declared n vertices: a malformed line, or an edge that an earlier
-    line gave another colour.  Only called on a text that holds one; it
-    names the line and accepts no edge."""
+def _first_fault(blocks: Callable[[], Iterator[str]], n: int) -> GraphFormatError:
+    """The error for the first faulty edge line of the text that blocks()
+    yields, whose header declared n vertices: a malformed line, or an edge
+    that an earlier line gave another colour.  Only called on a text that
+    holds one; it names the line and accepts no edge.  Each block ends a
+    line, so its lines, block after block, are those of the whole text."""
     lines = (
         (lineno, line.split())
-        for lineno, line in enumerate(text.splitlines(), start=1)
+        for lineno, line in enumerate(chain.from_iterable(map(str.splitlines, blocks())), start=1)
         if _is_data(line)
     )
     next(lines)  # the header
@@ -734,5 +751,77 @@ def store(path: str, cg: ColouredGraph) -> None:
 
 
 def load(path: str) -> ColouredGraph:
-    with open(path, "r", encoding="utf-8") as f:
-        return loads(f.read())
+    """Read the file at path as `loads` reads its UTF-8 text, holding a
+    block of it at a time rather than the whole text.
+
+    One pass counts the file's line feeds for the UPPER_LINES rule, and
+    the reader then takes its blocks from `_file_blocks`; a fault is named
+    from another pass over the file.  The count leaves out lone carriage
+    returns, which a text-mode read turns into line feeds, so such a file
+    may take the other regime, which reads the same graph.  A decode
+    error, wherever it lies and whatever fault precedes it, is the one
+    that decoding the whole file raises, with its offset in the file.  A
+    source that cannot seek, such as a pipe, is read whole.
+    """
+    with open(path, "rb") as f:
+        if not f.seekable():
+            return loads(io.TextIOWrapper(f, encoding="utf-8").read())
+        line_feeds = sum(chunk.count(b"\n") for chunk in _chunks(f))
+        try:
+            return _read(partial(_file_blocks, f), line_feeds)
+        except (GraphFormatError, UnicodeDecodeError):
+            _raise_decode_error(f)
+            raise
+
+
+def _chunks(f: BinaryIO) -> Iterator[bytes]:
+    """The bytes of the binary file f from its start, BLOCK_CHARS at a time."""
+    f.seek(0)
+    return iter(partial(f.read, BLOCK_CHARS), b"")
+
+
+def _file_blocks(f: BinaryIO) -> Iterator[str]:
+    """The text of the binary file f in blocks of whole lines, as
+    `_text_blocks` gives a text.
+
+    Each read of BLOCK_CHARS bytes is cut after its last line feed, or
+    after its last carriage return if that is later and not the read's
+    last byte, so that a CR LF pair is never cut; the rest is carried into
+    the next block.  Each block is decoded as UTF-8, which no cut can
+    split, as no byte of a multi-byte character is below 0x80.  Carriage
+    returns are read as a text-mode file reads them: each CR LF pair, and
+    then each CR left, becomes a line feed.  So a CRLF file is read as the
+    plain blocks that a LF file is, and the lines are those that
+    `str.splitlines` finds in the file's text.
+    """
+    buffer = bytearray()
+    for chunk in _chunks(f):
+        start = len(buffer)
+        buffer += chunk
+        cut = max(buffer.rfind(b"\n", start), buffer.rfind(b"\r", start, -1)) + 1
+        if cut:
+            yield _decoded(buffer[:cut])
+            del buffer[:cut]
+    if buffer:
+        yield _decoded(buffer)
+
+
+def _decoded(data: bytearray) -> str:
+    text = data.decode("utf-8")
+    # in a block of 64 kB with no CR, the test takes about 1 us and the
+    # CR LF replace, which finds nothing, about 80 us
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _raise_decode_error(f: BinaryIO) -> None:
+    """Raise, if the binary file f is not all UTF-8, the error that
+    decoding it whole raises, which gives the first bad byte's offset in
+    the file; checked a read at a time, and read whole only to raise."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    try:
+        for chunk in _chunks(f):
+            decoder.decode(chunk)
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        f.seek(0)
+        f.read().decode("utf-8")

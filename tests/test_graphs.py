@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import math
+import os
+import tempfile
 import time
 import tracemalloc
 
@@ -18,6 +20,7 @@ from monotree import (
     dumps,
     first_nonadjacent_triple,
     generate_gnp,
+    load,
     loads,
 )
 from monotree import graphs
@@ -488,6 +491,52 @@ class TestSerialization:
         assert 40 * largest < len(text) / 7
         assert peak <= 40 * largest
 
+    def test_load_holds_one_block_at_a_time(self, criterion_file):
+        # tracemalloc peaks of load on this 4.66 MB text, less the 0.92 MB
+        # graph that it returns, on Python 3.11: 8.40 MB when it read the
+        # text whole, its bytes and then its str, and 1.73 MB as it reads
+        # blocks of BLOCK_CHARS bytes.  The streamed peak holds one block's
+        # bytes, its str and its tokens, a str each, and the colour rows.
+        cg = loads(criterion_file.read_text(encoding="utf-8"))
+        tracemalloc.start()
+        try:
+            back = load(str(criterion_file))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back == cg
+        assert peak - kept < 2.5e6
+
+    @pytest.mark.parametrize(
+        "offset, bad, fault, message",
+        [
+            (200_000, b"\xff", None, "byte 0xff in position 200000: invalid start byte"),
+            (200_000, b"\xff", "0 0 r", "byte 0xff in position 200006: invalid start byte"),
+            (None, b"\xe2\x82", "0 1", "bytes in position 4657886-4657887: unexpected end of data"),
+        ],
+    )
+    def test_decode_error_names_its_offset_in_the_file(
+        self, criterion_file, tmp_path, offset, bad, fault, message
+    ):
+        # bad bytes in place of those at offset, or after the last line,
+        # and a faulty line first or none.  A block is decoded on its own,
+        # so its error would give the offset in the block (3400 in the
+        # first case).  load raises the error that a text-mode read of the
+        # whole file raises, before any fault in the lines before it.
+        data = criterion_file.read_bytes()
+        if offset is None:
+            offset = len(data)
+        data = data[:offset] + bad + data[offset + len(bad) :]
+        if fault is not None:
+            data = data.replace(b"\n", f"\n{fault}\n".encode(), 1)
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_text(encoding="utf-8")
+        with pytest.raises(UnicodeDecodeError) as info:
+            load(str(path))
+        assert str(info.value) == str(whole.value) == f"'utf-8' codec can't decode {message}"
+
     def test_comments_and_blank_lines_ignored(self):
         cg = loads("# a comment\n\nn 3\n# another\n0 1 r\n")
         assert cg.n == 3
@@ -553,6 +602,7 @@ class TestSerialization:
         with pytest.raises(GraphFormatError) as info:
             loads(text)
         assert str(info.value) == message
+        assert _outcome(load_file, text) == f"error: {message}"
 
     def test_vertex_count_limit(self):
         # At the limit the graph loads; one past it the header is refused
@@ -593,6 +643,14 @@ def criterion_instance(n: int, seed: int, colouring: str, closure: bool) -> Colo
     else:
         cg = colour_three_stars(g, *first_nonadjacent_triple(g), base=Colour.GREEN)
     return shortcut_graph(cg) if closure else cg
+
+
+@pytest.fixture(scope="module")
+def criterion_file(tmp_path_factory):
+    """The random n = 1200 instance of `TestGoldenText`, stored: 4.66 MB."""
+    path = tmp_path_factory.mktemp("criterion") / "g.txt"
+    graphs.store(str(path), criterion_instance(1200, 5, "random", False))
+    return path
 
 
 def mangled(text: str) -> str:
@@ -683,6 +741,15 @@ def _outcome(read, text: str):
         return f"error: {err}"
 
 
+def load_file(text: str) -> ColouredGraph:
+    """`load` of a file that holds text in UTF-8, its line breaks as they are."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        with open(path, "wb") as f:
+            f.write(text.encode())
+        return load(path)
+
+
 def _edit_tokens(edit):
     """A mutation that rewrites the tokens of an edge line and leaves
     any other line alone."""
@@ -765,6 +832,21 @@ def parity_base() -> tuple[str, ...]:
     return tuple(dumps(cg).split("\n")[:-1])
 
 
+@functools.lru_cache(maxsize=None)
+def many_blocks() -> tuple[str, ...]:
+    """The lines of a 37,504-edge text of 358 kB: six blocks of `load`."""
+    cg = colour_random(generate_gnp(PARITY_N, 0.3, seed=31), seed=32)
+    return tuple(dumps(cg).split("\n")[:-1])
+
+
+def _line_at(text: str, offset: int, line: str, brk: str) -> str:
+    """ASCII text with a comment line and then line inserted, the comment
+    as long as it takes for line to start at offset."""
+    start = text.rfind(brk, 0, offset - 2 * len(brk) - 1) + len(brk)
+    comment = "#" * (offset - start - len(brk))
+    return f"{text[:start]}{comment}{brk}{line}{text[start:]}"
+
+
 class TestReferenceParity:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -794,7 +876,8 @@ class TestReferenceParity:
                 cut = text.find("\n", cut + BLOCK_CHARS) + 1 or len(text)
             line = ("0 0 r", "1 2", _copy_of_earlier(lines, 0, conflicting=True))[fault]
             text = f"{text[:cut]}{line}\n{text[cut:]}"
-        assert _outcome(loads, text) == _outcome(support.reference_loads, text)
+        expected = _outcome(support.reference_loads, text)
+        assert _outcome(loads, text) == _outcome(load_file, text) == expected
 
     @pytest.mark.parametrize("brk", ["\n", "\r\n", "\x0c"])
     def test_header_past_the_first_block(self, brk):
@@ -805,7 +888,51 @@ class TestReferenceParity:
         ]:
             text = preamble + rest
             assert _outcome(loads, text) == f"error: {message}"
+            assert _outcome(load_file, text) == f"error: {message}"
             assert _outcome(support.reference_loads, text) == f"error: {message}"
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\r\r\n"])
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            None,
+            lambda u, v, c: f"{u} {v} {'rgb'['rgb'.index(c) - 1]}",
+            lambda u, v, c: f"{v} {u} {c}",
+            lambda u, v, c: f"{u} {v}",
+        ],
+        ids=["none", "two-colours", "reversed", "malformed"],
+    )
+    def test_file_of_many_blocks(self, brk, fault):
+        # `load` reads BLOCK_CHARS bytes at a time.  A line break is the
+        # last byte of the first read or the first of the second, and a
+        # CR LF pair is split between them.  Edge line 40 is listed again,
+        # or a malformed line put, across the fourth read's end, in the
+        # fifth of six blocks.  "\r\r\n", a CRLF break converted twice, is
+        # a lone CR and then a CR LF pair: a blank line after each line.
+        lines = many_blocks()
+        text = _line_at(brk.join([*lines, ""]), BLOCK_CHARS + 1, "", brk)
+        if fault is not None:
+            line, at = fault(*lines[40].split()) + brk, 4 * BLOCK_CHARS - 3
+            text = _line_at(text, at, line, brk)
+            assert text.find(line, at) == at
+        assert len(text) > 5 * BLOCK_CHARS
+        outcome = _outcome(support.reference_loads, text)
+        assert _outcome(loads, text) == _outcome(load_file, text) == outcome
+        assert isinstance(outcome, ColouredGraph) == (fault is None)
+
+    def test_pipe_is_read_whole(self):
+        # A source that cannot seek is read whole, as a text-mode file
+        # reads it, and names its faults as a seekable file does.
+        for text in ("n 3\r\n0 1 r\r\n# c\r1 2 g\n", "n 3\r\n0 1 r\r\n# c\r1 1 g\n"):
+            read, write = os.pipe()
+            with os.fdopen(write, "wb") as f:
+                f.write(text.encode())
+            try:
+                from_pipe = _outcome(load, f"/dev/fd/{read}")
+            finally:
+                os.close(read)
+            assert from_pipe == _outcome(load_file, text) == _outcome(support.reference_loads, text)
+        assert from_pipe == "error: line 4: self-loop 1 1"
 
     @settings(max_examples=60, deadline=None)
     @given(support.coloured_graphs(max_n=12))
@@ -847,6 +974,7 @@ class TestVertexNames:
         text = f"n 3\n{pad}{edges}"
         expected = f"error: line {lineno + pad.count('#')}: {message}"
         assert _outcome(loads, text) == _outcome(support.reference_loads, text) == expected
+        assert _outcome(load_file, text) == expected
 
     @pytest.mark.parametrize("pad", ["", PAD_BLOCK])
     def test_table_is_not_shared_between_texts(self, pad):
@@ -862,12 +990,14 @@ class TestVertexNames:
         # into lines as `str.splitlines` splits it.
         for edges in (f"0 1{brk}r\n", f"0 1 r{brk}1 2 g\n", f"0 1 r\n1 2{brk}"):
             text = f"n 3\n{PAD_BLOCK}{edges}"
-            assert _outcome(loads, text) == _outcome(support.reference_loads, text)
+            expected = _outcome(support.reference_loads, text)
+            assert _outcome(loads, text) == _outcome(load_file, text) == expected
 
     def test_last_line_without_a_line_feed(self):
         for edges in ("0 1 r\n1 2 g", "0 1 r\n1 2", "0 1 r\n  "):
             text = f"n 3\n{PAD_BLOCK}{edges}"
-            assert _outcome(loads, text) == _outcome(support.reference_loads, text)
+            expected = _outcome(support.reference_loads, text)
+            assert _outcome(loads, text) == _outcome(load_file, text) == expected
 
 
 class TestReaderRegimes:

@@ -45,8 +45,8 @@ each edge; per-line work is left to naming the first faulty line.
 `load` hands the same reader (`_read`) a file's blocks as it reads
 them, BLOCK_CHARS bytes at a time cut after the last line break and
 decoded one by one, so it too holds a block of the text, never the
-whole; a fault is named from a second pass over the file, and only a
-source that cannot seek, such as a pipe, is read whole.
+whole; a fault is named from a second pass over the file.  A source
+that cannot seek, such as a pipe, is first read into memory as bytes.
 """
 
 from __future__ import annotations
@@ -754,24 +754,37 @@ def load(path: str) -> ColouredGraph:
     """Read the file at path as `loads` reads its UTF-8 text, holding a
     block of it at a time rather than the whole text.
 
-    One pass counts the file's line feeds for the UPPER_LINES rule, and
-    the reader then takes its blocks from `_file_blocks`; a fault is named
-    from another pass over the file.  The count leaves out lone carriage
-    returns, which a text-mode read turns into line feeds, so such a file
-    may take the other regime, which reads the same graph.  A decode
-    error, wherever it lies and whatever fault precedes it, is the one
-    that decoding the whole file raises, with its offset in the file.  A
-    source that cannot seek, such as a pipe, is read whole.
+    A first pass (`_line_feeds`) checks that the file is UTF-8 and counts
+    its line feeds for the UPPER_LINES rule; the reader then takes its
+    blocks from `_file_blocks`, and a fault is named from another pass
+    over the file.  The count leaves out lone carriage returns, which a
+    text-mode read turns into line feeds, so such a file may take the
+    other regime, which reads the same graph.  A source that cannot seek,
+    such as a pipe, is first read into memory as bytes.
     """
     with open(path, "rb") as f:
         if not f.seekable():
-            return loads(io.TextIOWrapper(f, encoding="utf-8").read())
-        line_feeds = sum(chunk.count(b"\n") for chunk in _chunks(f))
-        try:
-            return _read(partial(_file_blocks, f), line_feeds)
-        except (GraphFormatError, UnicodeDecodeError):
-            _raise_decode_error(f)
-            raise
+            f = io.BytesIO(f.read())
+        return _read(partial(_file_blocks, f), _line_feeds(f))
+
+
+def _line_feeds(f: BinaryIO) -> int:
+    """The number of line feeds in the binary file f.  If f is not all
+    UTF-8, this raises, before any line is parsed, the error that decoding
+    the whole file raises, which gives the first bad byte's offset in the
+    file; the file is read whole only to raise it."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    count = 0
+    try:
+        for chunk in _chunks(f):
+            decoder.decode(chunk)
+            count += chunk.count(b"\n")
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        f.seek(0)
+        f.read().decode("utf-8")
+        raise
+    return count
 
 
 def _chunks(f: BinaryIO) -> Iterator[bytes]:
@@ -811,17 +824,3 @@ def _decoded(data: bytearray) -> str:
     # in a block of 64 kB with no CR, the test takes about 1 us and the
     # CR LF replace, which finds nothing, about 80 us
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-
-
-def _raise_decode_error(f: BinaryIO) -> None:
-    """Raise, if the binary file f is not all UTF-8, the error that
-    decoding it whole raises, which gives the first bad byte's offset in
-    the file; checked a read at a time, and read whole only to raise."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    try:
-        for chunk in _chunks(f):
-            decoder.decode(chunk)
-        decoder.decode(b"", final=True)
-    except UnicodeDecodeError:
-        f.seek(0)
-        f.read().decode("utf-8")

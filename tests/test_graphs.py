@@ -891,6 +891,7 @@ class TestReferenceParity:
             assert _outcome(load_file, text) == f"error: {message}"
             assert _outcome(support.reference_loads, text) == f"error: {message}"
 
+    @pytest.mark.parametrize("end", [BLOCK_CHARS, BLOCK_CHARS + 1], ids=["last", "first"])
     @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\r\r\n"])
     @pytest.mark.parametrize(
         "fault",
@@ -902,15 +903,18 @@ class TestReferenceParity:
         ],
         ids=["none", "two-colours", "reversed", "malformed"],
     )
-    def test_file_of_many_blocks(self, brk, fault):
-        # `load` reads BLOCK_CHARS bytes at a time.  A line break is the
-        # last byte of the first read or the first of the second, and a
-        # CR LF pair is split between them.  Edge line 40 is listed again,
-        # or a malformed line put, across the fourth read's end, in the
-        # fifth of six blocks.  "\r\r\n", a CRLF break converted twice, is
-        # a lone CR and then a CR LF pair: a blank line after each line.
+    def test_file_of_many_blocks(self, brk, fault, end):
+        # `load` reads BLOCK_CHARS bytes at a time.  A line break ends at
+        # the last byte of the first read, an edge line starting the
+        # second, or at the first byte of the second read; so a lone CR
+        # is carried into the next read, or a CR LF pair is split between
+        # them.  Edge line 40 is listed again, or a malformed line put,
+        # across the fourth read's end, in the fifth of six blocks.
+        # "\r\r\n", a CRLF break converted twice, is a lone CR and then a
+        # CR LF pair: a blank line after each line.
         lines = many_blocks()
-        text = _line_at(brk.join([*lines, ""]), BLOCK_CHARS + 1, "", brk)
+        text = _line_at(brk.join([*lines, ""]), end, "", brk)
+        assert text[end] in "0123456789"
         if fault is not None:
             line, at = fault(*lines[40].split()) + brk, 4 * BLOCK_CHARS - 3
             text = _line_at(text, at, line, brk)
@@ -921,8 +925,8 @@ class TestReferenceParity:
         assert isinstance(outcome, ColouredGraph) == (fault is None)
 
     def test_pipe_is_read_whole(self):
-        # A source that cannot seek is read whole, as a text-mode file
-        # reads it, and names its faults as a seekable file does.
+        # A source that cannot seek is copied into memory whole and then
+        # read, and names its faults, as a seekable file is.
         for text in ("n 3\r\n0 1 r\r\n# c\r1 2 g\n", "n 3\r\n0 1 r\r\n# c\r1 1 g\n"):
             read, write = os.pipe()
             with os.fdopen(write, "wb") as f:

@@ -31,22 +31,21 @@ row at a time, taking its lines from one table of the 3n lines " v c":
 a dense row selects them by its `bin` digits, a sparse row by its set
 bits.  It is the one serialiser: `dumps` joins its chunks, and `store`
 and the CLI stream them, so a writer holds one row's text at a time, not
-the whole text.  `loads` tokenises blocks of about BLOCK_CHARS characters
-with one `str.split`, each line of a block followed by a separator token
-"|" that neither the vertex-name table nor the colour table accepts, so
-one count of tokens checks the shape of every line.  A block of ASCII
-text whose only line breaks are line feeds is split as it stands, each
-line feed replaced by " | "; any other block is split into lines first.
-The name table (`_VertexNames`) calls int() once per distinct spelling
-of a vertex and checks its range as it does, so a vertex named 760 times
-costs one conversion.  A text with many lines against n^2 sets one bit
-of each edge and mirrors its colour rows once, any other both bits of
-each edge; per-line work is left to naming the first faulty line.
-`load` hands the same reader (`_read`) a file's blocks as it reads
-them, BLOCK_CHARS bytes at a time cut after the last line break and
-decoded one by one, so it too holds a block of the text, never the
-whole; a fault is named from a second pass over the file.  A source
-that cannot seek, such as a pipe, is first read into memory as bytes.
+the whole text.  Both readers take their text from one block source
+(`_line_blocks`), which cuts it into blocks of whole lines of about
+BLOCK_CHARS characters and turns CR LF and lone CRs into line feeds:
+`loads` feeds it slices of its string, and `load` reads of a file
+through one incremental UTF-8 decoder, so neither holds the whole text.
+The reader (`_read`) counts the blocks' line feeds in a first pass,
+which for a file is also the UTF-8 check, then tokenises each block with
+one `str.split`, each line followed by a separator token "|" that
+neither the vertex-name table nor the colour table accepts, so one count
+of tokens checks the shape of every line.  The name table
+(`_VertexNames`) calls int() once per distinct spelling of a vertex and
+checks its range as it does, so a vertex named 760 times costs one
+conversion.  A text with many lines against n^2 sets one bit of each
+edge and mirrors its colour rows once, any other both bits of each edge;
+per-line work is left to naming the first faulty line.
 """
 
 from __future__ import annotations
@@ -477,10 +476,10 @@ BLOCK_CHARS = 1 << 16
 # A token that neither `_VertexNames` nor LETTER_TO_COLOUR accepts, set
 # after each line of a block.
 _SEPARATOR = " | "
-# The ASCII characters other than the line feed at which `str.splitlines`
-# ends a line; a block holding one, or a non-ASCII character, is split
-# into lines before it is tokenised.
-_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+# The ASCII characters other than LF and CR, which `_line_blocks` turns
+# into LF, at which `str.splitlines` ends a line; a block holding one, or
+# a non-ASCII character, is split into lines before it is tokenised.
+_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
 # `loads` sets one bit of each edge, and mirrors its colour rows once,
 # in a text of at least UPPER_LINES * n^2 / BAND lines; its docstring
 # gives the measured break-even.
@@ -554,7 +553,7 @@ def loads(text: str) -> ColouredGraph:
     above MAX_VERTICES.
 
     The edge lines are read in blocks of about BLOCK_CHARS characters
-    (`_text_blocks`), each tokenised by one split (`_edge_block`) with no
+    (`_line_blocks`), each tokenised by one split (`_edge_block`) with no
     Python step per line, and every vertex name is read through one
     `_VertexNames` table for the whole text.  A block of ASCII text whose
     only line breaks are line feeds is tokenised as it stands; any other
@@ -566,23 +565,25 @@ def loads(text: str) -> ColouredGraph:
     whether it is malformed or gives an edge a second colour.
 
     Bit u of row v, for each edge u < v, is set edge by edge, or, in a
-    text with at least UPPER_LINES * n^2 / BAND line feeds (a bound on its
-    edge count, counted before any edge is read), once per colour after
-    the last edge by the band transpose `_mirror`, whose cost follows
-    n^2 / BAND.  Over G(n, p) texts with m = x n^2 / BAND edges (best of
-    five, 2-vCPU machine, Python 3.11), the mirroring read took as long at
-    x of about 20 for n = 300, 12 for n = 1200 and 7 for n = 4000, and 2.5
-    times as long at x = 1; at the paper's criterion density, x >= 40, it
-    takes about 0.83 times as long.
+    text with at least UPPER_LINES * n^2 / BAND line breaks (a bound on
+    its edge count, counted in a first pass before any line is read),
+    once per colour after the last edge by the band transpose `_mirror`,
+    whose cost follows n^2 / BAND.  Over G(n, p) texts with m = x n^2 /
+    BAND edges (best of five, 2-vCPU machine, Python 3.11), the mirroring
+    read took as long at x of about 20 for n = 300, 12 for n = 1200 and 7
+    for n = 4000, and 2.5 times as long at x = 1; at the paper's criterion
+    density, x >= 40, it takes about 0.83 times as long.
     """
-    return _read(partial(_text_blocks, text), text.count("\n"))
+    return _read(partial(_text_blocks, text))
 
 
-def _read(blocks: Callable[[], Iterator[str]], line_feeds: int) -> ColouredGraph:
+def _read(blocks: Callable[[], Iterator[str]]) -> ColouredGraph:
     """The body of `loads` and `load`: the graph of a text, which each
-    call of blocks yields from its start in blocks of whole lines, and
-    which holds line_feeds line feeds.  The first call is the one pass
-    that reads the graph; `_first_fault` makes another to name a fault."""
+    call of blocks yields from its start in blocks of whole lines
+    (`_line_blocks`).  The first call counts the line feeds, before any
+    line is parsed; the second is the one pass that reads the graph;
+    `_first_fault` makes another to name a fault."""
+    breaks = sum(block.count("\n") for block in blocks())
     stream = blocks()
     lineno = 1
     for block in stream:
@@ -610,7 +611,7 @@ def _read(blocks: Callable[[], Iterator[str]], line_feeds: int) -> ColouredGraph
     rows = ([0] * n, [0] * n, [0] * n)
     row_of = {letter: rows[c] for letter, c in LETTER_TO_COLOUR.items()}
     names = _VertexNames(n)
-    upper = line_feeds * BAND >= UPPER_LINES * n * n
+    upper = breaks * BAND >= UPPER_LINES * n * n
     rest = "\n".join([*lines[header + 1 :], ""])
     for block in chain([rest], stream):
         if not block.isascii() or any(map(block.__contains__, _OTHER_BREAKS)):
@@ -644,15 +645,35 @@ def _read(blocks: Callable[[], Iterator[str]], line_feeds: int) -> ColouredGraph
 
 
 def _text_blocks(text: str) -> Iterator[str]:
-    """Successive blocks of text.  A block ends after the first line feed
-    at or past BLOCK_CHARS characters into it, which is always the end of
-    a line as `str.splitlines` splits it, so the whole text's line list
-    is never built."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + BLOCK_CHARS) + 1 or len(text)
-        yield text[start:end]
-        start = end
+    """The text in blocks of whole lines, from its BLOCK_CHARS slices."""
+    return _line_blocks(text[i : i + BLOCK_CHARS] for i in range(0, len(text), BLOCK_CHARS))
+
+
+def _line_blocks(chunks: Iterable[str]) -> Iterator[str]:
+    """The text that chunks yields piece by piece, in blocks of whole
+    lines with line feeds for line breaks; the one block source of
+    `loads` and `load`.
+
+    Each chunk is cut after its last line feed, or after its last
+    carriage return if that is later and not the chunk's last character,
+    so that a CR LF pair is never cut; the rest is carried into the next
+    block.  Carriage returns are read as a text-mode file reads them:
+    each CR LF pair, and then each CR left, becomes a line feed.  So the
+    lines of the blocks, block after block, are those that
+    `str.splitlines` finds in the whole text.
+    """
+    rest = ""
+    for chunk in chunks:
+        cut = max(chunk.rfind("\n"), chunk.rfind("\r", 0, -1)) + 1
+        if not cut:
+            rest += chunk
+            continue
+        block, rest = rest + chunk[:cut], chunk[cut:]
+        # in a block of 64 kB with no CR, the test takes about 1 us and the
+        # CR LF replace, which finds nothing, about 80 us
+        yield block.replace("\r\n", "\n").replace("\r", "\n") if "\r" in block else block
+    if rest:
+        yield rest.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _is_data(line: str) -> bool:
@@ -754,73 +775,29 @@ def load(path: str) -> ColouredGraph:
     """Read the file at path as `loads` reads its UTF-8 text, holding a
     block of it at a time rather than the whole text.
 
-    A first pass (`_line_feeds`) checks that the file is UTF-8 and counts
-    its line feeds for the UPPER_LINES rule; the reader then takes its
-    blocks from `_file_blocks`, and a fault is named from another pass
-    over the file.  The count leaves out lone carriage returns, which a
-    text-mode read turns into line feeds, so such a file may take the
-    other regime, which reads the same graph.  A source that cannot seek,
-    such as a pipe, is first read into memory as bytes.
+    The reader takes its blocks from `_file_blocks`, so its first pass,
+    which counts the line breaks, also checks that the file is UTF-8.  A
+    bad byte raises before any line is parsed, and the error raised is
+    that of decoding the whole file, which gives the bad byte's offset in
+    the file; the file is read whole only to raise it.  A source that
+    cannot seek, such as a pipe, is first read into memory as bytes.
     """
     with open(path, "rb") as f:
         if not f.seekable():
             f = io.BytesIO(f.read())
-        return _read(partial(_file_blocks, f), _line_feeds(f))
-
-
-def _line_feeds(f: BinaryIO) -> int:
-    """The number of line feeds in the binary file f.  If f is not all
-    UTF-8, this raises, before any line is parsed, the error that decoding
-    the whole file raises, which gives the first bad byte's offset in the
-    file; the file is read whole only to raise it."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    count = 0
-    try:
-        for chunk in _chunks(f):
-            decoder.decode(chunk)
-            count += chunk.count(b"\n")
-        decoder.decode(b"", final=True)
-    except UnicodeDecodeError:
-        f.seek(0)
-        f.read().decode("utf-8")
-        raise
-    return count
-
-
-def _chunks(f: BinaryIO) -> Iterator[bytes]:
-    """The bytes of the binary file f from its start, BLOCK_CHARS at a time."""
-    f.seek(0)
-    return iter(partial(f.read, BLOCK_CHARS), b"")
+        try:
+            return _read(partial(_file_blocks, f))
+        except UnicodeDecodeError:
+            f.seek(0)
+            f.read().decode("utf-8")
+            raise
 
 
 def _file_blocks(f: BinaryIO) -> Iterator[str]:
-    """The text of the binary file f in blocks of whole lines, as
-    `_text_blocks` gives a text.
-
-    Each read of BLOCK_CHARS bytes is cut after its last line feed, or
-    after its last carriage return if that is later and not the read's
-    last byte, so that a CR LF pair is never cut; the rest is carried into
-    the next block.  Each block is decoded as UTF-8, which no cut can
-    split, as no byte of a multi-byte character is below 0x80.  Carriage
-    returns are read as a text-mode file reads them: each CR LF pair, and
-    then each CR left, becomes a line feed.  So a CRLF file is read as the
-    plain blocks that a LF file is, and the lines are those that
-    `str.splitlines` finds in the file's text.
-    """
-    buffer = bytearray()
-    for chunk in _chunks(f):
-        start = len(buffer)
-        buffer += chunk
-        cut = max(buffer.rfind(b"\n", start), buffer.rfind(b"\r", start, -1)) + 1
-        if cut:
-            yield _decoded(buffer[:cut])
-            del buffer[:cut]
-    if buffer:
-        yield _decoded(buffer)
-
-
-def _decoded(data: bytearray) -> str:
-    text = data.decode("utf-8")
-    # in a block of 64 kB with no CR, the test takes about 1 us and the
-    # CR LF replace, which finds nothing, about 80 us
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    """The text of the binary file f in blocks of whole lines, from its
+    reads of BLOCK_CHARS bytes decoded by one incremental UTF-8 decoder,
+    whose final check runs after the last read."""
+    f.seek(0)
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    reads = chain(iter(partial(f.read, BLOCK_CHARS), b""), [b""])
+    return _line_blocks(decode(data, final=not data) for data in reads)

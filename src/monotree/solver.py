@@ -323,11 +323,17 @@ def strategy_alpha2(
     rest = [e for e, os in zip(edges4, origins) if r1 not in os]
     r2 = None
     if rest:
+        # `shared` is never empty.  Witness h.witness[(r, g, b)] lies in red
+        # r, green g and blue b, and two vertices whose three components
+        # all differ are non-adjacent in the closure.  Let e0 be a matching
+        # edge through r1.  If `shared` were empty, two edges e_a and e_b of
+        # rest would have origins r_a != r_b, neither of them r1, and the
+        # witnesses of (r1, e0), (r_a, e_a) and (r_b, e_b) would be pairwise
+        # non-adjacent: their reds differ, and their greens and blues
+        # differ because these are matching edges.  That triple would make
+        # the independence number at least 3, and `solve_cover` calls this
+        # only when it is 2.
         shared = set.intersection(*[os for os in origins if r1 not in os])
-        if not shared:
-            return _finish(
-                trace, None, failure="matching spans more than two red-component links"
-            )
         r2 = min(shared)
 
     # rest never holds more than two edges: r1 has the largest coverage and

@@ -322,6 +322,24 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
+            (
+                ["gen", "--n", "12", "--p", "1", "--colouring", "three-star"],
+                "no pairwise non-adjacent triple in the sample",
+            ),
+            (["probe", "--n", "20", "--trials", "1"], "provide --p or --p-exp with --p-scale"),
+        ],
+        ids=["three-star-on-a-complete-graph", "probe-without-p"],
+    )
+    def test_unusable_arguments_exit_2(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
             (["--n", "-5", "--p", "0.5"], "n values must be non-negative, got n=-5"),
             (["--n", "0", "--p-exp", "1/6"], "p_exponent needs every n >= 2, got n=0"),
         ],

@@ -71,6 +71,10 @@ class TestConfig:
             small_config(n_values=(3,))  # three-star needs n >= 4
         with pytest.raises(ValueError, match="p_scales requires p_exponent"):
             small_config(p_scales=(1.0, 2.0))  # would be ignored beside p_values
+        with pytest.raises(ValueError, match="^need at least one n value$"):
+            small_config(n_values=())
+        with pytest.raises(ValueError, match="^p_exponent requires p_scales$"):
+            small_config(p_values=(), p_exponent=1 / 6)
 
     def test_rejects_empty_modes(self):
         with pytest.raises(ValueError, match="^need at least one colouring mode$"):

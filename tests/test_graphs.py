@@ -112,6 +112,8 @@ class TestSimpleGraph:
         for adj in ((0, 0), (0, 0, 0, 0)):
             with pytest.raises(ValueError, match="^adjacency length does not match vertex count$"):
                 SimpleGraph(3, adj)
+        with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+            SimpleGraph(-1, ())
 
     def test_common_neighbourhood_excludes_members(self):
         k4 = support.complete_graph(4)
@@ -159,6 +161,8 @@ class TestGenerateGnp:
         message = f"^vertex count {MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES}$"
         with pytest.raises(ValueError, match=message):
             generate_gnp(MAX_VERTICES + 1, 1e-9, seed=0)
+        with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+            generate_gnp(-1, 0.5, seed=0)
 
     def test_sparse_density_sane(self):
         g = generate_gnp(400, 0.02, seed=17)
@@ -300,6 +304,8 @@ class TestColourThreeStars:
     def test_duplicate_centres_rejected(self):
         with pytest.raises(ValueError):
             colour_three_stars(SimpleGraph.empty(4), 0, 0, 2, Colour.RED)
+        with pytest.raises(ValueError, match="^star centre 4 out of range$"):
+            colour_three_stars(SimpleGraph.empty(4), 0, 1, 4, Colour.RED)
 
     def test_k6_minus_triangle_colours(self):
         cg = colour_three_stars(k6_minus_triangle(), 0, 1, 2, Colour.RED)
@@ -626,6 +632,11 @@ class TestColouredGraphValidation:
             support.from_edge_colours(
                 3, [(0, 1, Colour.RED), (1, 0, Colour.GREEN)]
             )
+        k3 = support.complete_graph(3)
+        with pytest.raises(ValueError, match="^colour adjacency shape does not match graph$"):
+            ColouredGraph(k3, ((0, 0, 0), (0, 0, 0)))
+        with pytest.raises(ValueError, match="^vertex 0: colouring does not match edge set$"):
+            ColouredGraph(k3, ((0, 0, 0), (0, 0, 0), (0, 0, 0)))
 
     def test_colour_of_non_edge_raises(self):
         cg = support.from_edge_colours(3, [(0, 1, Colour.RED)])
@@ -1006,7 +1017,7 @@ class TestVertexNames:
 
 class TestReaderRegimes:
     """`loads` mirrors its colour rows once in a text of at least
-    UPPER_LINES * n^2 / BAND line feeds, and sets both bits of each edge
+    UPPER_LINES * n^2 / BAND line breaks, and sets both bits of each edge
     in any other; either way it reads what the per-line reference reads,
     and names the same faulty line."""
 
@@ -1027,9 +1038,9 @@ class TestReaderRegimes:
         return calls
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
-    @pytest.mark.parametrize("brk", ["\n", "\r\n"])
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
     def test_line_count_just_below_on_and_above(self, extra, brk, monkeypatch):
-        # 302 edges, padded with comment lines to THRESHOLD + extra line feeds
+        # 302 edges, padded with comment lines to THRESHOLD + extra line breaks
         assert self.THRESHOLD * BAND == UPPER_LINES * self.N * self.N
         cg = colour_random(generate_gnp(self.N, 0.15, seed=3), seed=4)
         lines = dumps(cg).split("\n")[:-1]
@@ -1037,6 +1048,9 @@ class TestReaderRegimes:
         text = brk.join([*lines[:100], *pad, *lines[100:], ""])
         calls = self.mirror_calls(monkeypatch)
         assert loads(text) == support.reference_loads(text) == cg
+        assert calls == ([self.N] * 3 if extra >= 0 else [])
+        calls.clear()
+        assert load_file(text) == cg
         assert calls == ([self.N] * 3 if extra >= 0 else [])
 
     @pytest.mark.parametrize(

@@ -101,6 +101,8 @@ class TestTauExact:
 
     def test_k_max_too_small_returns_none(self):
         assert tau_exact(k6_star_h(), k_max=2) is None
+        with pytest.raises(ValueError, match="^k_max must be non-negative$"):
+            tau_exact(k6_star_h(), k_max=-1)
 
     def test_disjoint_instance_closes_fast(self):
         # 40 isolated vertices: 40 disjoint hyperedges, minimum cover 40.

@@ -24,6 +24,8 @@ class TestConfig:
             PseudorandomConfig(max_tuple=7)
         with pytest.raises(ValueError):
             PseudorandomConfig(pair_size=0)
+        with pytest.raises(ValueError, match="^sample counts must be positive$"):
+            PseudorandomConfig(density_samples=0)
         for epsilon in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="^epsilon must be finite and positive, got "):
                 PseudorandomConfig(epsilon=epsilon)

@@ -117,8 +117,7 @@ def _cmd_gen(args) -> int:
     if args.colouring == "three-star":
         triple = first_nonadjacent_triple(g)
         if triple is None:
-            print("error: no pairwise non-adjacent triple in the sample", file=sys.stderr)
-            return 2
+            raise ValueError("no pairwise non-adjacent triple in the sample")
         cg = colour_three_stars(g, *triple, base=LETTER_TO_COLOUR[args.base])
     else:
         cg = colour_random(g, derive_seed(args.seed, 1))
@@ -264,15 +263,13 @@ def _probe_chunks(cfg: ExperimentConfig, as_json: bool) -> Iterator[str]:
 def _cmd_probe(args) -> int:
     if args.p is not None:
         if args.p_exp is not None or args.p_scale is not None:
-            print("error: --p cannot be combined with --p-exp or --p-scale", file=sys.stderr)
-            return 2
+            raise ValueError("--p cannot be combined with --p-exp or --p-scale")
         p_values: tuple[float, ...] = _csv_floats(args.p)
         p_exponent = None
         p_scales: tuple[float, ...] = ()
     else:
         if args.p_exp is None:
-            print("error: provide --p or --p-exp with --p-scale", file=sys.stderr)
-            return 2
+            raise ValueError("provide --p or --p-exp with --p-scale")
         p_values = ()
         try:
             p_exponent = float(Fraction(args.p_exp))

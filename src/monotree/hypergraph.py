@@ -6,15 +6,17 @@ triples are the hyperedges.  A set of components covers the vertex set of
 the graph iff it is a vertex cover of this hypergraph, which is what makes
 the exact solvers here usable as ground-truth oracles for the tree-cover
 pipeline.  A minimum cover comes from the classic hitting-set reductions
-(Weihe 1998; Abu-Khzam 2010), applied incrementally where the last one
-may have made another fire, followed by one branch and bound on the
-reduced kernel.  The reductions are sound in any order, but which cover
-they leave depends on the order, so they run in one that no hash
-decides, and `tau_exact` returns the canonical cover that they and the
-branch and bound leave.  The module also carries the bipartite
-machinery: the union of link graphs over one colour class, maximum
-matching by Hopcroft-Karp, and the matching-sized vertex cover given by
-König's theorem, read from the alternating layering of the last phase.
+(Weihe 1998; Abu-Khzam 2010), applied incrementally where the last one may
+have made another fire, followed by one branch and bound on the reduced
+kernel.  The reductions are sound in any order, but which cover they leave
+depends on the order, so they run in one that no hash decides, and
+`tau_exact` returns the canonical cover that they and the branch and bound
+leave.  A maximum matching comes from an include/exclude search on each
+piece of linked hyperedges.  Both searches hand a call only what is still
+open and take back the best found.  The module also carries the bipartite
+machinery: the union of link graphs over one colour class, maximum matching
+by Hopcroft-Karp, and the matching-sized vertex cover given by König's
+theorem, read from the alternating layering of the last phase.
 """
 
 from __future__ import annotations
@@ -185,30 +187,26 @@ def _branch_and_bound(edges: list[tuple[CompRef, ...]]) -> list[CompRef]:
     for i, refs in enumerate(edges):
         for r in refs:
             incidence.setdefault(r, set()).add(i)
-    best = _greedy_cover(edges)
-    chosen: list[CompRef] = []
 
-    def search(uncovered: frozenset[int]) -> None:
-        nonlocal best
+    def search(
+        uncovered: frozenset[int], chosen: list[CompRef], best: list[CompRef]
+    ) -> list[CompRef]:
         if not uncovered:
-            best = list(chosen)  # it passed its parent's bound, so it is smaller
-            return
+            return chosen  # it passed its parent's bound, so it is smaller
         if len(chosen) + _greedy_disjoint(edges, sorted(uncovered)) >= len(best):
-            return
+            return best
         for r in edges[min(uncovered)]:
-            chosen.append(r)
-            search(uncovered - incidence[r])
-            chosen.pop()
+            best = search(uncovered - incidence[r], chosen + [r], best)
+        return best
 
-    search(frozenset(range(len(edges))))
-    return best
+    return search(frozenset(range(len(edges))), [], _greedy_cover(edges))
 
 
 def min_cover(edges: Iterable[Iterable[CompRef]]) -> set[CompRef]:
     """A minimum set of components meeting every edge: the components the
     reductions force plus the branch-and-bound optimum of the kernel they
-    leave.  The kernel is not split into connected pieces: after the
-    reductions it is almost always empty and has never been seen to split."""
+    leave.  Unlike ν's search, this one is not split into pieces: after the
+    reductions the kernel is almost always empty and was never seen split."""
     forced, kernel = _kernel(edges)
     return forced.union(_branch_and_bound(kernel))
 
@@ -233,43 +231,44 @@ def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> tuple[CompRef
 
 
 def nu_exact(h: ComponentHypergraph) -> tuple[tuple[int, int, int], ...]:
-    """Maximum matching, as hyperedges in `h.edges` order, by include/exclude
-    branching.
+    """Maximum matching, as hyperedges in `h.edges` order.
 
-    The bounds at each node are the count of remaining hyperedges disjoint
-    from the current partial matching, which closes immediately on the
-    degenerate all-disjoint instances, and then their cover number (ν ≤ τ).
-    A pruned subtree holds no larger matching, so the result is the first
-    maximum matching in branching order either way.
+    ν adds up over the pieces that hyperedges sharing a component link, so
+    each is searched on its own.  A node branches on its first free
+    hyperedge, one disjoint from the partial matching: a call takes it, then
+    the node's loop leaves it out, so no call recurses deeper than the
+    matching it builds.  The bounds are the count of free hyperedges, which
+    closes all-disjoint pieces at once, then their cover number (ν ≤ τ).  A
+    pruned subtree holds no larger matching, so each piece yields its first
+    maximum matching in branching order; their union is the whole's first.
     """
     edge_refs = [h.refs_of(e) for e in h.edges]
-    order = list(range(len(edge_refs)))
-    best: list[int] = []
 
-    def search(pos: int, used: set[CompRef], current: list[int]) -> None:
-        nonlocal best
-        available = [
-            i for i in order[pos:] if not any(r in used for r in edge_refs[i])
-        ]
-        if len(current) + len(available) <= len(best):
-            return
-        if not available:
-            if len(current) > len(best):
-                best = list(current)
-            return
-        if len(current) + len(min_cover(edge_refs[j] for j in available)) <= len(best):
-            return
-        i = available[0]
-        refs = edge_refs[i]
-        current.append(i)
-        used.update(refs)
-        search(i + 1, used, current)
-        used.difference_update(refs)
-        current.pop()
-        search(i + 1, used, current)
+    def search(free: list[int], chosen: list[int], best: list[int]) -> list[int]:
+        while len(chosen) + len(free) > len(best):
+            if not free:
+                return chosen
+            if len(chosen) + len(min_cover(edge_refs[j] for j in free)) <= len(best):
+                break
+            i, *free = free
+            refs = edge_refs[i]
+            disjoint = [j for j in free if not any(r in refs for r in edge_refs[j])]
+            best = search(disjoint, chosen + [i], best)
+        return best
 
-    search(0, set(), [])
-    return tuple(h.edges[i] for i in sorted(best))
+    through: defaultdict[CompRef, list[int]] = defaultdict(list)
+    for i, refs in enumerate(edge_refs):
+        for r in refs:
+            through[r].append(i)
+    matching: list[int] = []
+    for start, refs in enumerate(edge_refs):
+        if refs[0] in through:  # its components leave `through` with its piece
+            piece, new = set(), {start}
+            while new:
+                piece |= new
+                new = {j for i in new for r in edge_refs[i] for j in through.pop(r, ())} - piece
+            matching += search(sorted(piece), [], [])
+    return tuple(h.edges[i] for i in sorted(matching))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ verified before they leave `solve_cover`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 from typing import Iterable, Sequence
 
 from .components import ComponentLabelling, alpha_class, monochromatic_components
@@ -229,10 +229,12 @@ def strategy_alpha_ge3(
     # Every pattern is rainbow: a common neighbour sending one colour c to two
     # triple vertices would put both in its c-component, making them adjacent
     # in the closure, which was ruled out above.
-    groups: dict[tuple[Colour, Colour, Colour], int] = {}
-    for w in iter_bits(common):
-        pat = (cg.colour_of(w, v1), cg.colour_of(w, v2), cg.colour_of(w, v3))
-        groups[pat] = groups.get(pat, 0) | (1 << w)
+    ca = cg.colour_adj
+    groups = {
+        (c1, c2, c3): mask
+        for c1, c2, c3 in permutations(COLOURS)
+        if (mask := common & ca[c1][v1] & ca[c2][v2] & ca[c3][v3])
+    }
     pattern = min(groups, key=lambda p: (-groups[p].bit_count(), p))
     x_mask = groups[pattern]
     c1, c2, c3 = pattern

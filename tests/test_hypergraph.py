@@ -369,13 +369,24 @@ class TestNuExact:
             "d646b1d6cfd57b7c4094bb31a43e2c9b0ff16b5b35ffb209aec4aee6d9c44002"
         )
 
-    def test_sparse_matching_finishes(self):
-        # `monotree gen --n 90 --p 0.03 --seed 9`: 90 hyperedges, where the
-        # disjoint-count bound alone ran for minutes; about 70 ms with both.
-        cg = colour_random(generate_gnp(90, 0.03, seed=9), derive_seed(9, 1))
+    @pytest.mark.parametrize(
+        "n, p, seed, nu",
+        [
+            # 90 hyperedges, where the disjoint-count bound alone ran for
+            # minutes; about 70 ms with both.
+            (90, 0.03, 9, 27),
+            # 1,500 hyperedges, most sharing no component, where one nested
+            # call per left-out hyperedge raised RecursionError.
+            (1500, 0.0002, 1, 1301),
+        ],
+        ids=["n90", "n1500"],
+    )
+    def test_sparse_matching_finishes(self, n, p, seed, nu):
+        # the instance that `monotree gen --n <n> --p <p> --seed <seed>` writes
+        cg = colour_random(generate_gnp(n, p, seed=seed), derive_seed(seed, 1))
         h = build_component_hypergraph(monochromatic_components(cg))
         start = time.perf_counter()
-        assert len(nu_exact(h)) == 27
+        assert len(nu_exact(h)) == nu
         assert time.perf_counter() - start < 3.0
 
 

@@ -33,7 +33,7 @@ bits.  It is the one serialiser: `dumps` joins its chunks, and `store`
 and the CLI stream them, so a writer holds one row's text at a time, not
 the whole text.  Both readers take their text from one block source
 (`_line_blocks`), which cuts it into blocks of whole lines of about
-BLOCK_CHARS characters and turns CR LF and lone CRs into line feeds:
+BLOCK_CHARS characters and turns every line break into a line feed:
 `loads` feeds it slices of its string, and `load` reads of a file
 through one incremental UTF-8 decoder, so neither holds the whole text.
 The reader (`_read`) counts the blocks' line feeds in a first pass,
@@ -57,8 +57,8 @@ from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
-from itertools import chain, compress, repeat
-from operator import lshift, lt, or_, rshift
+from itertools import chain, compress
+from operator import lt, or_
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .rng import LANE_MASK, LANE_ONES, LANES, MASK64, SplitMix64
@@ -81,8 +81,6 @@ LETTER_TO_COLOUR = {"r": Colour.RED, "g": Colour.GREEN, "b": Colour.BLUE}
 
 # Columns per band when `_mirror` transposes an upper triangle.
 BAND = 128
-# Binary digits per group of rows that `_colour_rows` colours at once.
-GROUP_CHARS = 1 << 15
 # `colour_random` colours edge by edge below a mean degree of
 # EDGE_DEGREE + EDGE_SLOPE * n / BAND; its docstring gives the measured
 # break-even.
@@ -329,8 +327,8 @@ def colour_random(g: SimpleGraph, seed: int) -> ColouredGraph:
     (`_colour_block`), in the same order, so they give the same rows.  A
     graph with 2m < (EDGE_DEGREE + EDGE_SLOPE * n / BAND) * n, m its edge
     count, is coloured edge by edge (`_colour_edges`), in time that
-    follows m times the row width; any other graph a group of rows at a
-    time (`_colour_rows`), in time that follows n^2 / BAND whatever m is.
+    follows m times the row width; any other graph a row at a time
+    (`_colour_rows`), in time that follows n^2 / BAND whatever m is.
     Blue is what is left.
 
     The threshold follows the break-even mean degree, which rises with n
@@ -387,32 +385,26 @@ def _colour_edges(g: SimpleGraph, rng: SplitMix64, edges: int) -> tuple[list[int
 
 
 def _colour_rows(g: SimpleGraph, rng: SplitMix64) -> tuple[list[int], list[int]]:
-    """The red and green rows of g, a group of rows at a time.
+    """The red and green rows of g, a row at a time, as `_bernoulli_rows`
+    draws them.
 
-    Rows are coloured in groups of about GROUP_CHARS binary digits with no
-    Python step per row or edge: the group's upper rows, last row first
-    and each from its highest bit down, are written as `bin` digits joined
-    by "|", so the edges appear in reverse draw order; each "1" becomes a
-    "%c" that the reversed colours fill in; and the red and green digits
-    are read back per row by int(..., 2).  The red and green upper
-    triangles are then mirrored by `_mirror`.
+    Row u's bits above u are written as `bin` digits, highest first, so its
+    edges appear in reverse draw order; each "1" becomes a "%c" that the
+    row's colours, last drawn first, fill in; and the red and green digits
+    are read back by int(..., 2).  The red and green upper triangles are
+    then mirrored by `_mirror`.
     """
-    n = g.n
     red, green = [], []
     colours = b""  # drawn colours not yet placed, one byte 0, 1 or 2 each
-    group = max(1, GROUP_CHARS // max(n, 1))
-    for a in range(0, n, group):
-        shifts = range(a + 1, n + 1)
-        ups = list(map(rshift, g.adj[a : a + group], shifts))  # bits above u, from bit 0
-        digits = "|".join(map(bin, reversed(ups)))
-        k = digits.count("1")
+    for u, row in enumerate(g.adj):
+        up = row >> (u + 1)  # the bits above u, from bit 0
+        k = up.bit_count()
         while len(colours) < k:
             colours += _colour_block(rng)
-        code = digits.replace("1", "%c") % tuple(colours[:k][::-1])
+        code = bin(up).replace("1", "%c") % tuple(colours[:k][::-1])
         colours = colours[k:]
-        for rows, table in ((red, _RED_DIGITS), (green, _GREEN_DIGITS)):
-            parts = reversed(code.translate(table).split("|"))
-            rows += map(lshift, map(int, parts, repeat(2)), shifts)
+        red.append(int(code.translate(_RED_DIGITS), 2) << (u + 1))
+        green.append(int(code.translate(_GREEN_DIGITS), 2) << (u + 1))
     return _mirror(red), _mirror(green)
 
 
@@ -476,10 +468,9 @@ BLOCK_CHARS = 1 << 16
 # A token that neither `_VertexNames` nor LETTER_TO_COLOUR accepts, set
 # after each line of a block.
 _SEPARATOR = " | "
-# The ASCII characters other than LF and CR, which `_line_blocks` turns
-# into LF, at which `str.splitlines` ends a line; a block holding one, or
-# a non-ASCII character, is split into lines before it is tokenised.
-_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+# The characters other than LF at which `str.splitlines` ends a line, CR
+# first; `_line_blocks` turns each into LF.
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # `loads` sets one bit of each edge, and mirrors its colour rows once,
 # in a text of at least UPPER_LINES * n^2 / BAND lines; its docstring
 # gives the measured break-even.
@@ -555,13 +546,10 @@ def loads(text: str) -> ColouredGraph:
     The edge lines are read in blocks of about BLOCK_CHARS characters
     (`_line_blocks`), each tokenised by one split (`_edge_block`) with no
     Python step per line, and every vertex name is read through one
-    `_VertexNames` table for the whole text.  A block of ASCII text whose
-    only line breaks are line feeds is tokenised as it stands; any other
-    block is split into lines first and its lines joined again with line
-    feeds, and so is the rest of the header's block.  A block that fails
-    that pass is read again without its blank and comment lines.  If it
-    fails again, or if the colour rows overlap at the end, the text holds
-    a faulty line, and `_first_fault` names the first one, in line order,
+    `_VertexNames` table for the whole text.  A block that fails that pass
+    is read again without its blank and comment lines.  If it fails
+    again, or if the colour rows overlap at the end, the text holds a
+    faulty line, and `_first_fault` names the first one, in line order,
     whether it is malformed or gives an edge a second colour.
 
     Bit u of row v, for each edge u < v, is set edge by edge, or, in a
@@ -614,10 +602,6 @@ def _read(blocks: Callable[[], Iterator[str]]) -> ColouredGraph:
     upper = breaks * BAND >= UPPER_LINES * n * n
     rest = "\n".join([*lines[header + 1 :], ""])
     for block in chain([rest], stream):
-        if not block.isascii() or any(map(block.__contains__, _OTHER_BREAKS)):
-            # split into lines as `str.splitlines` does, and join them
-            # again with line feeds
-            block = "\n".join([*block.splitlines(), ""])
         edges = _edge_block(block, names, row_of)
         if edges is None:
             data = "\n".join([*filter(_is_data, block.splitlines()), ""])
@@ -654,26 +638,36 @@ def _line_blocks(chunks: Iterable[str]) -> Iterator[str]:
     lines with line feeds for line breaks; the one block source of
     `loads` and `load`.
 
-    Each chunk is cut after its last line feed, or after its last
-    carriage return if that is later and not the chunk's last character,
-    so that a CR LF pair is never cut; the rest is carried into the next
-    block.  Carriage returns are read as a text-mode file reads them:
-    each CR LF pair, and then each CR left, becomes a line feed.  So the
-    lines of the blocks, block after block, are those that
-    `str.splitlines` finds in the whole text.
+    Every line break of `str.splitlines` becomes a line feed: each CR LF
+    pair, then each CR left, as a text-mode file reads them, and then each
+    other break in _BREAKS, so that a CR followed by an FF stays two
+    breaks.  A chunk's last CR, which may start a CR LF pair, is held back
+    and put before the next chunk.  Each chunk is then cut after its last
+    line feed, and the rest is carried into the next block.  So the lines
+    of the blocks, block after block, are those that `str.splitlines`
+    finds in the whole text.  A chunk with no break other than LF, such as
+    one that `dump_rows` wrote, is not copied to find them.
     """
-    rest = ""
+    rest = held = ""
     for chunk in chunks:
-        cut = max(chunk.rfind("\n"), chunk.rfind("\r", 0, -1)) + 1
+        chunk = held + chunk
+        held = ""
+        if any(map(chunk.__contains__, _BREAKS)):
+            if chunk.endswith("\r"):
+                chunk, held = chunk[:-1], "\r"
+            chunk = chunk.replace("\r\n", "\n")
+            for brk in _BREAKS:
+                chunk = chunk.replace(brk, "\n")
+        cut = chunk.rfind("\n") + 1
         if not cut:
             rest += chunk
             continue
-        block, rest = rest + chunk[:cut], chunk[cut:]
-        # in a block of 64 kB with no CR, the test takes about 1 us and the
-        # CR LF replace, which finds nothing, about 80 us
-        yield block.replace("\r\n", "\n").replace("\r", "\n") if "\r" in block else block
+        yield rest + chunk[:cut]
+        rest = chunk[cut:]
+    if held:
+        rest += "\n"
     if rest:
-        yield rest.replace("\r\n", "\n").replace("\r", "\n")
+        yield rest
 
 
 def _is_data(line: str) -> bool:

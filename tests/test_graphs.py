@@ -1001,9 +1001,15 @@ class TestVertexNames:
         "brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
     )
     def test_line_breaks_past_the_first_block(self, brk):
-        # A block holding a line break other than the line feed is split
-        # into lines as `str.splitlines` splits it.
-        for edges in (f"0 1{brk}r\n", f"0 1 r{brk}1 2 g\n", f"0 1 r\n1 2{brk}"):
+        # Every line break of `str.splitlines` ends a line, and a CR
+        # followed by another break is two breaks.
+        for edges in (
+            f"0 1{brk}r\n",
+            f"0 1 r{brk}1 2 g\n",
+            f"0 1 r\n1 2{brk}",
+            f"0 1 r\r{brk}1 2 g\n",
+            f"0 1 r\r{brk}bad\n",
+        ):
             text = f"n 3\n{PAD_BLOCK}{edges}"
             expected = _outcome(support.reference_loads, text)
             assert _outcome(loads, text) == _outcome(load_file, text) == expected
@@ -1038,7 +1044,7 @@ class TestReaderRegimes:
         return calls
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
-    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\x0c", "\u2028"])
     def test_line_count_just_below_on_and_above(self, extra, brk, monkeypatch):
         # 302 edges, padded with comment lines to THRESHOLD + extra line breaks
         assert self.THRESHOLD * BAND == UPPER_LINES * self.N * self.N
@@ -1090,6 +1096,17 @@ class TestReaderRegimes:
         text = "\n".join([*lines, ""])
         expected = f"error: line 201: {message.format(u=u, v=v)}"
         assert _outcome(loads, text) == _outcome(support.reference_loads, text) == expected
+
+
+@pytest.mark.parametrize("brk", ["\n", "\x0c", "\u2028"])
+def test_every_line_break_cuts_blocks(brk):
+    # A text whose lines end in any break of `str.splitlines` is cut
+    # into blocks of about BLOCK_CHARS characters, as its LF copy is.
+    text = dumps(colour_random(generate_gnp(300, 0.5, seed=1), seed=2)).replace("\n", brk)
+    blocks = list(graphs._text_blocks(text))
+    assert len(blocks) == 4
+    assert all(BLOCK_CHARS - 100 < len(block) < BLOCK_CHARS + 100 for block in blocks[:-1])
+    assert "".join(blocks) == text.replace(brk, "\n")
 
 
 def test_huge_sparse_inputs_stay_cheap():

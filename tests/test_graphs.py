@@ -173,7 +173,7 @@ class TestGenerateGnp:
     def test_dense_path_matches_reference_stream(self):
         # generate_gnp draws the pairs in lane blocks; cross-check it
         # against a plain per-pair draw from the same stream.  n = 80 has
-        # 3160 pairs: twelve 256-lane blocks and part of a thirteenth.
+        # 3160 pairs: one block of thirteen 256-lane sub-blocks.
         n, seed = 80, 99
         for p in (0.1, 0.37, 1.0):
             rng = SplitMix64(seed)
@@ -229,6 +229,12 @@ class TestColourRandom:
             (30, 1.0, 0, 255),  # 435 edges: last lane of the first block
             (30, 1.0, 0, 300),  # mid-block in the second block
             (12, 0.5, 3, 30),  # 31 edges: the 32nd lane fills in
+            # 4,950 edges: a full 16-sub-block block of 4,096 draws, then
+            # one of 4 sub-blocks for what is left
+            (100, 1.0, 0, 4095),  # the last draw of the first block
+            (100, 1.0, 0, 4096),  # the first draw of the second block
+            (100, 1.0, 0, 1000),  # draw 16 * 62 + 8: lane 62 of sub-block 8
+            (100, 1.0, 0, 4498),  # 4096 + 4 * 100 + 2: lane 100 of sub-block 2
         ],
     )
     def test_rejected_draw_matches_reference_stream(self, n, p, graph_seed, index):
@@ -250,14 +256,16 @@ class TestColourRandom:
             (generate_gnp(2, 1.0, seed=1), "_colour_edges"),
             (SimpleGraph.empty(50), "_colour_edges"),
             # 2m * BAND against n * (EDGE_DEGREE * BAND + EDGE_SLOPE * n)
-            (support.complete_graph(26), "_colour_edges"),  # 83,200 < 85,280
-            (support.complete_graph(27), "_colour_rows"),  # 89,856 >= 88,776: the first past it
-            (generate_gnp(64, 0.444, seed=11), "_colour_edges"),  # 895 edges: threshold - 256
-            (generate_gnp(64, 0.444, seed=20), "_colour_rows"),  # 896 edges: on the threshold
-            (generate_gnp(64, 0.444, seed=22), "_colour_rows"),  # 897 edges: threshold + 256
+            (support.complete_graph(51), "_colour_edges"),  # 326,400 < 328,950
+            (support.complete_graph(52), "_colour_rows"),  # 339,456 >= 335,712: the first past it
+            (generate_gnp(64, 0.81, seed=19), "_colour_edges"),  # 1,631 edges: threshold - 256
+            (generate_gnp(64, 0.81, seed=134), "_colour_rows"),  # 1,632 edges: on the threshold
+            (generate_gnp(64, 0.81, seed=64), "_colour_rows"),  # 1,633 edges: threshold + 256
             # two mid-density graphs that a mean degree of 32 sent to rows
             (generate_gnp(1200, 48 / 1199, seed=5), "_colour_edges"),
             (generate_gnp(2400, 64 / 2399, seed=5), "_colour_edges"),
+            # mean degree 40.66, which a switch at 30.25 sent to rows
+            (generate_gnp(100, 40 / 99, seed=5), "_colour_edges"),
             # the cell sizes of perfbench's sparse-exact and dense-probe
             (generate_gnp(100, 0.03, seed=5), "_colour_edges"),
             (generate_gnp(100, 0.05, seed=5), "_colour_edges"),
@@ -269,7 +277,7 @@ class TestColourRandom:
         ],
         ids=[
             "n0", "n1", "n2", "empty", "complete-below", "complete-on",
-            "just-below", "on", "just-above", "mid-1200", "mid-2400",
+            "just-below", "on", "just-above", "mid-1200", "mid-2400", "mid-100",
             "sparse", "exact-100-0.05", "exact-100-0.08", "exact-60-0.1",
             "probe-300", "probe-600", "dense",
         ],
@@ -334,6 +342,11 @@ class TestColourThreeStars:
         assert support.min_component_cover_size(cg) == 3
 
 
+def criterion_p(n: int) -> float:
+    """The criterion density 1.5 (ln n / n)^(1/6)."""
+    return 1.5 * (math.log(n) / n) ** (1 / 6)
+
+
 def rows_digest(*row_sets) -> str:
     """SHA-256 over bitset rows, one lower-case hex line per row."""
     h = hashlib.sha256()
@@ -346,12 +359,14 @@ def rows_digest(*row_sets) -> str:
 class TestGoldenStreams:
     """Pinned digests of sampled graphs and colourings.
 
-    The digests were computed with the per-pair and per-edge samplers,
-    before the lane-block rewrite, so any change to what is sampled shows
+    The first digests were computed with the per-pair and per-edge
+    samplers, before the lane-block rewrite, and the block-edge cases
+    before the 16-sub-block blocks, so any change to what is sampled shows
     here.  Pair counts n(n-1)/2 and edge counts sit just below, on and just
-    above a multiple of 256 lanes (and of 32, below one full block);
-    n = 0, 1, 2, p = 1.0, the p = 0.1 boundary and the sparse path are
-    covered too.
+    above a multiple of 256 lanes (and of 32, below one full block) and of
+    the 4,096 and 8,192 draws of one and two full blocks; n = 0, 1, 2,
+    p = 1.0, the p = 0.1 boundary, the sparse path and the criterion
+    density are covered too.
     """
 
     # (n, p, seed, edge count, digest of adj)
@@ -368,6 +383,27 @@ class TestGoldenStreams:
         (514, 0.5, 7, 66087, "59d5413a651d6427ea1358496f7e57be6d7f3c957ea4bb8526136b168a1f0cb9"),
         (200, 0.05, 9, 995, "0dfb554c27bca21ffbeb591e6dbec6ddaf7f49fa235e5642f9c56214837c7f29"),
         (400, 0.02, 17, 1682, "807f160ef7b5a23651580571c210dc506789e8d18f936222478031fc78ff051f"),
+        # Block edges of the 16-sub-block lanes, digests from commit c94c11a.
+        # Dense: row 77 of n = 92 ends on pair 4,095 (4,186 pairs); 8,128,
+        # 8,256 pairs; row 33 of n = 138 ends on pair 4,097.  No row of any
+        # n below 1,369 ends on pair 4,096, 8,191 or 8,192.
+        (92, 0.5, 1, 2148, "d7c341bcebb97c675796cd587e1c52e44a52285095fd19dffbcd33e598826389"),
+        (128, 0.5, 2, 4045, "a31ae5cadc1b1a23d05b97638c4f293f6e5c3dc2445302afdc33fd0a3601ca40"),
+        (129, 0.5, 3, 4155, "7575a1b2618a6be8c9b7739115748086aa459eb43212b4dc17e7cd4dfa09549e"),
+        (138, 0.3, 4, 2818, "d008c30d9c3c7fd11b63d3646c5eedc50b3ddb8dcc7c99d0db24e381f20c3a5f"),
+        # Sparse: m edges take m + 1 draws, here 4,095, 4,096 and 4,097,
+        # then 8,191, 8,192 and 8,193 (commit c94c11a)
+        (400, 4096 / 79800, 469, 4094, "adb136bee3a2d6c6ec7eb3b27af995395c58896d844e4a832332a6df0a40e943"),
+        (400, 4096 / 79800, 89, 4095, "ed5f95bc2711e850ad6a962b13f6ad7532f328d14d3f24c7aefabaeba8e5959f"),
+        (400, 4096 / 79800, 66, 4096, "51b3b6853e487c6ea9d4028f6f3a8b2fe4a883ae478e785c4c758532c1340b84"),
+        (600, 8192 / 179700, 23, 8190, "192e15d460874213e7c112a034349745485dd8cf4f180b730da90ca349b596e2"),
+        (600, 8192 / 179700, 84, 8191, "af42e87a3dc579e1240a32b86e847d0c2a2fb89838c9030818ee4a5768ff7e97"),
+        (600, 8192 / 179700, 214, 8192, "7fb69839fa5ba0cfcdb7a8abb9f9ef86f4c276f43c9fbbf77137d320cf149744"),
+        # dense-probe's n = 300 and 600 and file-solve's n = 1200 at the
+        # criterion density (commit c94c11a)
+        (300, criterion_p(300), 4, 34607, "7a6416aad61356156d1b5986c8ce316775f024e7050cc524630a0aea5f74aa8b"),
+        (600, criterion_p(600), 1, 126072, "10c874da8c5e915554e6427ff82290df783b20e3bd4b1d61574517d80c1ea4e9"),
+        (1200, criterion_p(1200), 5, 458871, "5048e5c430453bad00bcbc2e9cea08608ffded55a60b0962cc5046ac34274c7a"),
     ]
 
     # (n, p, graph seed, edge count, digest of the colour rows); the
@@ -384,6 +420,26 @@ class TestGoldenStreams:
         (100, 0.52, 8, 2559, "7c9ea4d041c9192cbe5b74df7163b97298156722ac1728be1c0864ba3e7da02b"),
         (100, 0.52, 152, 2560, "cdf231f360f1a3f731b9d82a12249cabec88a3795471968ca17c3ffcdeb83e0e"),
         (100, 0.52, 29, 2561, "9fca771420d2a8bcf1b3aa28987475a9c0185da4c13ff56ca2b45bfe884800e1"),
+        # Block edges of the 16-sub-block lanes, digests from commit c94c11a:
+        # 4,095, 4,096 and 4,097 edges, then 8,191, 8,192 and 8,193, each
+        # once coloured by rows (n = 100, 140) and once edge by edge (n =
+        # 400, 600)
+        (100, 4096 / 4950, 192, 4095, "ad676052a86654d8c1d81ecb04f32d8bf0432bc5bda3248a470b27c487b65b7f"),
+        (100, 4096 / 4950, 26, 4096, "1f8b117b7c231c9def739425ea8070a5bfc4573bd050640742bef32b0dcfb722"),
+        (100, 4096 / 4950, 39, 4097, "ec73ec9322cbe0eaf8a383c45a1fdea5cee3b0a16d95caa9162dc72fb2879159"),
+        (400, 4096 / 79800, 89, 4095, "9c352a296892d17c52c8449b8fb3d338809f23f3032c4a8eebcade1aeab7f577"),
+        (400, 4096 / 79800, 66, 4096, "cadc470b445a0149c6b5d929b3945d802a83b7e1d2cb2e0c639c4d6707b1a56c"),
+        (400, 4096 / 79800, 237, 4097, "10c7bce01ef174d8a388e2eec26597d8c75cad837c030575aa3fb3d355a4dedc"),
+        (140, 8192 / 9730, 8, 8191, "bbb0365b63909c30307eb6e1e76dd31d8fdfbf87ad88410dbf9cbc3fc5c0b6ef"),
+        (140, 8192 / 9730, 351, 8192, "8f0888b33bb4687174d322e550c87215582f6c3a1dae3882df8687e48ccd60a8"),
+        (140, 8192 / 9730, 33, 8193, "fbe1f64944b135160031b2de19f7169c9aa2d8a3184447324672934799fe191e"),
+        (600, 8192 / 179700, 84, 8191, "2241b4acb8252a60dc757cbb11cbaea2b00937dffa22cc249f77564732b97410"),
+        (600, 8192 / 179700, 214, 8192, "0537e3b1af8c8551a8c9c1f191286602591048bbba6655ca1d0c2d5c4d80f3f4"),
+        (600, 8192 / 179700, 74, 8193, "7373eb493ed6cd1646fc52627dbb9cf47ab0f80e2c376c1c405a0f59d08fd5da"),
+        # the criterion density at n = 300, 600 and 1200 (commit c94c11a)
+        (300, criterion_p(300), 4, 34607, "50779a80671142983a3bb1708f35732017469dce6865e8a7afdf3564ca0e6724"),
+        (600, criterion_p(600), 1, 126072, "c1885407fd568ded26c7bc31a060a0393baf3ce134507eeb06a0aea81337c471"),
+        (1200, criterion_p(1200), 5, 458871, "d3c4dc48a681dc079e06de45fef08c05908c4b3165569869906a028ab4d7984c"),
     ]
 
     # (n, p, graph seed, base colour, first non-adjacent triple, digest)

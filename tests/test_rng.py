@@ -1,4 +1,4 @@
-from monotree.rng import GOLDEN, LANES, MASK64, SplitMix64, derive_seed, finalise64
+from monotree.rng import GOLDEN, LANES, MASK64, SUB_BLOCKS, SplitMix64, derive_seed, finalise64
 
 import pytest
 
@@ -53,20 +53,47 @@ def test_finalise_is_a_bijection_sample():
     assert len(outs) == 4096
 
 
+def unpack(blocks: list[int]) -> list[int]:
+    """The whole 128-bit lanes of a block of k sub-blocks, in draw order:
+    lane j of sub-block i holds draw k * j + i."""
+    k = len(blocks)
+    draws = [0] * (k * LANES)
+    for i, z in enumerate(blocks):
+        assert z >> (128 * LANES) == 0
+        for j in range(LANES):
+            draws[k * j + i] = (z >> (128 * j)) & ((1 << 128) - 1)
+    return draws
+
+
+@pytest.mark.parametrize("k", range(1, SUB_BLOCKS + 1))
+def test_every_sub_block_count_gives_the_next_draws(k):
+    # asking for k * LANES draws, or for one more than k - 1 sub-blocks
+    # hold, gives k sub-blocks: the stream's next k * LANES draws in order,
+    # the upper half of every lane zero, and the stream k * LANES draws on
+    block, reference = SplitMix64(2024), SplitMix64(2024)
+    for wanted in ((k - 1) * LANES + 1, k * LANES):
+        blocks = block.lanes(wanted)
+        assert len(blocks) == k
+        assert unpack(blocks) == [reference.next_u64() for _ in range(k * LANES)]
+        assert block.state == reference.state
+
+
 # (wanted, lanes): a caller needing `wanted` draws, and the width of the
 # narrower block that a draw count once bought (the smallest power of two
-# >= wanted, at most LANES); the fixed block starts with those same lanes
-@pytest.mark.parametrize("wanted, lanes", [(1, 1), (3, 4), (129, 256), (256, 256), (1000, LANES)])
+# >= wanted, at most LANES); the block starts with those same lanes
+@pytest.mark.parametrize(
+    "wanted, lanes", [(1, 1), (3, 4), (129, 256), (256, 256), (1000, LANES), (5000, LANES)]
+)
 def test_lanes_pack_the_next_draws(wanted, lanes):
-    # draw j of a block sits in bits [128j, 128j + 64) with the upper half
-    # of its lane zero, and each block moves the stream on by LANES draws,
-    # as if next_u64 had been called per lane
+    # a caller that asks for the draws it still wants gets ceil(wanted /
+    # LANES) sub-blocks, at most SUB_BLOCKS per block, and with them the
+    # stream's next draws in order, as if next_u64 had been called per draw
     block, reference = SplitMix64(2024), SplitMix64(2024)
     draws = []
     while len(draws) < wanted:
-        z = block.lanes()
-        assert z >> (128 * LANES) == 0
-        draws += [(z >> (128 * j)) & ((1 << 128) - 1) for j in range(LANES)]
+        blocks = block.lanes(wanted - len(draws))
+        assert len(blocks) == min(SUB_BLOCKS, -(-(wanted - len(draws)) // LANES))
+        draws += unpack(blocks)
     assert len(draws) == -(-wanted // LANES) * LANES
     assert draws == [reference.next_u64() for _ in draws]
     assert block.state == reference.state

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .graphs import (
     MAX_VERTICES,
     Colour,
-    ColouredGraph,
     colour_random,
     colour_three_stars,
     first_nonadjacent_triple,
@@ -145,7 +144,6 @@ def run_trial(cfg: ExperimentConfig, n: int, p: float, mode: str, trial: int) ->
     are recorded as skipped, never raised."""
     base_seed = trial_seed(cfg.seed, n, p, mode, trial)
     g = generate_gnp(n, p, _mix(base_seed, 0))
-    cg: ColouredGraph | None = None
     if mode == MODE_THREE_STAR:
         triple = first_nonadjacent_triple(g)
         if triple is None:

@@ -6,26 +6,18 @@ intersections, component unions, coverage tests) inside C integer
 arithmetic.  All values are immutable after construction.
 
 Sampling keeps the same discipline.  G(n, p) and the random colouring
-draw their splitmix64 values in lane blocks (`SplitMix64.lanes`): a
-block is up to SUB_BLOCKS Python ints of LANES draws each, every draw in
-the low half of its own 128-bit lane, so a whole block is a fixed number
-of big-int operations and no lane carries into the next.  Lane j of
-sub-block i of a k-sub-block block holds draw k * j + i.  Every sampler
-asks for the draws it still wants, at most 16 * LANES at a time, and
-owns its generator, so the draws of the last block that it leaves
-unread change nothing.  The sparse path reads the draws back as arrays
-of 64-bit words, put in draw order, and sets both bits of each edge in
-int rows.  The dense per-pair outcome of sub-block i is moved into byte
-i of each lane (`_at_byte`), so that one `to_bytes` of the block gives up
-to 16 outcomes per lane in draw order, and one `translate` drops the
-bytes that hold none (`_lane_bytes`).  Rows are rebuilt from binary
-digit strings with int(..., 2) (linear time for base 2), and the upper
-triangle is mirrored into the lower one a band of columns at a time
-(`_mirror`).  `colour_random` has the same two regimes, both reading
-one byte per edge from the same lane blocks: below a mean degree that
-grows with n it walks the edges and sets both bits of each, and
-otherwise it colours rows from digit strings and mirrors them.  The rule
-is a function of the graph alone, and either regime gives the same rows.
+take their splitmix64 draws in draw order from `rng.py`, whose module
+docstring gives the lane blocks that compute them: sparse G(n, p) reads
+raw draws (`SplitMix64.words`), dense G(n, p) and the colouring one
+outcome byte per draw (`SplitMix64.coins`, `SplitMix64.residues`).
+Dense rows are rebuilt from binary digit strings with int(..., 2)
+(linear time for base 2), and the upper triangle is mirrored into the
+lower one a band of columns at a time (`_mirror`).  `colour_random` has
+two regimes that take their outcomes from one reader: below a mean
+degree that grows with n it walks the edges and sets both bits of each,
+and otherwise it colours rows from digit strings and mirrors them.  The
+rule is a function of the graph alone, and either regime gives the same
+rows.
 numpy is not used: it would do the same arithmetic, but importing it
 alone raises a monotree process's RSS by about 11 MB (16 to 27.7 MB on
 Python 3.11), well past the 15% peak-memory bound of the dense-probe
@@ -57,8 +49,6 @@ from __future__ import annotations
 
 import codecs
 import io
-import sys
-from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
@@ -66,7 +56,7 @@ from itertools import chain, compress
 from operator import lt, or_
 from typing import BinaryIO, Callable, Iterable, Iterator
 
-from .rng import LANE_ONES, LANES, MASK64, SUB_BLOCKS, SplitMix64
+from .rng import SplitMix64
 
 
 class Colour(IntEnum):
@@ -92,16 +82,6 @@ BAND = 128
 EDGE_DEGREE = 48
 EDGE_SLOPE = 6
 
-# For outcomes packed one byte per draw (`_at_byte`, `_lane_bytes`): bits
-# 0 and 1 of byte i in every lane; 0xFF, the mark of a byte that holds no
-# outcome, in bytes k to 15 of every lane; and bit 64 of every lane
-_BYTE_BITS = [LANE_ONES * (3 << 8 * i) for i in range(SUB_BLOCKS)]
-_UNUSED = [LANE_ONES * ((1 << 128) - (1 << 8 * k)) for k in range(SUB_BLOCKS + 1)]
-_LANE_TOPS = LANE_ONES << 64
-# G(n, p)'s outcomes 0 and 1 as digits, and `_colour_block`'s codes 0, 1, 2
-# and 3 as the residues 0, 1, 2 and 2
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_RESIDUES = bytes.maketrans(b"\x03", b"\x02")
 # _colour_rows writes colour c as the character chr(c) among the digits
 _RED_DIGITS = str.maketrans("\x00\x01\x02", "100")
 _GREEN_DIGITS = str.maketrans("\x00\x01\x02", "010")
@@ -165,17 +145,10 @@ def first_nonadjacent_triple(g: SimpleGraph) -> tuple[int, int, int] | None:
     full = g.full_mask
     for u in range(g.n - 2):
         non_u = ~g.adj[u] & full & ~(1 << u)
-        cand = non_u >> (u + 1)
-        base = u + 1
-        while cand:
-            low = cand & -cand
-            v = base + low.bit_length() - 1
-            cand ^= low
-            above = full & ~((1 << (v + 1)) - 1)
-            third = non_u & ~g.adj[v] & above
+        for v in iter_bits(non_u >> (u + 1) << (u + 1)):
+            third = (non_u & ~g.adj[v]) >> (v + 1)
             if third:
-                w = (third & -third).bit_length() - 1
-                return (u, v, w)
+                return (u, v, v + 1 + next(iter_bits(third)))
     return None
 
 
@@ -197,15 +170,13 @@ def generate_gnp(n: int, p: float, seed: int) -> SimpleGraph:
     `seed`.
 
     Dense p draws once per pair in row order, and pair (u, v) is an edge
-    iff its draw is below floor(p * 2^64); the draws come in lane blocks
-    (`SplitMix64.lanes`) of up to 16 sub-blocks, where the test z < T is
-    bit 64 of the lane 2^64 + T - 1 - z, which goes to byte i of the lane
-    for sub-block i, so one `to_bytes` gives up to 4,096 outcomes in draw
-    order.  The upper triangle is then mirrored by `_mirror`.  Sparse p
+    iff its draw is below floor(p * 2^64): the rows read those outcomes
+    as digits from one `SplitMix64.coins` reader of n(n - 1) / 2 coins,
+    and the upper triangle is then mirrored by `_mirror`.  Sparse p
     (below 0.1) skips geometric gaps along the pair sequence, one draw
-    and one float `log` per edge; its draws are read from lane blocks
-    too, as many as it expects to need.  Both paths are pure functions of
-    (n, p, seed).
+    and one float `log` per edge, reading raw draws a block at a time
+    (`SplitMix64.words`), as many as it expects to need.  Both paths are
+    pure functions of (n, p, seed).
 
     A p so small that 1 - p rounds to 1 (p <= 2^-54) gives the empty
     graph, as p = 0 does: the gaps' log(1 - p) would be 0, and the
@@ -226,40 +197,8 @@ def generate_gnp(n: int, p: float, seed: int) -> SimpleGraph:
 
 def _bernoulli_rows(n: int, p: float, rng: SplitMix64) -> list[int]:
     """The strict upper triangle of G(n, p): row u holds the bits v > u."""
-    threshold = int(p * 18446744073709551616.0)  # floor(p * 2**64)
-    bias = LANE_ONES * (MASK64 + threshold)  # 2^64 + threshold - 1 in every lane
-    rows = []
-    bits = b""  # one digit per drawn pair not yet placed in a row
-    for u in range(n - 1):
-        width = n - 1 - u
-        while len(bits) < width:
-            blocks = rng.lanes(width * (width + 1) // 2 - len(bits))
-            packed = 0
-            for i, z in enumerate(blocks):
-                # every lane of the difference lies in [0, 2^65): no borrow
-                # crosses a lane, and bit 64 is the outcome, bit 65 zero
-                packed |= _at_byte(bias - z, 64, i)
-            bits += _lane_bytes(packed, len(blocks), _DIGITS)
-        rows.append(int(bits[width - 1 :: -1], 2) << (u + 1))
-        bits = bits[width:]
-    rows.append(0)
-    return rows
-
-
-def _at_byte(x: int, bit: int, i: int) -> int:
-    """Bits `bit` and `bit` + 1 of every lane of x moved to bits 0 and 1 of
-    byte i of the lane, and every other bit cleared."""
-    shift = bit - 8 * i
-    return (x >> shift if shift >= 0 else x << -shift) & _BYTE_BITS[i]
-
-
-def _lane_bytes(packed: int, k: int, table: bytes) -> bytes:
-    """The outcomes of a block of k sub-blocks (`SplitMix64.lanes`) in draw
-    order, mapped through `table`: byte i of lane j of `packed` holds the
-    outcome of draw k * j + i, and a byte 0xFF marks a draw without one.
-    Bytes k to 15 of every lane are marked too, and every mark is dropped.
-    """
-    return (packed | _UNUSED[k]).to_bytes(16 * LANES, "little").translate(table, b"\xff")
+    coins = rng.coins(p, n * (n - 1) // 2)
+    return [int(coins.take(n - 1 - u)[::-1], 2) << (u + 1) for u in range(n - 1)] + [0]
 
 
 def _mirror(rows: list[int]) -> list[int]:
@@ -303,14 +242,7 @@ def _sample_sparse(n: int, p: float, rng: SplitMix64) -> tuple[int, ...]:
     u, start = 0, 0  # the row of pair `index`, and the index of pair (u, u + 1)
     while True:
         # the draws still wanted are not known; expect one per edge to come
-        blocks = rng.lanes(int(p * (total - index)) + 1)
-        words = array("Q", bytes(8 * LANES * len(blocks)))
-        for i, z in enumerate(blocks):
-            # lane j of sub-block i holds draw len(blocks) * j + i
-            words[i :: len(blocks)] = array("Q", z.to_bytes(16 * LANES, "little"))[::2]
-        if sys.byteorder == "big":
-            words.byteswap()
-        for w in words:
+        for w in rng.words(int(p * (total - index)) + 1):
             index += int(log(1.0 - (w >> 11) * 1.1102230246251565e-16) / ln_q) + 1  # 2**-53
             if index >= total:
                 return tuple(rows)
@@ -365,11 +297,11 @@ def colour_random(g: SimpleGraph, seed: int) -> ColouredGraph:
     three colours; deterministic for a given seed.  Edges are drawn in
     (u, v) lexicographic order, each taking `SplitMix64.randrange(3)`.
 
-    Both regimes read those outcomes from the same lane blocks
-    (`_colour_block`), in the same order, so they give the same rows.  A
-    graph with 2m < (EDGE_DEGREE + EDGE_SLOPE * n / BAND) * n, m its edge
-    count, is coloured edge by edge (`_colour_edges`), in time that
-    follows m times the row width; any other graph a row at a time
+    Both regimes take those outcomes from one `SplitMix64.residues`
+    reader of m outcomes, m the edge count of g, in the same order, so
+    they give the same rows.  A graph with 2m < (EDGE_DEGREE + EDGE_SLOPE
+    * n / BAND) * n is coloured edge by edge (`_colour_edges`), in time
+    that follows m times the row width; any other graph a row at a time
     (`_colour_rows`), in time that follows n^2 / BAND whatever m is.
     Blue is what is left.
 
@@ -386,25 +318,20 @@ def colour_random(g: SimpleGraph, seed: int) -> ColouredGraph:
     the per-edge regime, and the paper's dense cells, above 80, the row
     regime.
     """
-    rng = SplitMix64(seed)
     n, m = g.n, g.edge_count()
-    if 2 * m * BAND < n * (EDGE_DEGREE * BAND + EDGE_SLOPE * n):
-        red, green = _colour_edges(g, rng, m)
-    else:
-        red, green = _colour_rows(g, rng)
+    by_edges = 2 * m * BAND < n * (EDGE_DEGREE * BAND + EDGE_SLOPE * n)
+    regime = _colour_edges if by_edges else _colour_rows
+    red, green = regime(g, SplitMix64(seed).residues(m))
     blue = tuple(a & ~(r | gr) for a, r, gr in zip(g.adj, red, green))
     return ColouredGraph(g, (tuple(red), tuple(green), blue))
 
 
-def _colour_edges(g: SimpleGraph, rng: SplitMix64, edges: int) -> tuple[list[int], list[int]]:
-    """The red and green rows of g, which has `edges` edges, one edge at a
-    time: edge k in (u, v) order takes outcome k, and sets its bit in row
-    u and in row v."""
-    colours = bytearray()
-    while len(colours) < edges:
-        colours += _colour_block(rng, edges - len(colours))
+def _colour_edges(g: SimpleGraph, colours) -> tuple[list[int], list[int]]:
+    """The red and green rows of g, one edge at a time, from `colours`, a
+    `SplitMix64.residues` reader of one outcome per edge: edge k in (u, v)
+    order takes outcome k, and sets its bit in row u and in row v."""
+    outcomes = iter(colours.take(colours.left))
     red, green = [0] * g.n, [0] * g.n
-    k = 0
     for u, row in enumerate(g.adj):
         up = row >> u >> 1  # the bits above u, from bit 0
         if not up:
@@ -414,8 +341,7 @@ def _colour_edges(g: SimpleGraph, rng: SplitMix64, edges: int) -> tuple[list[int
         while up:
             low = up & -up
             up ^= low
-            c = colours[k]
-            k += 1
+            c = next(outcomes)
             if c == 0:
                 r |= low
                 red[u + low.bit_length()] |= bit
@@ -427,9 +353,9 @@ def _colour_edges(g: SimpleGraph, rng: SplitMix64, edges: int) -> tuple[list[int
     return red, green
 
 
-def _colour_rows(g: SimpleGraph, rng: SplitMix64) -> tuple[list[int], list[int]]:
-    """The red and green rows of g, a row at a time, as `_bernoulli_rows`
-    draws them.
+def _colour_rows(g: SimpleGraph, colours) -> tuple[list[int], list[int]]:
+    """The red and green rows of g, a row at a time as `_bernoulli_rows`
+    reads its coins, from `colours`, a `SplitMix64.residues` reader.
 
     Row u's bits above u are written as `bin` digits, highest first, so its
     edges appear in reverse draw order; each "1" becomes a "%c" that the
@@ -438,42 +364,12 @@ def _colour_rows(g: SimpleGraph, rng: SplitMix64) -> tuple[list[int], list[int]]
     then mirrored by `_mirror`.
     """
     red, green = [], []
-    left = g.edge_count()  # edges not yet coloured
-    colours = b""  # drawn colours not yet placed, one byte 0, 1 or 2 each
     for u, row in enumerate(g.adj):
         up = row >> (u + 1)  # the bits above u, from bit 0
-        k = up.bit_count()
-        while len(colours) < k:
-            colours += _colour_block(rng, left - len(colours))
-        code = bin(up).replace("1", "%c") % tuple(colours[:k][::-1])
-        colours = colours[k:]
-        left -= k
+        code = bin(up).replace("1", "%c") % tuple(colours.take(up.bit_count())[::-1])
         red.append(int(code.translate(_RED_DIGITS), 2) << (u + 1))
         green.append(int(code.translate(_GREEN_DIGITS), 2) << (u + 1))
     return _mirror(red), _mirror(green)
-
-
-def _colour_block(rng: SplitMix64, wanted: int) -> bytes:
-    """The `randrange(3)` outcomes of the next block of rng's draws, one
-    byte each, for a caller that wants `wanted` more of them.
-
-    randrange(3) is z mod 3, read lane-wise from the product z * M, M =
-    0xAAAAAAAAAAAAAAAB = (2^65 + 1) / 3, below 2^128 in every lane.  For z
-    = 3q + r, its low 65 bits are q + r * M, so bits 64 and 63 read 00 for
-    r = 0, 01 for r = 1 and 10 or 11 for r = 2, and the translate maps the
-    code 3 to 2.  randrange(3) rejects only z = 2^64 - 1, the one lane
-    value with z + 1 = 2^64: such a lane is marked 0xFF and dropped, so the
-    block may hold fewer outcomes than draws, and the stream has still
-    advanced past every draw.
-    """
-    blocks = rng.lanes(wanted)
-    packed = 0
-    for i, z in enumerate(blocks):
-        packed |= _at_byte(z * 0xAAAAAAAAAAAAAAAB, 63, i)
-        rejected = (z + LANE_ONES) & _LANE_TOPS
-        if rejected:
-            packed |= (rejected >> 64) * 0xFF << 8 * i
-    return _lane_bytes(packed, len(blocks), _RESIDUES)
 
 
 def colour_three_stars(

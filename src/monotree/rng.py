@@ -15,12 +15,25 @@ compute a block of consecutive draws at once in packed Python ints, each
 64-bit draw in the low half of its own 128-bit lane, so that a block costs
 a fixed number of big-int operations instead of one interpreted loop per
 draw.  A block is k sub-blocks of LANES lanes, k up to SUB_BLOCKS, and
-lane j of sub-block i holds draw k * j + i: a consumer that writes the
-outcome of sub-block i into byte i of each lane gets, from one
-`to_bytes`, up to 16 outcomes per lane already in draw order.
+lane j of sub-block i holds draw k * j + i.
+
+Only this module knows that layout.  Samplers read blocks in draw order:
+`SplitMix64.words` gives a block's draws as 64-bit words, and an
+`Outcomes` reader (`SplitMix64.coins`, `SplitMix64.residues`) one
+outcome byte per draw, a coin digit or a `randrange(3)` residue.  The
+reader computes the outcome of each draw of sub-block i lane-wise into
+byte i of its lane (`_at_byte`), so one `to_bytes` of the block gives up
+to 16 outcomes per lane in draw order, and one `translate` maps them and
+drops the bytes that hold none (`Outcomes.take`).  It sizes each block by
+the outcomes it still owes, so the draws that a sampler leaves unread
+come after every draw that it reads.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
+from typing import Callable
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -38,6 +51,17 @@ LANE_STEPS = int.from_bytes(
 )
 LANE_MASK = LANE_ONES * MASK64
 LANE_GOLDEN = LANE_ONES * GOLDEN
+
+# For outcomes packed one byte per draw (`_at_byte`, `Outcomes.take`): bits
+# 0 and 1 of byte i in every lane; 0xFF, the mark of a byte that holds no
+# outcome, in bytes k to 15 of every lane; and bit 64 of every lane
+_BYTE_BITS = [LANE_ONES * (3 << 8 * i) for i in range(SUB_BLOCKS)]
+_UNUSED = [LANE_ONES * ((1 << 128) - (1 << 8 * k)) for k in range(SUB_BLOCKS + 1)]
+_LANE_TOPS = LANE_ONES << 64
+# The coin codes 0 and 1 as digits, and `_residues`' codes 0, 1, 2
+# and 3 as the residues 0, 1, 2 and 2
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_RESIDUES = bytes.maketrans(b"\x03", b"\x02")
 
 
 def finalise64(z: int) -> int:
@@ -83,8 +107,7 @@ class SplitMix64:
         further sub-block adds GOLDEN to every lane.  Each xor-shift of
         `finalise64` is a shift, an xor and a lane mask, and each multiply
         is one big-int by 64-bit product, whose lane products stay below
-        2^128, so no carry crosses a lane.  A caller that needs fewer draws
-        leaves the rest unread.
+        2^128, so no carry crosses a lane.
         """
         k = min(SUB_BLOCKS, max(1, -(-wanted // LANES)))
         # lane j holds state + k * j * GOLDEN, below 2^69 until masked
@@ -97,6 +120,29 @@ class SplitMix64:
             z = ((z ^ (z >> 27)) & LANE_MASK) * 0x94D049BB133111EB & LANE_MASK
             blocks.append((z ^ (z >> 31)) & LANE_MASK)
         return blocks
+
+    def words(self, wanted: int) -> array:
+        """The draws of the next block (`lanes`) in draw order, as an array
+        of 64-bit words, for a caller that still wants `wanted` draws."""
+        blocks = self.lanes(wanted)
+        words = array("Q", bytes(8 * LANES * len(blocks)))
+        for i, z in enumerate(blocks):
+            words[i :: len(blocks)] = array("Q", z.to_bytes(16 * LANES, "little"))[::2]
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words
+
+    def coins(self, p: float, total: int) -> Outcomes:
+        """A reader of the coin flips of the next `total` draws: b"1" for a
+        draw z < T = floor(p * 2^64), else b"0".  The flip is bit 64 of the
+        lane 2^64 + T - 1 - z, in [0, 2^65) so that no borrow crosses lanes."""
+        bias = LANE_ONES * (MASK64 + int(p * 18446744073709551616.0))  # 2**64
+        return Outcomes(self, total, lambda z, i: _at_byte(bias - z, 64, i), _DIGITS)
+
+    def residues(self, total: int) -> Outcomes:
+        """A reader of `total` outcomes of `randrange(3)`, one byte 0, 1 or
+        2 each, as successive calls of it would draw them (`_residues`)."""
+        return Outcomes(self, total, _residues, _RESIDUES)
 
     def randrange(self, bound: int) -> int:
         """Uniform integer in [0, bound), unbiased via rejection."""
@@ -117,3 +163,62 @@ class SplitMix64:
             j = i + self.randrange(n - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
+
+
+class Outcomes:
+    """The outcomes of a stream's draws in draw order, one byte each, for
+    a sampler that takes `left` more of them (`SplitMix64.coins` and
+    `SplitMix64.residues`)."""
+
+    __slots__ = ("left", "_rng", "_codes", "_table", "_held")
+
+    def __init__(self, rng: SplitMix64, total: int, codes: Callable, table: bytes):
+        self.left = total  # outcomes not yet taken
+        self._rng = rng
+        # codes(z, i): the codes of sub-block z's outcomes, in byte i of its
+        # lanes (`_at_byte`), each mapped to its outcome through table
+        self._codes = codes
+        self._table = table
+        self._held = bytearray()  # outcomes computed and not yet taken
+
+    def take(self, k: int) -> bytearray:
+        """The next k outcomes.  Each block read for them is sized by the
+        outcomes still wanted, `left` less those already held.  A byte that
+        holds no outcome is marked 0xFF and dropped by the translate: in
+        every lane, each byte past the block's sub-blocks, and the byte of
+        a draw that codes rejects."""
+        held = self._held
+        while len(held) < k:
+            blocks = self._rng.lanes(self.left - len(held))
+            packed = _UNUSED[len(blocks)]
+            for i, z in enumerate(blocks):
+                packed |= self._codes(z, i)
+            held += packed.to_bytes(16 * LANES, "little").translate(self._table, b"\xff")
+        taken = held[:k]
+        del held[:k]
+        self.left -= k
+        return taken
+
+
+def _residues(z: int, i: int) -> int:
+    """The `randrange(3)` codes of sub-block z's draws, in byte i of its lanes.
+
+    randrange(3) is z mod 3, read lane-wise from the product z * M, M =
+    0xAAAAAAAAAAAAAAAB = (2^65 + 1) / 3, below 2^128 in every lane.  For z
+    = 3q + r, its low 65 bits are q + r * M, so bits 64 and 63 read 00 for
+    r = 0, 01 for r = 1 and 10 or 11 for r = 2, and _RESIDUES maps the
+    code 3 to 2.  randrange(3) rejects only z = 2^64 - 1, the one lane
+    value with z + 1 = 2^64: such a draw is marked 0xFF and dropped, so a
+    block may hold fewer outcomes than draws, and the stream has still
+    advanced past every draw.
+    """
+    codes = _at_byte(z * 0xAAAAAAAAAAAAAAAB, 63, i)
+    rejected = (z + LANE_ONES) & _LANE_TOPS
+    return codes | (rejected >> 64) * 0xFF << 8 * i if rejected else codes
+
+
+def _at_byte(x: int, bit: int, i: int) -> int:
+    """Bits `bit` and `bit` + 1 of every lane of x moved to bits 0 and 1 of
+    byte i of the lane, and every other bit cleared."""
+    shift = bit - 8 * i
+    return (x >> shift if shift >= 0 else x << -shift) & _BYTE_BITS[i]

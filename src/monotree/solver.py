@@ -288,7 +288,7 @@ def _case1_candidates(
 
 
 def strategy_alpha2(
-    cg: ColouredGraph, lab: ComponentLabelling, h: ComponentHypergraph
+    lab: ComponentLabelling, h: ComponentHypergraph
 ) -> tuple[tuple[CompRef, ...] | None, TraceReport]:
     """Cover attempt through the union of red-component link graphs.
 
@@ -302,7 +302,7 @@ def strategy_alpha2(
 
     Returns (cover, trace); None signals the exact fallback.
     """
-    full = cg.graph.full_mask
+    full = (1 << lab.n) - 1
     link = link_union(h, Colour.RED)
     m = max_matching_bipartite(link)
     trace = TraceReport(nu_link=len(m), matching=m)
@@ -609,7 +609,7 @@ def solve_cover(cg: ColouredGraph) -> tuple[TreeCover, TraceReport]:
         strategy_cover, trace = strategy_alpha_ge3(cg, lab, ac.witness)
     else:
         h = build_component_hypergraph(lab)
-        strategy_cover, trace = strategy_alpha2(cg, lab, h)
+        strategy_cover, trace = strategy_alpha2(lab, h)
     trace.alpha = ac.kind
     trace.component_count = lab.component_count()
     if strategy_cover is not None:

@@ -25,6 +25,7 @@ from monotree import (
 )
 from monotree.graphs import LETTER_TO_COLOUR, MAX_VERTICES, iter_bits
 from monotree.hypergraph import CompRef, ComponentHypergraph
+from monotree.rng import MASK64
 
 BIG = 1 << 30
 
@@ -426,3 +427,19 @@ def all_passed(o: CheckOutcome) -> bool:
 
 def pass_fraction(o: CheckOutcome) -> float:
     return o.passes / (o.passes + o.fails) if o.passes + o.fails else 0.0
+
+
+def finalise64_inverse(z: int) -> int:
+    """The state whose splitmix64 output is z: each xor-shift is undone by
+    xoring in the repeated shifts, each multiply by the inverse mod 2^64."""
+
+    def unshift(x: int, s: int) -> int:
+        y, shifted = x, x >> s
+        while shifted:
+            y ^= shifted
+            shifted >>= s
+        return y
+
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) & MASK64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) & MASK64
+    return unshift(z, 30)

@@ -40,22 +40,6 @@ from monotree.rng import GOLDEN, MASK64, SplitMix64
 import support
 
 
-def finalise64_inverse(z: int) -> int:
-    """The state whose splitmix64 output is z: each xor-shift is undone by
-    xoring in the repeated shifts, each multiply by the inverse mod 2^64."""
-
-    def unshift(x: int, s: int) -> int:
-        y, shifted = x, x >> s
-        while shifted:
-            y ^= shifted
-            shifted >>= s
-        return y
-
-    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) & MASK64
-    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) & MASK64
-    return unshift(z, 30)
-
-
 def reference_colouring(g: SimpleGraph, seed: int) -> tuple[tuple[int, ...], ...]:
     """The colour rows of `colour_random(g, seed)` by its definition: one
     `randrange(3)` per edge, in (u, v) order."""
@@ -74,8 +58,8 @@ def assert_regimes_match_reference(g: SimpleGraph, seed: int) -> None:
     them the rule picks for g."""
     expected = reference_colouring(g, seed)
     assert colour_random(g, seed).colour_adj == expected
-    for regime, args in ((graphs._colour_edges, (g.edge_count(),)), (graphs._colour_rows, ())):
-        red, green = regime(g, SplitMix64(seed), *args)
+    for regime in (graphs._colour_edges, graphs._colour_rows):
+        red, green = regime(g, SplitMix64(seed).residues(g.edge_count()))
         assert (tuple(red), tuple(green)) == expected[:2], regime.__name__
 
 
@@ -242,7 +226,7 @@ class TestColourRandom:
         # number `index` is that value and compare both regimes with a
         # per-edge loop
         g = generate_gnp(n, p, graph_seed)
-        seed = (finalise64_inverse(MASK64) - (index + 1) * GOLDEN) & MASK64
+        seed = (support.finalise64_inverse(MASK64) - (index + 1) * GOLDEN) & MASK64
         rng = SplitMix64(seed)
         draws = [rng.next_u64() for _ in range(index + 1)]
         assert draws[index] == MASK64 and MASK64 not in draws[:index]

@@ -1,6 +1,10 @@
+import random
+
 from monotree.rng import GOLDEN, LANES, MASK64, SUB_BLOCKS, SplitMix64, derive_seed, finalise64
 
 import pytest
+
+import support
 
 
 def test_stream_is_deterministic():
@@ -99,3 +103,68 @@ def test_lanes_pack_the_next_draws(wanted, lanes):
     assert block.state == reference.state
     narrow = [finalise64((2024 + (j + 1) * GOLDEN) & MASK64) for j in range(lanes)]
     assert draws[:lanes] == narrow
+
+
+@pytest.mark.parametrize("wanted", [1, 256, 4096, 5000])
+def test_words_are_the_next_draws(wanted):
+    # one block of min(16, ceil(wanted / 256)) sub-blocks, in draw order;
+    # a second call goes on where the first stopped
+    rng, reference = SplitMix64(2024), SplitMix64(2024)
+    k = min(SUB_BLOCKS, -(-wanted // LANES))
+    for _ in range(2):
+        words = rng.words(wanted)
+        assert list(words) == [reference.next_u64() for _ in range(k * LANES)]
+        assert rng.state == reference.state
+
+
+def rejecting_seed(index: int) -> int:
+    """The seed whose draw number `index` is 2^64 - 1, which randrange(3)
+    rejects."""
+    seed = (support.finalise64_inverse(MASK64) - (index + 1) * GOLDEN) & MASK64
+    assert finalise64((seed + (index + 1) * GOLDEN) & MASK64) == MASK64
+    return seed
+
+
+# (name, reader, draw): a reader of `total` outcomes of a stream, and one
+# outcome drawn from a stream by its definition
+READERS = [
+    (
+        f"coins-{p}",
+        lambda rng, total, p=p: rng.coins(p, total),
+        lambda rng, p=p: b"01"[rng.next_u64() < int(p * 2**64)],
+    )
+    for p in (0.37, 1.0)
+] + [("residues", lambda rng, total: rng.residues(total), lambda rng: rng.randrange(3))]
+
+
+def splits(total: int) -> list[list[int]]:
+    """Ways to take `total` outcomes: at once, one at a time, in shrinking
+    rows as a triangle of pairs is read, in blocks' worth, and at random."""
+    rows, width = [], 1
+    while sum(rows) + width <= total:
+        rows.append(width)
+        width += 1
+    rows = rows[::-1] + [total - sum(rows)]
+    parts, rng = [], random.Random(total)
+    while sum(parts) < total:
+        parts.append(min(rng.randrange(1, 3000), total - sum(parts)))
+    blocks = [4096] * (total // 4096) + [total % 4096]
+    return [[total], [0, total, 0], [1] * total, rows, blocks, parts]
+
+
+@pytest.mark.parametrize("name, reader, draw", READERS, ids=[r[0] for r in READERS])
+@pytest.mark.parametrize("seed", [77, rejecting_seed(4095), rejecting_seed(4096)])
+@pytest.mark.parametrize("total", [0, 1, 4095, 4096, 4097, 8191, 8192, 8193])
+def test_reader_gives_the_outcomes_in_draw_order(name, reader, draw, seed, total):
+    # any split of the total into takes gives the outcomes of the stream's
+    # draws by their definition, one byte each, rejected draws dropped; the
+    # stream stops at the first whole sub-block past the last draw used
+    reference = SplitMix64(seed)
+    expected = bytes(draw(reference) for _ in range(total))
+    used = (reference.state - seed) * pow(GOLDEN, -1, 2**64) & MASK64
+    for split in splits(total):
+        rng = SplitMix64(seed)
+        outcomes = reader(rng, total)
+        assert b"".join(outcomes.take(k) for k in split) == expected
+        assert outcomes.left == 0
+        assert rng.state == (seed + -(-used // LANES) * LANES * GOLDEN) & MASK64

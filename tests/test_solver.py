@@ -194,7 +194,7 @@ class TestStrategyAlpha2:
     def _run(self, cg):
         lab = monochromatic_components(cg)
         h = build_component_hypergraph(lab)
-        return strategy_alpha2(cg, lab, h), lab
+        return strategy_alpha2(lab, h), lab
 
     def test_single_vertex_konig_path(self):
         (refs, details), _ = self._run(cg_from(1, []))
@@ -282,7 +282,7 @@ class TestStrategyAlpha2:
             cg = colour_random(generate_gnp(40, 0.8, seed=seed), seed=seed + 50)
             lab = monochromatic_components(cg)
             h = build_component_hypergraph(lab)
-            (refs, details) = strategy_alpha2(cg, lab, h)
+            (refs, details) = strategy_alpha2(lab, h)
             assert refs is not None and len(refs) <= 3
             mask = 0
             for c, cid in refs:

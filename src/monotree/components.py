@@ -2,7 +2,8 @@
 
 Covers three things: the per-colour partition of the vertex set into
 connected components of each colour class (isolated vertices count as
-singleton components in every colour), the closure of a coloured graph
+singleton components in every colour), found by one breadth-first walk
+per component that keeps its spanning tree, the closure of a coloured graph
 under single-colour connectivity, read off that labelling, and the
 independence-number trichotomy on the closure.  The closure's inherited
 colouring is built only on request, by `shortcut_graph`.
@@ -24,16 +25,20 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class ComponentLabelling:
-    """Per-colour vertex partition into single-colour components.
+    """Per-colour vertex partition into single-colour components, with a
+    breadth-first spanning tree of each.
 
     Component ids are canonical: the smallest vertex the component
-    contains.  `comp_id[c][v]` is the id of v's c-component and
-    `members[c][id]` its vertex bitset.
+    contains.  `comp_id[c][v]` is the id of v's c-component,
+    `members[c][id]` its vertex bitset, and `parent[c][v]` v's parent in
+    the breadth-first tree of that component rooted at its id, or None
+    for the id itself.
     """
 
     n: int
     comp_id: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     members: tuple[dict[int, int], dict[int, int], dict[int, int]]
+    parent: tuple[tuple[int | None, ...], tuple[int | None, ...], tuple[int | None, ...]]
 
     def id_of(self, colour: Colour, v: int) -> int:
         return self.comp_id[colour][v]
@@ -61,36 +66,45 @@ class ComponentLabelling:
         )
 
 
-def _colour_components(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, int]]:
-    # Frontier walk over one colour's bitset rows.  Each walk starts from
-    # the smallest unlabelled vertex and collects its whole component
-    # before the next walk starts, so every id is the smallest member.
-    ids = [0] * n
+def _colour_components(
+    n: int, rows: tuple[int, ...]
+) -> tuple[tuple[int, ...], dict[int, int], tuple[int | None, ...]]:
+    """ids, member masks and breadth-first parents of one colour's
+    components.  Roots come from a scan in vertex order that skips
+    labelled vertices, so every id is the smallest member; a root with an
+    empty row is a singleton and touches no full-width mask.  Any other
+    root walks breadth-first: a queue in discovery order, in which u takes
+    `rows[u] & unseen` as its children, in ascending order."""
+    ids = list(range(n))
+    parent: list[int | None] = [None] * n
     members: dict[int, int] = {}
-    unlabelled = (1 << n) - 1
-    while unlabelled:
-        cid = (unlabelled & -unlabelled).bit_length() - 1
-        comp = frontier = 1 << cid
-        while frontier:
-            reach = 0
-            for v in iter_bits(frontier):
-                ids[v] = cid
-                reach |= rows[v]
-            frontier = reach & ~comp
-            comp |= frontier
-        unlabelled &= ~comp
-        members[cid] = comp
-    return tuple(ids), members
+    unseen = (1 << n) - 1
+    for root in range(n):
+        if ids[root] != root:
+            continue
+        if not rows[root]:
+            members[root] = 1 << root
+            continue
+        comp = 1 << root
+        unseen ^= comp
+        queue = [root]
+        for u in queue:
+            novel = rows[u] & unseen
+            if novel:
+                unseen ^= novel
+                comp |= novel
+                for v in iter_bits(novel):
+                    ids[v] = root
+                    parent[v] = u
+                    queue.append(v)
+        members[root] = comp
+    return tuple(ids), members, tuple(parent)
 
 
 def monochromatic_components(cg: ColouredGraph) -> ComponentLabelling:
     """Connected components of each single-colour subgraph of cg."""
     per_colour = [_colour_components(cg.n, cg.colour_adj[c]) for c in COLOURS]
-    return ComponentLabelling(
-        cg.n,
-        tuple(ids for ids, _ in per_colour),  # type: ignore[arg-type]
-        tuple(members for _, members in per_colour),  # type: ignore[arg-type]
-    )
+    return ComponentLabelling(cg.n, *zip(*per_colour))  # type: ignore[arg-type]
 
 
 def shortcut_graph(cg: ColouredGraph) -> ColouredGraph:

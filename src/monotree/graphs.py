@@ -303,7 +303,6 @@ def colour_random(g: SimpleGraph, seed: int) -> ColouredGraph:
     * n / BAND) * n is coloured edge by edge (`_colour_edges`), in time
     that follows m times the row width; any other graph a row at a time
     (`_colour_rows`), in time that follows n^2 / BAND whatever m is.
-    Blue is what is left.
 
     The threshold follows the break-even mean degree, which rises with n
     because only the row regime pays for n^2 pairs.  Over G(n, d / (n -
@@ -321,23 +320,23 @@ def colour_random(g: SimpleGraph, seed: int) -> ColouredGraph:
     n, m = g.n, g.edge_count()
     by_edges = 2 * m * BAND < n * (EDGE_DEGREE * BAND + EDGE_SLOPE * n)
     regime = _colour_edges if by_edges else _colour_rows
-    red, green = regime(g, SplitMix64(seed).residues(m))
-    blue = tuple(a & ~(r | gr) for a, r, gr in zip(g.adj, red, green))
-    return ColouredGraph(g, (tuple(red), tuple(green), blue))
+    red, green, blue = regime(g, SplitMix64(seed).residues(m))
+    return ColouredGraph(g, (tuple(red), tuple(green), tuple(blue)))
 
 
-def _colour_edges(g: SimpleGraph, colours) -> tuple[list[int], list[int]]:
-    """The red and green rows of g, one edge at a time, from `colours`, a
-    `SplitMix64.residues` reader of one outcome per edge: edge k in (u, v)
-    order takes outcome k, and sets its bit in row u and in row v."""
+def _colour_edges(g: SimpleGraph, colours) -> tuple[list[int], list[int], list[int]]:
+    """The red, green and blue rows of g, one edge at a time, from
+    `colours`, a `SplitMix64.residues` reader of one outcome per edge: edge
+    k in (u, v) order takes outcome k, and sets its bit in row u and in
+    row v of that colour."""
     outcomes = iter(colours.take(colours.left))
-    red, green = [0] * g.n, [0] * g.n
+    red, green, blue = [0] * g.n, [0] * g.n, [0] * g.n
     for u, row in enumerate(g.adj):
         up = row >> u >> 1  # the bits above u, from bit 0
         if not up:
             continue
         bit = 1 << u
-        r = gr = 0
+        r = gr = b = 0
         while up:
             low = up & -up
             up ^= low
@@ -348,20 +347,25 @@ def _colour_edges(g: SimpleGraph, colours) -> tuple[list[int], list[int]]:
             elif c == 1:
                 gr |= low
                 green[u + low.bit_length()] |= bit
+            else:
+                b |= low
+                blue[u + low.bit_length()] |= bit
         red[u] |= r << u << 1
         green[u] |= gr << u << 1
-    return red, green
+        blue[u] |= b << u << 1
+    return red, green, blue
 
 
-def _colour_rows(g: SimpleGraph, colours) -> tuple[list[int], list[int]]:
-    """The red and green rows of g, a row at a time as `_bernoulli_rows`
-    reads its coins, from `colours`, a `SplitMix64.residues` reader.
+def _colour_rows(g: SimpleGraph, colours) -> tuple[list[int], list[int], list[int]]:
+    """The red, green and blue rows of g, a row at a time as
+    `_bernoulli_rows` reads its coins, from `colours`, a
+    `SplitMix64.residues` reader.
 
     Row u's bits above u are written as `bin` digits, highest first, so its
     edges appear in reverse draw order; each "1" becomes a "%c" that the
     row's colours, last drawn first, fill in; and the red and green digits
     are read back by int(..., 2).  The red and green upper triangles are
-    then mirrored by `_mirror`.
+    then mirrored by `_mirror`, and blue is what is left of each row.
     """
     red, green = [], []
     for u, row in enumerate(g.adj):
@@ -369,7 +373,8 @@ def _colour_rows(g: SimpleGraph, colours) -> tuple[list[int], list[int]]:
         code = bin(up).replace("1", "%c") % tuple(colours.take(up.bit_count())[::-1])
         red.append(int(code.translate(_RED_DIGITS), 2) << (u + 1))
         green.append(int(code.translate(_GREEN_DIGITS), 2) << (u + 1))
-    return _mirror(red), _mirror(green)
+    red, green = _mirror(red), _mirror(green)
+    return red, green, [a & ~(r | gr) for a, r, gr in zip(g.adj, red, green)]
 
 
 def colour_three_stars(

@@ -398,41 +398,18 @@ def strategy_alpha2(
     return _finish(trace, winner, BRANCH_CASE3, "4+0 case candidates exhausted")
 
 
-def components_to_trees(
-    cg: ColouredGraph, comps: Iterable[CompRef], lab: ComponentLabelling
-) -> TreeCover:
-    """Breadth-first spanning tree of each component of `lab`, rooted at
-    its id (the smallest vertex).  Raises ValueError if the union of the
-    components misses a vertex."""
+def components_to_trees(comps: Iterable[CompRef], lab: ComponentLabelling) -> TreeCover:
+    """The spanning tree of each component that `lab`'s breadth-first walk
+    kept, rooted at its id (the smallest vertex).  Raises ValueError if
+    the union of the components misses a vertex."""
     refs = tuple(sorted(_dedupe(comps)))
-    union = _union_mask(lab, refs)
-    if union != cg.graph.full_mask:
-        missing = next(iter_bits(cg.graph.full_mask & ~union))
-        raise ValueError(f"components do not cover vertex {missing}")
-    trees = []
-    for c, cid in refs:
-        mask = lab.members[c][cid]
-        rows = cg.colour_adj[c]
-        root = cid
-        parent: dict[int, int | None] = {root: None}
-        unseen = mask ^ (1 << root)
-        frontier = [root]
-        while frontier:
-            nxt: list[int] = []
-            for u in frontier:
-                novel = rows[u] & unseen
-                if novel:
-                    unseen ^= novel
-                    for v in iter_bits(novel):
-                        parent[v] = u
-                        nxt.append(v)
-            frontier = nxt
-        if unseen:
-            raise RuntimeError(
-                f"component ({Colour(c).name}, {cid}) is not connected in its colour"
-            )
-        trees.append(Tree(COLOURS[c], root, parent))
-    return TreeCover(tuple(trees))
+    missing = ((1 << lab.n) - 1) & ~_union_mask(lab, refs)
+    if missing:
+        raise ValueError(f"components do not cover vertex {next(iter_bits(missing))}")
+    return TreeCover(tuple(
+        Tree(COLOURS[c], cid, {v: lab.parent[c][v] for v in iter_bits(lab.members[c][cid])})
+        for c, cid in refs
+    ))
 
 
 def verify_cover(cg: ColouredGraph, tc: TreeCover) -> list[str]:
@@ -636,7 +613,7 @@ def solve_cover(cg: ColouredGraph) -> tuple[TreeCover, TraceReport]:
         final = strategy_cover
     trace.cover_refs = tuple(sorted(final))
 
-    trees = components_to_trees(cg, final, lab)
+    trees = components_to_trees(final, lab)
     violations = verify_cover(cg, trees)
     if violations:
         raise AssertionError(f"solver produced an invalid cover: {violations}")

@@ -23,9 +23,11 @@ from monotree import (
     GraphFormatError,
     SimpleGraph,
 )
+from monotree.components import ComponentLabelling
 from monotree.graphs import LETTER_TO_COLOUR, MAX_VERTICES, iter_bits
 from monotree.hypergraph import CompRef, ComponentHypergraph
 from monotree.rng import MASK64
+from monotree.solver import Tree, TreeCover, _dedupe, _union_mask
 
 BIG = 1 << 30
 
@@ -257,6 +259,48 @@ def reference_tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> tup
     if k_max is not None and len(best) > k_max:
         return None
     return tuple(sorted(best))
+
+
+# The tree builder of the parent of the labelling's spanning forest,
+# verbatim apart from its name and docstring.
+
+
+def reference_trees(
+    cg: ColouredGraph, comps: Iterable[CompRef], lab: ComponentLabelling
+) -> TreeCover:
+    """Breadth-first spanning tree of each component of `lab`, rooted at
+    its id, by a walk of its own over cg's colour rows: the builder that
+    reading `lab.parent` replaced, kept as the oracle the labelling's
+    parents are compared against."""
+    refs = tuple(sorted(_dedupe(comps)))
+    union = _union_mask(lab, refs)
+    if union != cg.graph.full_mask:
+        missing = next(iter_bits(cg.graph.full_mask & ~union))
+        raise ValueError(f"components do not cover vertex {missing}")
+    trees = []
+    for c, cid in refs:
+        mask = lab.members[c][cid]
+        rows = cg.colour_adj[c]
+        root = cid
+        parent: dict[int, int | None] = {root: None}
+        unseen = mask ^ (1 << root)
+        frontier = [root]
+        while frontier:
+            nxt: list[int] = []
+            for u in frontier:
+                novel = rows[u] & unseen
+                if novel:
+                    unseen ^= novel
+                    for v in iter_bits(novel):
+                        parent[v] = u
+                        nxt.append(v)
+            frontier = nxt
+        if unseen:
+            raise RuntimeError(
+                f"component ({Colour(c).name}, {cid}) is not connected in its colour"
+            )
+        trees.append(Tree(COLOURS[c], root, parent))
+    return TreeCover(tuple(trees))
 
 
 # The text reader and writer of the parent of the block tokeniser, verbatim

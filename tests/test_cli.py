@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,34 @@ class TestSolve:
         data = json.loads(out)
         assert (data["valid"], data["violations"]) == (True, [])
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "gen, digest",
+        [
+            ([], "236bf04eb6245821ead5f4cc30ade8969afbfe20cfe81836242cfd74e22fe892"),
+            (
+                ["--p", "2e-4", "--seed", "1"],
+                "5e013758e94cace3337cbc86c78e61bf4568ec81c88dfc1589d459c687804813",
+            ),
+        ],
+        ids=["edgeless", "sparse"],
+    )
+    def test_solve_at_scale_pinned(self, capsys, tmp_path, gen, digest):
+        # n = 16384: the edgeless graph, whose 49,152 components are all
+        # singletons, and G(16384, 2e-4) coloured as `gen` colours it.  The
+        # digests are of the bytes `solve` wrote before the labelling kept
+        # its spanning forest.  Each solve took under 1 s on a 2-vCPU
+        # machine.
+        path = tmp_path / "g.txt"
+        if gen:
+            assert main(["gen", "--n", "16384", *gen, "--out", str(path)]) == 0
+        else:
+            path.write_text("n 16384\n")
+        start = time.perf_counter()
+        code, out = run(capsys, "solve", str(path))
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOracle:

@@ -8,10 +8,13 @@ from monotree import (
     Colour,
     alpha_class,
     colour_random,
+    colour_three_stars,
+    first_nonadjacent_triple,
     generate_gnp,
     monochromatic_components,
     shortcut_graph,
 )
+from monotree.graphs import iter_bits
 from monotree.rng import SplitMix64
 
 import support
@@ -100,6 +103,66 @@ class TestMonochromaticComponents:
                 assert (mask >> cid) & 1
                 union |= mask
             assert union == full
+
+
+def criterion_density(n):
+    return 1.5 * (math.log(n) / n) ** (1 / 6)
+
+
+def both_colourings(n, p, seed):
+    """G(n, p) coloured at random, and by three stars when it has an
+    independent triple."""
+    g = generate_gnp(n, p, seed=seed)
+    yield colour_random(g, seed=seed + 1)
+    triple = first_nonadjacent_triple(g)
+    if triple is not None:
+        yield colour_three_stars(g, *triple, base=Colour(seed % 3))
+
+
+def assert_forest_matches_reference(cg):
+    """For every component of every colour, `lab.parent` is the tree that
+    `support.reference_trees` builds, and each parent is a neighbour of
+    its child one breadth-first layer closer to the component's id."""
+    lab = monochromatic_components(cg)
+    for c in COLOURS:
+        adj = [set(iter_bits(row)) for row in cg.colour_adj[c]]
+        parent = lab.parent[c]
+        reference = support.reference_trees(cg, [(c, cid) for cid in lab.members[c]], lab)
+        for tree in reference.trees:
+            assert {v: parent[v] for v in tree.parent} == tree.parent
+            depth, queue = {tree.root: 0}, [tree.root]
+            for u in queue:
+                for w in adj[u] - depth.keys():
+                    depth[w] = depth[u] + 1
+                    queue.append(w)
+            assert depth.keys() == tree.parent.keys()
+            for v, p in tree.parent.items():
+                if p is None:
+                    assert v == tree.root
+                else:
+                    assert v in adj[p] and depth[p] == depth[v] - 1
+
+
+class TestSpanningForest:
+    """The labelling's breadth-first parents against the tree builder they
+    replaced, on every component, not only those a cover picks."""
+
+    @settings(max_examples=100)
+    @given(support.coloured_graphs(max_n=12))
+    def test_matches_reference_on_small_graphs(self, cg):
+        assert_forest_matches_reference(cg)
+
+    @pytest.mark.parametrize("n", [300, 600, 1200])
+    def test_matches_reference_at_criterion_density(self, n):
+        for cg in both_colourings(n, criterion_density(n), seed=n + 1):
+            assert_forest_matches_reference(cg)
+
+    @pytest.mark.parametrize("n, p", [(100, 0.03), (100, 0.05), (100, 0.08), (60, 0.1)])
+    def test_matches_reference_on_sparse_cells(self, n, p):
+        # the cells of perfbench's sparse-exact workload
+        for seed in range(8):
+            for cg in both_colourings(n, p, seed=1000 * seed + n):
+                assert_forest_matches_reference(cg)
 
 
 class TestShortcutGraph:

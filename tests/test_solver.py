@@ -330,7 +330,7 @@ class TestEgpPartitionSearch:
 class TestComponentsToTrees:
     def test_single_red_component_tree(self):
         cg = cg_from(3, [(0, 1, R), (0, 2, R), (1, 2, R)])
-        cover = components_to_trees(cg, [(0, 0)], monochromatic_components(cg))
+        cover = components_to_trees([(0, 0)], monochromatic_components(cg))
         assert cover.size == 1
         tree = cover.trees[0]
         assert tree.root == 0
@@ -339,18 +339,18 @@ class TestComponentsToTrees:
     def test_missing_vertex_rejected(self):
         cg = cg_from(3, [(0, 1, R)])
         with pytest.raises(ValueError, match="cover"):
-            components_to_trees(cg, [(0, 0)], monochromatic_components(cg))
+            components_to_trees([(0, 0)], monochromatic_components(cg))
 
     def test_overlapping_components_allowed(self):
         cg = cg_from(3, [(0, 1, R), (0, 2, G), (1, 2, B)])
         lab = monochromatic_components(cg)
-        cover = components_to_trees(cg, [(0, 0), (1, 0), (2, 1)], lab)
+        cover = components_to_trees([(0, 0), (1, 0), (2, 1)], lab)
         assert cover.size == 3
         assert verify_cover(cg, cover) == []
 
     def test_singleton_component_tree(self):
         cg = cg_from(2, [(0, 1, R)])
-        cover = components_to_trees(cg, [(0, 0), (1, 0), (1, 1)], monochromatic_components(cg))
+        cover = components_to_trees([(0, 0), (1, 0), (1, 1)], monochromatic_components(cg))
         assert {t.vertices for t in cover.trees} == {(0, 1), (0,), (1,)}
 
 
@@ -361,7 +361,7 @@ MESSAGE_PATH = {0: None, 1: 0, 2: 1, 3: 2}
 class TestVerifyCover:
     def test_valid_cover_passes(self):
         cg = cg_from(3, [(0, 1, R), (0, 2, R), (1, 2, R)])
-        cover = components_to_trees(cg, [(0, 0)], monochromatic_components(cg))
+        cover = components_to_trees([(0, 0)], monochromatic_components(cg))
         assert verify_cover(cg, cover) == []
 
     def test_overlapping_trees_allowed(self):

@@ -79,12 +79,12 @@ BAND = 128
 # `colour_random` colours edge by edge below a mean degree of
 # EDGE_DEGREE + EDGE_SLOPE * n / BAND; its docstring gives the measured
 # break-even.
-EDGE_DEGREE = 48
-EDGE_SLOPE = 6
+EDGE_DEGREE = 32
+EDGE_SLOPE = 4
 
-# _colour_rows writes colour c as the character chr(c) among the digits
-_RED_DIGITS = str.maketrans("\x00\x01\x02", "100")
-_GREEN_DIGITS = str.maketrans("\x00\x01\x02", "010")
+# _colour_rows writes colour c as the byte c among the digits
+_RED_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"100")
+_GREEN_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"010")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -308,11 +308,11 @@ def colour_random(g: SimpleGraph, seed: int) -> ColouredGraph:
     because only the row regime pays for n^2 pairs.  Over G(n, d / (n -
     1)), medians of interleaved calls on two graph seeds on a 2-vCPU
     machine with Python 3.11, the per-edge regime and the row regime took
-    the same time at d of about 45 to 50 for n = 100, 60 at 300, 75 to 80
-    at 600, 120 to 130 at 1200, 160 to 200 at 2400 and 225 to 250 at 4800;
-    the rule puts the switch at 53, 62, 76, 104, 161 and 273.  Near each
+    the same time at d of about 30 to 35 for n = 100, 40 at 300, 55 to 60
+    at 600, 70 to 90 at 1200, 110 to 125 at 2400 and 155 to 180 at 4800;
+    the rule puts the switch at 35, 41, 51, 70, 107 and 182.  Near each
     switch the two regimes are within a tenth of each other, and over the
-    whole sweep the regime chosen took at most about 1.1 times as long as
+    whole sweep the regime chosen took at most about 1.15 times as long as
     the other.  Sparse experiment cells, with a mean degree under 10, take
     the per-edge regime, and the paper's dense cells, above 80, the row
     regime.
@@ -361,16 +361,19 @@ def _colour_rows(g: SimpleGraph, colours) -> tuple[list[int], list[int], list[in
     `_bernoulli_rows` reads its coins, from `colours`, a
     `SplitMix64.residues` reader.
 
-    Row u's bits above u are written as `bin` digits, highest first, so its
-    edges appear in reverse draw order; each "1" becomes a "%c" that the
-    row's colours, last drawn first, fill in; and the red and green digits
-    are read back by int(..., 2).  The red and green upper triangles are
-    then mirrored by `_mirror`, and blue is what is left of each row.
+    Row u's bits above u are written as `bin` digits in bytes, highest
+    first, so its edges appear in reverse draw order; each b"1" becomes a
+    b"%c" that the row's colours, last drawn first, fill in as the bytes 0,
+    1 and 2; and the red and green digits are read back by int(..., 2).
+    The red and green upper triangles are then mirrored by `_mirror`, and
+    blue is what is left of each row.
     """
     red, green = [], []
     for u, row in enumerate(g.adj):
         up = row >> (u + 1)  # the bits above u, from bit 0
-        code = bin(up).replace("1", "%c") % tuple(colours.take(up.bit_count())[::-1])
+        code = bin(up).encode().replace(b"1", b"%c") % tuple(
+            colours.take(up.bit_count())[::-1]
+        )
         red.append(int(code.translate(_RED_DIGITS), 2) << (u + 1))
         green.append(int(code.translate(_GREEN_DIGITS), 2) << (u + 1))
     red, green = _mirror(red), _mirror(green)

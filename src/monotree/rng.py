@@ -12,10 +12,12 @@ built on `finalise64`).
 splitmix64 is counter-based: draw i of the stream seeded with s is
 finalise64(s + (i + 1) * GOLDEN mod 2^64).  `SplitMix64.lanes` uses that to
 compute a block of consecutive draws at once in packed Python ints, each
-64-bit draw in the low half of its own 128-bit lane, so that a block costs
+64-bit draw in bits 0 to 63 of its own 128-bit lane, so that a block costs
 a fixed number of big-int operations instead of one interpreted loop per
 draw.  A block is k sub-blocks of LANES lanes, k up to SUB_BLOCKS, and
-lane j of sub-block i holds draw k * j + i.
+lane j of sub-block i holds draw k * j + i.  Bits 64 to 96 of a lane are
+zero, and bits 97 to 127 may hold the next lane's low bits, which no
+reader looks at.
 
 Only this module knows that layout.  Samplers read blocks in draw order:
 `SplitMix64.words` gives a block's draws as 64-bit words, and an
@@ -27,6 +29,10 @@ to 16 outcomes per lane in draw order, and one `translate` maps them and
 drops the bytes that hold none (`Outcomes.take`).  It sizes each block by
 the outcomes it still owes, so the draws that a sampler leaves unread
 come after every draw that it reads.
+
+randrange(3) rejects one draw, 2^64 - 1, the draw of the state
+REJECTED_STATE, so a residue reader finds it from a block's first state,
+once per block, with no test over the lanes (`Outcomes.take`).
 """
 
 from __future__ import annotations
@@ -51,16 +57,20 @@ LANE_STEPS = int.from_bytes(
 )
 LANE_MASK = LANE_ONES * MASK64
 LANE_GOLDEN = LANE_ONES * GOLDEN
+# The state whose draw is 2^64 - 1, the one draw that randrange(3) rejects,
+# and the inverse of GOLDEN mod 2^64, which turns a state step into a count
+# of draws
+REJECTED_STATE = 0xCF9A04AFFA6BADC0
+GOLDEN_INVERSE = pow(GOLDEN, -1, 1 << 64)
 
 # For outcomes packed one byte per draw (`_at_byte`, `Outcomes.take`): bits
 # 0 and 1 of byte i in every lane; 0xFF, the mark of a byte that holds no
-# outcome, in bytes k to 15 of every lane; and bit 64 of every lane
+# outcome, in bytes k to 15 of every lane
 _BYTE_BITS = [LANE_ONES * (3 << 8 * i) for i in range(SUB_BLOCKS)]
 _UNUSED = [LANE_ONES * ((1 << 128) - (1 << 8 * k)) for k in range(SUB_BLOCKS + 1)]
-_LANE_TOPS = LANE_ONES << 64
-# The coin codes 0 and 1 as digits, and `_residues`' codes 0, 1, 2
-# and 3 as the residues 0, 1, 2 and 2
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# The coin codes 0 (z < T) and 1 (z >= T) as the digits 1 and 0, and
+# `_residues`' codes 0, 1, 2 and 3 as the residues 0, 1, 2 and 2
+_DIGITS = bytes.maketrans(b"\x00\x01", b"10")
 _RESIDUES = bytes.maketrans(b"\x03", b"\x02")
 
 
@@ -101,13 +111,14 @@ class SplitMix64:
         k * LANES draws.
 
         Lane j of sub-block i holds draw k * j + i in bits [128j, 128j +
-        64), and the upper half of every lane is zero; k = 1 is one block
-        of LANES consecutive draws.  The states of sub-block 0 are the
-        progression k * LANE_STEPS plus one broadcast constant, and each
-        further sub-block adds GOLDEN to every lane.  Each xor-shift of
-        `finalise64` is a shift, an xor and a lane mask, and each multiply
-        is one big-int by 64-bit product, whose lane products stay below
-        2^128, so no carry crosses a lane.
+        64), zeros in the next 33 bits and, in its top 31 bits, what may
+        be bits 0 to 30 of lane j + 1; k = 1 is one block of LANES
+        consecutive draws.  The states of sub-block 0 are the progression
+        k * LANE_STEPS plus one broadcast constant, and each further
+        sub-block adds GOLDEN to every lane.  Each multiply of `finalise64`
+        is one big-int by 64-bit product of masked lanes, whose lane
+        products stay below 2^128, so no carry crosses a lane; the last
+        xor-shift alone is left unmasked.
         """
         k = min(SUB_BLOCKS, max(1, -(-wanted // LANES)))
         # lane j holds state + k * j * GOLDEN, below 2^69 until masked
@@ -118,12 +129,13 @@ class SplitMix64:
             x = (x + LANE_GOLDEN) & LANE_MASK
             z = ((x ^ (x >> 30)) & LANE_MASK) * 0xBF58476D1CE4E5B9 & LANE_MASK
             z = ((z ^ (z >> 27)) & LANE_MASK) * 0x94D049BB133111EB & LANE_MASK
-            blocks.append((z ^ (z >> 31)) & LANE_MASK)
+            blocks.append(z ^ (z >> 31))
         return blocks
 
     def words(self, wanted: int) -> array:
         """The draws of the next block (`lanes`) in draw order, as an array
-        of 64-bit words, for a caller that still wants `wanted` draws."""
+        of 64-bit words, each lane's low word, for a caller that still wants
+        `wanted` draws."""
         blocks = self.lanes(wanted)
         words = array("Q", bytes(8 * LANES * len(blocks)))
         for i, z in enumerate(blocks):
@@ -135,14 +147,17 @@ class SplitMix64:
     def coins(self, p: float, total: int) -> Outcomes:
         """A reader of the coin flips of the next `total` draws: b"1" for a
         draw z < T = floor(p * 2^64), else b"0".  The flip is bit 64 of the
-        lane 2^64 + T - 1 - z, in [0, 2^65) so that no borrow crosses lanes."""
-        bias = LANE_ONES * (MASK64 + int(p * 18446744073709551616.0))  # 2**64
-        return Outcomes(self, total, lambda z, i: _at_byte(bias - z, 64, i), _DIGITS)
+        lane z + 2^64 - T, set iff z >= T: the sum is below 2^65, and bits
+        64 to 96 of z are zero (`lanes`), so no carry leaves the lane."""
+        bias = LANE_ONES * ((1 << 64) - int(p * 18446744073709551616.0))  # 2**64
+        return Outcomes(self, total, lambda z, i: _at_byte(z + bias, 64, i), _DIGITS, None)
 
     def residues(self, total: int) -> Outcomes:
         """A reader of `total` outcomes of `randrange(3)`, one byte 0, 1 or
-        2 each, as successive calls of it would draw them (`_residues`)."""
-        return Outcomes(self, total, _residues, _RESIDUES)
+        2 each, as successive calls of it would draw them (`_residues`).
+        The draw of REJECTED_STATE, which randrange(3) rejects, gives no
+        outcome, and the stream has still advanced past it."""
+        return Outcomes(self, total, _residues, _RESIDUES, REJECTED_STATE)
 
     def randrange(self, bound: int) -> int:
         """Uniform integer in [0, bound), unbiased via rejection."""
@@ -170,15 +185,18 @@ class Outcomes:
     a sampler that takes `left` more of them (`SplitMix64.coins` and
     `SplitMix64.residues`)."""
 
-    __slots__ = ("left", "_rng", "_codes", "_table", "_held")
+    __slots__ = ("left", "_rng", "_codes", "_table", "_rejected", "_held")
 
-    def __init__(self, rng: SplitMix64, total: int, codes: Callable, table: bytes):
+    def __init__(
+        self, rng: SplitMix64, total: int, codes: Callable, table: bytes, rejected: int | None
+    ):
         self.left = total  # outcomes not yet taken
         self._rng = rng
         # codes(z, i): the codes of sub-block z's outcomes, in byte i of its
         # lanes (`_at_byte`), each mapped to its outcome through table
         self._codes = codes
         self._table = table
+        self._rejected = rejected  # the state whose draw gives no outcome, if any
         self._held = bytearray()  # outcomes computed and not yet taken
 
     def take(self, k: int) -> bytearray:
@@ -186,13 +204,20 @@ class Outcomes:
         outcomes still wanted, `left` less those already held.  A byte that
         holds no outcome is marked 0xFF and dropped by the translate: in
         every lane, each byte past the block's sub-blocks, and the byte of
-        a draw that codes rejects."""
+        the rejected state's draw.  A block of k sub-blocks from state s
+        holds that draw iff d = (rejected - s) * GOLDEN^-1 - 1 mod 2^64 is
+        below k * LANES, as byte d % k of lane d // k."""
         held = self._held
         while len(held) < k:
+            start = self._rng.state
             blocks = self._rng.lanes(self.left - len(held))
             packed = _UNUSED[len(blocks)]
             for i, z in enumerate(blocks):
                 packed |= self._codes(z, i)
+            if self._rejected is not None:
+                d = ((self._rejected - start) * GOLDEN_INVERSE - 1) & MASK64
+                if d < len(blocks) * LANES:
+                    packed |= 0xFF << 128 * (d // len(blocks)) + 8 * (d % len(blocks))
             held += packed.to_bytes(16 * LANES, "little").translate(self._table, b"\xff")
         taken = held[:k]
         del held[:k]
@@ -204,17 +229,15 @@ def _residues(z: int, i: int) -> int:
     """The `randrange(3)` codes of sub-block z's draws, in byte i of its lanes.
 
     randrange(3) is z mod 3, read lane-wise from the product z * M, M =
-    0xAAAAAAAAAAAAAAAB = (2^65 + 1) / 3, below 2^128 in every lane.  For z
-    = 3q + r, its low 65 bits are q + r * M, so bits 64 and 63 read 00 for
-    r = 0, 01 for r = 1 and 10 or 11 for r = 2, and _RESIDUES maps the
-    code 3 to 2.  randrange(3) rejects only z = 2^64 - 1, the one lane
-    value with z + 1 = 2^64: such a draw is marked 0xFF and dropped, so a
-    block may hold fewer outcomes than draws, and the stream has still
-    advanced past every draw.
+    0xAAAAAAAAAAAAAAAB = (2^65 + 1) / 3, with z masked to its low 64 bits
+    (`SplitMix64.lanes`) so that the product stays below 2^128 in every
+    lane.  For z = 3q + r, its low 65 bits are q + r * M, so bits 64 and 63
+    read 00 for r = 0, 01 for r = 1 and 10 or 11 for r = 2, and _RESIDUES
+    maps the code 3 to 2.  The one draw that randrange(3) rejects, 2^64 -
+    1, gets a code here too; `Outcomes.take` marks its byte 0xFF once per
+    block, so a block may hold fewer outcomes than draws.
     """
-    codes = _at_byte(z * 0xAAAAAAAAAAAAAAAB, 63, i)
-    rejected = (z + LANE_ONES) & _LANE_TOPS
-    return codes | (rejected >> 64) * 0xFF << 8 * i if rejected else codes
+    return _at_byte((z & LANE_MASK) * 0xAAAAAAAAAAAAAAAB, 63, i)
 
 
 def _at_byte(x: int, bit: int, i: int) -> int:

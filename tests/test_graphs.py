@@ -240,16 +240,16 @@ class TestColourRandom:
             (generate_gnp(2, 1.0, seed=1), "_colour_edges"),
             (SimpleGraph.empty(50), "_colour_edges"),
             # 2m * BAND against n * (EDGE_DEGREE * BAND + EDGE_SLOPE * n)
-            (support.complete_graph(51), "_colour_edges"),  # 326,400 < 328,950
-            (support.complete_graph(52), "_colour_rows"),  # 339,456 >= 335,712: the first past it
-            (generate_gnp(64, 0.81, seed=19), "_colour_edges"),  # 1,631 edges: threshold - 256
-            (generate_gnp(64, 0.81, seed=134), "_colour_rows"),  # 1,632 edges: on the threshold
-            (generate_gnp(64, 0.81, seed=64), "_colour_rows"),  # 1,633 edges: threshold + 256
+            (support.complete_graph(34), "_colour_edges"),  # 143,616 < 143,888
+            (support.complete_graph(35), "_colour_rows"),  # 152,320 >= 148,260: the first past it
+            (generate_gnp(64, 0.54, seed=72), "_colour_edges"),  # 1,087 edges: threshold - 256
+            (generate_gnp(64, 0.54, seed=24), "_colour_rows"),  # 1,088 edges: on the threshold
+            (generate_gnp(64, 0.54, seed=22), "_colour_rows"),  # 1,089 edges: threshold + 256
             # two mid-density graphs that a mean degree of 32 sent to rows
             (generate_gnp(1200, 48 / 1199, seed=5), "_colour_edges"),
             (generate_gnp(2400, 64 / 2399, seed=5), "_colour_edges"),
-            # mean degree 40.66, which a switch at 30.25 sent to rows
-            (generate_gnp(100, 40 / 99, seed=5), "_colour_edges"),
+            # mean degree 40.66, past the break-even of about 30 to 35 at n = 100
+            (generate_gnp(100, 40 / 99, seed=5), "_colour_rows"),
             # the cell sizes of perfbench's sparse-exact and dense-probe
             (generate_gnp(100, 0.03, seed=5), "_colour_edges"),
             (generate_gnp(100, 0.05, seed=5), "_colour_edges"),

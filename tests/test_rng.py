@@ -1,6 +1,15 @@
 import random
 
-from monotree.rng import GOLDEN, LANES, MASK64, SUB_BLOCKS, SplitMix64, derive_seed, finalise64
+from monotree.rng import (
+    GOLDEN,
+    LANES,
+    MASK64,
+    REJECTED_STATE,
+    SUB_BLOCKS,
+    SplitMix64,
+    derive_seed,
+    finalise64,
+)
 
 import pytest
 
@@ -58,14 +67,18 @@ def test_finalise_is_a_bijection_sample():
 
 
 def unpack(blocks: list[int]) -> list[int]:
-    """The whole 128-bit lanes of a block of k sub-blocks, in draw order:
-    lane j of sub-block i holds draw k * j + i."""
+    """The draws of a block of k sub-blocks, in draw order: lane j of
+    sub-block i holds draw k * j + i in bits 0 to 63 of its 128 bits.  Bits
+    64 to 96 of every lane, where a coin reader's sum carries to, must be
+    zero; bits 97 to 127 are left to the next lane's low bits."""
     k = len(blocks)
     draws = [0] * (k * LANES)
     for i, z in enumerate(blocks):
         assert z >> (128 * LANES) == 0
         for j in range(LANES):
-            draws[k * j + i] = (z >> (128 * j)) & ((1 << 128) - 1)
+            lane = z >> (128 * j)
+            assert lane >> 64 & ((1 << 33) - 1) == 0
+            draws[k * j + i] = lane & MASK64
     return draws
 
 
@@ -73,7 +86,7 @@ def unpack(blocks: list[int]) -> list[int]:
 def test_every_sub_block_count_gives_the_next_draws(k):
     # asking for k * LANES draws, or for one more than k - 1 sub-blocks
     # hold, gives k sub-blocks: the stream's next k * LANES draws in order,
-    # the upper half of every lane zero, and the stream k * LANES draws on
+    # bits 64 to 96 of every lane zero, and the stream k * LANES draws on
     block, reference = SplitMix64(2024), SplitMix64(2024)
     for wanted in ((k - 1) * LANES + 1, k * LANES):
         blocks = block.lanes(wanted)
@@ -91,7 +104,8 @@ def test_every_sub_block_count_gives_the_next_draws(k):
 def test_lanes_pack_the_next_draws(wanted, lanes):
     # a caller that asks for the draws it still wants gets ceil(wanted /
     # LANES) sub-blocks, at most SUB_BLOCKS per block, and with them the
-    # stream's next draws in order, as if next_u64 had been called per draw
+    # stream's next draws in order, as if next_u64 had been called per draw,
+    # with bits 64 to 96 of every lane zero
     block, reference = SplitMix64(2024), SplitMix64(2024)
     draws = []
     while len(draws) < wanted:
@@ -115,6 +129,11 @@ def test_words_are_the_next_draws(wanted):
         words = rng.words(wanted)
         assert list(words) == [reference.next_u64() for _ in range(k * LANES)]
         assert rng.state == reference.state
+
+
+def test_rejected_state_gives_the_draw_randrange_3_rejects():
+    assert REJECTED_STATE == support.finalise64_inverse(MASK64)
+    assert finalise64(REJECTED_STATE) == MASK64
 
 
 def rejecting_seed(index: int) -> int:
@@ -153,7 +172,20 @@ def splits(total: int) -> list[list[int]]:
 
 
 @pytest.mark.parametrize("name, reader, draw", READERS, ids=[r[0] for r in READERS])
-@pytest.mark.parametrize("seed", [77, rejecting_seed(4095), rejecting_seed(4096)])
+# seeds whose rejected draw is the first, the last of a one-sub-block block
+# (a take of one outcome), the last of a whole block, the first of the
+# second block, and one inside a later block
+@pytest.mark.parametrize(
+    "seed",
+    [
+        77,
+        rejecting_seed(0),
+        rejecting_seed(255),
+        rejecting_seed(4095),
+        rejecting_seed(4096),
+        rejecting_seed(4300),
+    ],
+)
 @pytest.mark.parametrize("total", [0, 1, 4095, 4096, 4097, 8191, 8192, 8193])
 def test_reader_gives_the_outcomes_in_draw_order(name, reader, draw, seed, total):
     # any split of the total into takes gives the outcomes of the stream's

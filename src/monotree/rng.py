@@ -204,9 +204,9 @@ class Outcomes:
         outcomes still wanted, `left` less those already held.  A byte that
         holds no outcome is marked 0xFF and dropped by the translate: in
         every lane, each byte past the block's sub-blocks, and the byte of
-        the rejected state's draw.  A block of k sub-blocks from state s
+        the rejected state's draw.  A block of b sub-blocks from state s
         holds that draw iff d = (rejected - s) * GOLDEN^-1 - 1 mod 2^64 is
-        below k * LANES, as byte d % k of lane d // k."""
+        below b * LANES, as byte d % b of lane d // b."""
         held = self._held
         while len(held) < k:
             start = self._rng.state

@@ -41,8 +41,10 @@ of tokens checks the shape of every line.  The name table
 (`_VertexNames`) calls int() once per distinct spelling of a vertex and
 checks its range as it does, so a vertex named 760 times costs one
 conversion.  A text with many lines against n^2 sets one bit of each
-edge and mirrors its colour rows once, any other both bits of each edge;
-per-line work is left to naming the first faulty line.
+edge, taken from a table of the n single bits, and tests u < v once per
+colour row before it mirrors the rows; any other sets both bits of each
+edge and tests u < v on each block's lines.  Per-line work is left to
+naming the first faulty line.
 """
 
 from __future__ import annotations
@@ -426,9 +428,10 @@ _SEPARATOR = " | "
 # first; `_line_blocks` turns each into LF.
 _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # `loads` sets one bit of each edge, and mirrors its colour rows once,
-# in a text of at least UPPER_LINES * n^2 / BAND lines; its docstring
-# gives the measured break-even.
-UPPER_LINES = 16
+# in a text of at least UPPER_LINES * n^2 / BAND + UPPER_ROW_LINES * n
+# lines; its docstring gives the measured break-even.
+UPPER_LINES = 5
+UPPER_ROW_LINES = 20
 # `dump_rows` writes a row edge by edge when SPARSE_ROW times its edge
 # count is below its width; its docstring gives the measured break-even.
 SPARSE_ROW = 16
@@ -502,19 +505,27 @@ def loads(text: str) -> ColouredGraph:
     Python step per line, and every vertex name is read through one
     `_VertexNames` table for the whole text.  A block that fails that pass
     is read again without its blank and comment lines.  If it fails
-    again, or if the colour rows overlap at the end, the text holds a
-    faulty line, and `_first_fault` names the first one, in line order,
-    whether it is malformed or gives an edge a second colour.
+    again, if a line has u >= v, or if the colour rows overlap at the
+    end, the text holds a faulty line, and `_first_fault` names the first
+    one, in line order, whether it is malformed or gives an edge a second
+    colour.
 
     Bit u of row v, for each edge u < v, is set edge by edge, or, in a
-    text with at least UPPER_LINES * n^2 / BAND line breaks (a bound on
-    its edge count, counted in a first pass before any line is read),
-    once per colour after the last edge by the band transpose `_mirror`,
-    whose cost follows n^2 / BAND.  Over G(n, p) texts with m = x n^2 /
-    BAND edges (best of five, 2-vCPU machine, Python 3.11), the mirroring
-    read took as long at x of about 20 for n = 300, 12 for n = 1200 and 7
-    for n = 4000, and 2.5 times as long at x = 1; at the paper's criterion
-    density, x >= 40, it takes about 0.83 times as long.
+    text with at least UPPER_LINES * n^2 / BAND + UPPER_ROW_LINES * n line
+    breaks (a bound on its edge count, counted in a first pass before any
+    line is read), once per colour after the last edge by the band
+    transpose `_mirror`, whose cost follows n^2 / BAND.  That regime takes
+    bit v of row u from a table of the n single bits, about n^2 / 16
+    bytes, under 2 bytes per line break, and tests u < v once per colour
+    row before it mirrors, since a line with u >= v leaves a bit at or
+    below the diagonal of row u.  The other regime tests u < v on each
+    block's lines: a swapped line there sets the two bits of its forward
+    form.  Over G(n, p) texts with m = x n^2 / BAND edges (best of five,
+    interleaved, 2-vCPU machine, Python 3.11), the mirroring read took as
+    long at x of about 14 for n = 300, 9.5 for n = 600 and 1200, 5.5 for
+    n = 2400 and 5 for n = 4000, and 2 to 2.6 times as long at x = 1; at
+    the paper's criterion density, x of about 40, it took 0.77 times as
+    long for n = 1200.
     """
     return _read(partial(_text_blocks, text))
 
@@ -553,7 +564,8 @@ def _read(blocks: Callable[[], Iterator[str]]) -> ColouredGraph:
     rows = ([0] * n, [0] * n, [0] * n)
     row_of = {letter: rows[c] for letter, c in LETTER_TO_COLOUR.items()}
     names = _VertexNames(n)
-    upper = breaks * BAND >= UPPER_LINES * n * n
+    upper = breaks * BAND >= n * (UPPER_LINES * n + UPPER_ROW_LINES * BAND)
+    bits = [1 << v for v in range(n)] if upper else []
     rest = "\n".join([*lines[header + 1 :], ""])
     for block in chain([rest], stream):
         edges = _edge_block(block, names, row_of)
@@ -562,15 +574,21 @@ def _read(blocks: Callable[[], Iterator[str]]) -> ColouredGraph:
             edges = _edge_block(data, names, row_of)
             if edges is None:
                 raise _first_fault(blocks, n)
+        us, vs, colour_rows = edges
         if upper:
-            for u, v, row in zip(*edges):
-                row[u] |= 1 << v
-        else:
-            for u, v, row in zip(*edges):
+            for u, v, row in zip(us, vs, colour_rows):
+                row[u] |= bits[v]
+        elif all(map(lt, us, vs)):
+            for u, v, row in zip(us, vs, colour_rows):
                 row[u] |= 1 << v
                 row[v] |= 1 << u
+        else:
+            raise _first_fault(blocks, n)
     if upper:
         for colour_rows in rows:
+            # a line with u >= v left a bit at or below the diagonal of row u
+            if any(row & ((2 << u) - 1) for u, row in enumerate(colour_rows)):
+                raise _first_fault(blocks, n)
             _mirror(colour_rows)
     red, green, blue = rows
     adj = tuple(map(or_, map(or_, red, green), blue))
@@ -653,8 +671,8 @@ def _edge_block(
 ) -> tuple[list[int], list[int], list[list[int]]] | None:
     """The endpoints u and v and the colour rows of a block of "u v c"
     lines whose only line breaks are line feeds, or None if any line of
-    it is not one with 0 <= u < v < n, or if a token follows the last
-    line feed.
+    it is not one with 0 <= u, v < n, or if a token follows the last line
+    feed.  The order u < v is left to the reader (`_read`).
 
     Each line feed becomes a separator " | ", and one split reads the
     block.  One length test then checks the shape, by counting: S line
@@ -663,7 +681,7 @@ def _edge_block(
     refuse for "|", the S separators can stand only at the S places
     3, 7, ..., 4S - 1.  So the j-th separator is token 4j - 1, the j-th
     line holds the 3 tokens before it, and nothing follows the last one.
-    The name table checks 0 <= u, v < n as it reads, leaving u < v.
+    The name table checks 0 <= u, v < n as it reads.
     """
     tokens = block.replace("\n", _SEPARATOR).split()
     if len(tokens) != 4 * block.count("\n"):
@@ -673,8 +691,6 @@ def _edge_block(
         vs = list(map(names.__getitem__, tokens[1::4]))
         colour_rows = list(map(row_of.__getitem__, tokens[2::4]))
     except (ValueError, KeyError):
-        return None
-    if not all(map(lt, us, vs)):
         return None
     return us, vs, colour_rows
 

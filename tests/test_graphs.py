@@ -33,6 +33,7 @@ from monotree.graphs import (
     MAX_VERTICES,
     SPARSE_ROW,
     UPPER_LINES,
+    UPPER_ROW_LINES,
     dump_rows,
 )
 from monotree.rng import GOLDEN, MASK64, SplitMix64
@@ -1063,12 +1064,12 @@ class TestVertexNames:
 
 class TestReaderRegimes:
     """`loads` mirrors its colour rows once in a text of at least
-    UPPER_LINES * n^2 / BAND line breaks, and sets both bits of each edge
-    in any other; either way it reads what the per-line reference reads,
-    and names the same faulty line."""
+    UPPER_LINES * n^2 / BAND + UPPER_ROW_LINES * n line breaks, and sets
+    both bits of each edge in any other; either way it reads what the
+    per-line reference reads, and names the same faulty line."""
 
     N = 64
-    THRESHOLD = UPPER_LINES * N * N // BAND  # 512 line feeds
+    THRESHOLD = N * (UPPER_LINES * N + UPPER_ROW_LINES * BAND) // BAND  # 1,440 line feeds
 
     @staticmethod
     def mirror_calls(monkeypatch) -> list[int]:
@@ -1087,7 +1088,7 @@ class TestReaderRegimes:
     @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\x0c", "\u2028"])
     def test_line_count_just_below_on_and_above(self, extra, brk, monkeypatch):
         # 302 edges, padded with comment lines to THRESHOLD + extra line breaks
-        assert self.THRESHOLD * BAND == UPPER_LINES * self.N * self.N
+        assert self.THRESHOLD * BAND == self.N * (UPPER_LINES * self.N + UPPER_ROW_LINES * BAND)
         cg = colour_random(generate_gnp(self.N, 0.15, seed=3), seed=4)
         lines = dumps(cg).split("\n")[:-1]
         pad = ["# pad"] * (self.THRESHOLD + extra - len(lines))
@@ -1105,7 +1106,7 @@ class TestReaderRegimes:
             (support.complete_graph(N), True),  # 2,016 edges
             (generate_gnp(N, 0.15, seed=3), False),  # 302 edges
             (generate_gnp(600, 0.05, seed=3), False),  # about 9,000 edges
-            (generate_gnp(600, 0.3, seed=3), True),  # about 54,000 edges, 45,000 needed
+            (generate_gnp(600, 0.3, seed=3), True),  # about 54,000 edges, 26,063 needed
         ],
         ids=["complete", "sparse", "sparse-600", "dense-600"],
     )
@@ -1136,6 +1137,39 @@ class TestReaderRegimes:
         text = "\n".join([*lines, ""])
         expected = f"error: line 201: {message.format(u=u, v=v)}"
         assert _outcome(loads, text) == _outcome(support.reference_loads, text) == expected
+
+    @pytest.mark.parametrize(
+        "case", ["self-loop", "swapped-first", "swapped-in-retried-block", "swapped-then-malformed"]
+    )
+    def test_order_tested_once_per_row(self, case, monkeypatch):
+        # The mirroring regime tests u < v on each colour row after the
+        # last block, not on each line, and still names the first faulty
+        # line.  Each text is K_64's 2,016 edge lines with faulty ones.
+        cg = colour_random(support.complete_graph(self.N), seed=5)
+        edges = dumps(cg).split("\n")[1:-1]
+        u, v, c = edges[1500].split()
+        swapped = f"{v} {u} {c}"  # its forward line, in the same colour, is listed too
+        pad = PAD_BLOCK.splitlines()
+        if case == "self-loop":
+            lines, faulty = [*edges[:1000], "7 7 r", *edges[1000:]], [1000]
+        elif case == "swapped-first":
+            lines, faulty = [*edges[:10], swapped, *edges[10:]], [10]
+        elif case == "swapped-in-retried-block":
+            # in the last block, beside a comment line
+            lines = [*pad, *edges[:-3], "# a comment", swapped, *edges[-3:]]
+            faulty = [len(pad) + len(edges) - 2]
+        else:
+            # a malformed line in a later block fails that block's pass
+            lines = [*edges[:10], swapped, *edges[10:], *pad, "0 1"]
+            faulty = [10, len(lines) - 1]
+        text = "\n".join(["n 64", *lines, ""])
+        fixed = "\n".join(["n 64", *("# fixed" if i in faulty else x for i, x in enumerate(lines)), ""])
+        calls = self.mirror_calls(monkeypatch)
+        assert loads(fixed) == cg
+        assert calls == [self.N] * 3
+        expected = _outcome(support.reference_loads, text)
+        assert expected.startswith(f"error: line {faulty[0] + 2}: ")
+        assert _outcome(loads, text) == _outcome(load_file, text) == expected
 
 
 @pytest.mark.parametrize("brk", ["\n", "\x0c", "\u2028"])

@@ -12,7 +12,9 @@ raw draws (`SplitMix64.words`), dense G(n, p) and the colouring one
 outcome byte per draw (`SplitMix64.coins`, `SplitMix64.residues`).
 Dense rows are rebuilt from binary digit strings with int(..., 2)
 (linear time for base 2), and the upper triangle is mirrored into the
-lower one a band of columns at a time (`_mirror`).  `colour_random` has
+lower one by a transpose of 8x8 bit blocks, packed in bytes and run on
+every block of a band of columns at once with big-int masks and shifts,
+as `rng.py` runs its lanes (`_mirror`).  `colour_random` has
 two regimes that take their outcomes from one reader: below a mean
 degree that grows with n it walks the edges and sets both bits of each,
 and otherwise it colours rows from digit strings and mirrors them.  The
@@ -76,13 +78,23 @@ class Colour(IntEnum):
 COLOURS = (Colour.RED, Colour.GREEN, Colour.BLUE)
 LETTER_TO_COLOUR = {"r": Colour.RED, "g": Colour.GREEN, "b": Colour.BLUE}
 
-# Columns per band when `_mirror` transposes an upper triangle.
+# Columns per band, and rows per block, when `_mirror` transposes an
+# upper triangle.
 BAND = 128
+_ROW_BLOCK = 1024
+# The three steps of the 8x8 bit-matrix transpose (Warren, Hacker's
+# Delight, 2nd ed., section 7-3): each swaps the bits that its mask picks
+# in every 64-bit lane with those `shift` places above them.  A mask is
+# repeated across the most lanes of one band, BAND / 8 times _ROW_BLOCK / 8.
+_TRANSPOSE_STEPS = [
+    (shift, int.from_bytes(mask.to_bytes(8, "little") * (BAND * _ROW_BLOCK // 64), "little"))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0))
+]
 # `colour_random` colours edge by edge below a mean degree of
 # EDGE_DEGREE + EDGE_SLOPE * n / BAND; its docstring gives the measured
 # break-even.
 EDGE_DEGREE = 32
-EDGE_SLOPE = 4
+EDGE_SLOPE = 2
 
 # _colour_rows writes colour c as the byte c among the digits
 _RED_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"100")
@@ -207,31 +219,59 @@ def _mirror(rows: list[int]) -> list[int]:
     """Complete a strict upper triangle to symmetric rows, in place: row v
     gains bit u for every u < v whose row has bit v.  Returns `rows`.
 
-    The transpose runs over bands of BAND columns, left to right.  A band
-    is one string: per row, `bin` of the row's bits in the band under a
-    sentinel bit, so every row takes the same number of characters; each
-    column of the band is then a strided slice of it, read back by
-    int(..., 2).  Both conversions take linear time in base 2.  Row v
-    gains only bits u < v, below the band that fills it in, so later
-    bands still read the upper triangle.  One band is held at a time, and
-    the transient memory stays O(n * BAND) bytes.
+    The rows are transposed _ROW_BLOCK at a time (`_mirror_block`), top
+    to bottom.  Row v gains only bits u < v, below the columns of every
+    later block, so later blocks still read the upper triangle.  The
+    transient memory is one block's byte matrix, about _ROW_BLOCK * n / 8
+    bytes and twice that while it is packed, and one band of it: at n =
+    4096 the peak above the rows is about 3.3 MB, where one matrix of all
+    rows would take 4.7 MB.
+    """
+    for top in range(0, len(rows) - 1, _ROW_BLOCK):
+        _mirror_block(rows, top)
+    return rows
+
+
+def _mirror_block(rows: list[int], top: int) -> None:
+    """Mirror the bits of rows top to top + _ROW_BLOCK - 1 into the rows
+    of their columns, by 8x8 bit blocks.
+
+    Each row of the block, shifted down by `top`, is packed into one
+    little-endian byte matrix, whose rows are padded to a multiple of 8:
+    byte j of packed row i holds columns 8j to 8j + 7 of row top + i.  A
+    band of BAND columns is then gathered, one strided slice per byte
+    column, into 64-bit lanes, lane by lane the bytes of one byte column
+    in 8 consecutive rows, so bit 8k + b of a lane is column b of its row
+    k.  One `int.from_bytes` of the band transposes every lane at once,
+    in three mask-shift-xor steps (_TRANSPOSE_STEPS) that swap its 1x1,
+    2x2 and 4x4 blocks across the diagonal; the masks keep each step
+    inside its lane.  Byte b of each lane then holds column b's bits of
+    its 8 rows, and the bits of one column in the block's rows are one
+    strided slice, read back by `int.from_bytes` and OR-ed into the
+    column's row at bit `top`.
     """
     n = len(rows)
-    for lo in range(0, n, BAND):
-        hi = min(lo + BAND, n)
-        width = hi - lo
-        window = (1 << width) - 1
-        sentinel = 1 << width
-        # only rows u < hi - 1 can hold a bit in [lo, hi); each row reads
-        # "0b1" and then columns hi - 1 down to lo
-        text = "".join([bin(row >> lo & window | sentinel) for row in rows[: hi - 1]])
-        stride = width + 3
-        top = len(text) - stride + 3 + hi - 1  # column 0's place in the last row
-        for v in range(max(lo, 1), hi):
-            column = text[top - v :: -stride]
-            if "1" in column:
-                rows[v] |= int(column, 2)
-    return rows
+    width = (n - top + 7) // 8  # bytes per packed row
+    height = (min(_ROW_BLOCK, n - top) + 7) // 8 * 8
+    matrix = b"".join(
+        [(row >> top).to_bytes(width, "little") for row in rows[top : top + _ROW_BLOCK]]
+    ).ljust(height * width, b"\0")
+    for lo in range(0, width, BAND // 8):
+        hi = min(lo + BAND // 8, width)
+        # row i holds bits only in columns above i, so the rows from
+        # 8 * hi - 1 on hold none in this band
+        tall = min(height, 8 * hi)
+        stop = tall * width
+        lanes = int.from_bytes(b"".join([matrix[j:stop:width] for j in range(lo, hi)]), "little")
+        for shift, mask in _TRANSPOSE_STEPS:
+            swap = (lanes ^ (lanes >> shift)) & mask
+            lanes ^= swap ^ (swap << shift)
+        band = lanes.to_bytes(tall * (hi - lo), "little")
+        for c in range(8 * lo, min(8 * hi, n - top)):
+            start = (c // 8 - lo) * tall + c % 8
+            column = int.from_bytes(band[start : start + tall : 8], "little")
+            if column:
+                rows[top + c] |= column << top
 
 
 def _sample_sparse(n: int, p: float, rng: SplitMix64) -> tuple[int, ...]:
@@ -310,13 +350,13 @@ def colour_random(g: SimpleGraph, seed: int) -> ColouredGraph:
     because only the row regime pays for n^2 pairs.  Over G(n, d / (n -
     1)), medians of interleaved calls on two graph seeds on a 2-vCPU
     machine with Python 3.11, the per-edge regime and the row regime took
-    the same time at d of about 30 to 35 for n = 100, 40 at 300, 55 to 60
-    at 600, 70 to 90 at 1200, 110 to 125 at 2400 and 155 to 180 at 4800;
-    the rule puts the switch at 35, 41, 51, 70, 107 and 182.  Near each
-    switch the two regimes are within a tenth of each other, and over the
-    whole sweep the regime chosen took at most about 1.15 times as long as
-    the other.  Sparse experiment cells, with a mean degree under 10, take
-    the per-edge regime, and the paper's dense cells, above 80, the row
+    the same time at d of about 30 to 36 for n = 100, 30 to 40 at 300, 35
+    to 40 at 600, 50 at 1200, 75 at 2400 and 90 to 100 at 4800; the rule
+    puts the switch at 34, 37, 41, 51, 70 and 107.  Near each switch the
+    two regimes are within a tenth of each other, and over the whole sweep
+    the regime chosen took at most about 1.1 times as long as the other.
+    Sparse experiment cells, with a mean degree under 10, take the
+    per-edge regime, and the paper's dense cells, above 80, the row
     regime.
     """
     n, m = g.n, g.edge_count()
@@ -430,8 +470,8 @@ _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # `loads` sets one bit of each edge, and mirrors its colour rows once,
 # in a text of at least UPPER_LINES * n^2 / BAND + UPPER_ROW_LINES * n
 # lines; its docstring gives the measured break-even.
-UPPER_LINES = 5
-UPPER_ROW_LINES = 20
+UPPER_LINES = 1
+UPPER_ROW_LINES = 16
 # `dump_rows` writes a row edge by edge when SPARSE_ROW times its edge
 # count is below its width; its docstring gives the measured break-even.
 SPARSE_ROW = 16
@@ -513,19 +553,20 @@ def loads(text: str) -> ColouredGraph:
     Bit u of row v, for each edge u < v, is set edge by edge, or, in a
     text with at least UPPER_LINES * n^2 / BAND + UPPER_ROW_LINES * n line
     breaks (a bound on its edge count, counted in a first pass before any
-    line is read), once per colour after the last edge by the band
+    line is read), once per colour after the last edge by the block
     transpose `_mirror`, whose cost follows n^2 / BAND.  That regime takes
     bit v of row u from a table of the n single bits, about n^2 / 16
-    bytes, under 2 bytes per line break, and tests u < v once per colour
-    row before it mirrors, since a line with u >= v leaves a bit at or
-    below the diagonal of row u.  The other regime tests u < v on each
-    block's lines: a swapped line there sets the two bits of its forward
-    form.  Over G(n, p) texts with m = x n^2 / BAND edges (best of five,
-    interleaved, 2-vCPU machine, Python 3.11), the mirroring read took as
-    long at x of about 14 for n = 300, 9.5 for n = 600 and 1200, 5.5 for
-    n = 2400 and 5 for n = 4000, and 2 to 2.6 times as long at x = 1; at
-    the paper's criterion density, x of about 40, it took 0.77 times as
-    long for n = 1200.
+    bytes: under 8 bytes per line break, and about a sixth of the colour
+    rows it builds.  It tests u < v once per colour row before it mirrors,
+    since a line with u >= v leaves a bit at or below the diagonal of row
+    u.  The other regime tests u < v on each block's lines: a swapped line
+    there sets the two bits of its forward form.  Over G(n, p) texts with
+    m = x n^2 / BAND edges (best of five to eleven, interleaved, 2-vCPU
+    machine, Python 3.11), the mirroring read took as long at x of about 8
+    for n = 300, 4.5 for n = 600, 3 for n = 1200, 2 to 2.5 for n = 2400
+    and 1.5 for n = 4000, and 1.1 to 1.8 times as long at x = 1; at the
+    paper's criterion density, x of about 40, it took 0.72 times as long
+    for n = 1200.
     """
     return _read(partial(_text_blocks, text))
 

@@ -24,7 +24,7 @@ from monotree import (
     SimpleGraph,
 )
 from monotree.components import ComponentLabelling
-from monotree.graphs import LETTER_TO_COLOUR, MAX_VERTICES, iter_bits
+from monotree.graphs import BAND, LETTER_TO_COLOUR, MAX_VERTICES, iter_bits
 from monotree.hypergraph import CompRef, ComponentHypergraph
 from monotree.rng import MASK64
 from monotree.solver import Tree, TreeCover, _dedupe, _union_mask
@@ -375,6 +375,34 @@ def reference_loads(text: str) -> ColouredGraph:
         raise GraphFormatError(
             f"line {lineno}: edge {u} {v} already declared with another colour"
         ) from None
+
+
+# The band transpose of the parent of the 8x8 block transpose, verbatim
+# apart from its name and docstring.
+
+
+def reference_mirror(rows: list[int]) -> list[int]:
+    """Complete a strict upper triangle to symmetric rows, in place, a band
+    of BAND columns at a time: each band one string of `bin` digits per
+    row, each column a strided slice of it read back by int(..., 2).  The
+    transpose that `graphs._mirror` replaced, kept as the oracle its rows
+    are compared against."""
+    n = len(rows)
+    for lo in range(0, n, BAND):
+        hi = min(lo + BAND, n)
+        width = hi - lo
+        window = (1 << width) - 1
+        sentinel = 1 << width
+        # only rows u < hi - 1 can hold a bit in [lo, hi); each row reads
+        # "0b1" and then columns hi - 1 down to lo
+        text = "".join([bin(row >> lo & window | sentinel) for row in rows[: hi - 1]])
+        stride = width + 3
+        top = len(text) - stride + 3 + hi - 1  # column 0's place in the last row
+        for v in range(max(lo, 1), hi):
+            column = text[top - v :: -stride]
+            if "1" in column:
+                rows[v] |= int(column, 2)
+    return rows
 
 
 # Builders and views that only the tests use; the library builds its graphs

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import os
+import random
 import tempfile
 import time
 import tracemalloc
@@ -191,6 +192,56 @@ class TestGenerateGnp:
         assert beyond5 <= 1  # more than 1% of seeds out of band is a failure
 
 
+def seeded_triangle(n: int, seed: int) -> list[int]:
+    """A strict upper triangle of n rows, each bit v > u of row u set by a
+    fair coin of `random.Random(seed)`."""
+    rnd = random.Random(seed)
+    return [rnd.getrandbits(n) >> (u + 1) << (u + 1) for u in range(n)]
+
+
+class TestMirror:
+    """`graphs._mirror`, the 8x8 block transpose, against the band
+    transpose it replaced (`support.reference_mirror`)."""
+
+    # A ragged last byte, and the edges of a lane (8 rows or columns), a
+    # band (BAND columns) and a row block (_ROW_BLOCK rows)
+    SIZES = [*range(41), 63, 64, 65, 127, 128, 129, 1023, 1024, 1025, 1203, 2049]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_reference_on_seeded_triangles(self, n):
+        rows = seeded_triangle(n, seed=n)
+        assert graphs._mirror(list(rows)) == support.reference_mirror(rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64, 129, 1025])
+    def test_complete_triangle(self, n):
+        full = (1 << n) - 1
+        rows = [full >> (u + 1) << (u + 1) for u in range(n)]
+        expected = [full ^ (1 << v) for v in range(n)]
+        assert graphs._mirror(list(rows)) == support.reference_mirror(rows) == expected
+
+    def test_each_single_bit(self):
+        n = 20
+        for u in range(n):
+            for v in range(u + 1, n):
+                rows = [0] * n
+                rows[u] = 1 << v
+                assert graphs._mirror(rows)[v] == 1 << u, (u, v)
+                assert sum(map(int.bit_count, rows)) == 2
+
+    @pytest.mark.parametrize("n", [17, 130, 1030])
+    def test_single_bit_rows(self, n):
+        # row u holds one bit above u, at a seeded place
+        rnd = random.Random(n)
+        rows = [1 << rnd.randrange(u + 1, n) for u in range(n - 1)] + [0]
+        assert graphs._mirror(list(rows)) == support.reference_mirror(rows)
+
+    def test_returns_the_list_it_was_given(self):
+        rows = seeded_triangle(30, seed=1)
+        assert graphs._mirror(rows) is rows
+        empty: list[int] = []
+        assert graphs._mirror(empty) is empty
+
+
 class TestColourRandom:
     def test_empty_graph(self):
         cg = colour_random(SimpleGraph.empty(3), seed=1)
@@ -241,14 +292,17 @@ class TestColourRandom:
             (generate_gnp(2, 1.0, seed=1), "_colour_edges"),
             (SimpleGraph.empty(50), "_colour_edges"),
             # 2m * BAND against n * (EDGE_DEGREE * BAND + EDGE_SLOPE * n)
-            (support.complete_graph(34), "_colour_edges"),  # 143,616 < 143,888
-            (support.complete_graph(35), "_colour_rows"),  # 152,320 >= 148,260: the first past it
-            (generate_gnp(64, 0.54, seed=72), "_colour_edges"),  # 1,087 edges: threshold - 256
-            (generate_gnp(64, 0.54, seed=24), "_colour_rows"),  # 1,088 edges: on the threshold
-            (generate_gnp(64, 0.54, seed=22), "_colour_rows"),  # 1,089 edges: threshold + 256
+            (support.complete_graph(33), "_colour_edges"),  # 135,168 < 137,346
+            (support.complete_graph(34), "_colour_rows"),  # 143,616 >= 141,576: the first past it
+            (generate_gnp(64, 0.524, seed=72), "_colour_edges"),  # 1,055 edges: threshold - 256
+            (generate_gnp(64, 0.524, seed=53), "_colour_rows"),  # 1,056 edges: on the threshold
+            (generate_gnp(64, 0.524, seed=67), "_colour_rows"),  # 1,057 edges: threshold + 256
             # two mid-density graphs that a mean degree of 32 sent to rows
             (generate_gnp(1200, 48 / 1199, seed=5), "_colour_edges"),
             (generate_gnp(2400, 64 / 2399, seed=5), "_colour_edges"),
+            # mean degree 74.9, past the switch of 69.5 at n = 2400, which an
+            # EDGE_SLOPE of 4 put at 107
+            (generate_gnp(2400, 75 / 2399, seed=5), "_colour_rows"),
             # mean degree 40.66, past the break-even of about 30 to 35 at n = 100
             (generate_gnp(100, 40 / 99, seed=5), "_colour_rows"),
             # the cell sizes of perfbench's sparse-exact and dense-probe
@@ -262,7 +316,7 @@ class TestColourRandom:
         ],
         ids=[
             "n0", "n1", "n2", "empty", "complete-below", "complete-on",
-            "just-below", "on", "just-above", "mid-1200", "mid-2400", "mid-100",
+            "just-below", "on", "just-above", "mid-1200", "mid-2400", "rows-2400", "mid-100",
             "sparse", "exact-100-0.05", "exact-100-0.08", "exact-60-0.1",
             "probe-300", "probe-600", "dense",
         ],
@@ -499,6 +553,22 @@ def test_sparse_colouring_memory_follows_the_edges():
     finally:
         tracemalloc.stop()
     assert peak - before <= 1.5 * 6.4e6
+
+
+def test_mirror_memory_stays_below_the_band_transpose():
+    # tracemalloc peaks of _mirror above a dense triangle at n = 4096, on
+    # Python 3.11: 4.10 MB for the band transpose it replaced, 3.25 MB
+    # with a byte matrix of _ROW_BLOCK rows at a time, about 4.7 MB with
+    # one of all rows
+    rows = seeded_triangle(4096, seed=4096)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        graphs._mirror(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 4.3e6
 
 
 class TestSerialization:
@@ -1069,7 +1139,7 @@ class TestReaderRegimes:
     per-line reference reads, and names the same faulty line."""
 
     N = 64
-    THRESHOLD = N * (UPPER_LINES * N + UPPER_ROW_LINES * BAND) // BAND  # 1,440 line feeds
+    THRESHOLD = N * (UPPER_LINES * N + UPPER_ROW_LINES * BAND) // BAND  # 1,056 line feeds
 
     @staticmethod
     def mirror_calls(monkeypatch) -> list[int]:
@@ -1106,7 +1176,7 @@ class TestReaderRegimes:
             (support.complete_graph(N), True),  # 2,016 edges
             (generate_gnp(N, 0.15, seed=3), False),  # 302 edges
             (generate_gnp(600, 0.05, seed=3), False),  # about 9,000 edges
-            (generate_gnp(600, 0.3, seed=3), True),  # about 54,000 edges, 26,063 needed
+            (generate_gnp(600, 0.3, seed=3), True),  # about 54,000 edges, 12,413 needed
         ],
         ids=["complete", "sparse", "sparse-600", "dense-600"],
     )

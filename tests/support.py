@@ -8,7 +8,7 @@ enumeration, independence from nested loops over adjacency sets.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
@@ -403,6 +403,40 @@ def reference_mirror(rows: list[int]) -> list[int]:
             if "1" in column:
                 rows[v] |= int(column, 2)
     return rows
+
+
+# The row writer of the parent of the complete-row templates, its selector
+# path taken for every row, verbatim apart from its name, its docstring and
+# the rule that picked the path.
+
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+def selector_rows(cg: ColouredGraph) -> Iterator[str]:
+    """The chunks of `graphs.dump_rows(cg)`, each row's lines selected from
+    one table of the 3n lines " v c" by the interleaved `bin` digits of its
+    colour rows: the writer of complete rows that their templates replaced,
+    kept as the oracle their chunks are compared against."""
+    n = cg.n
+    table = [f" {v} {c}\n" for v in range(n) for c in "rgb"]
+    yield f"n {n}\n"
+    for u, (r, g, b) in enumerate(zip(*cg.colour_adj)):
+        above = u + 1
+        r, g, b = r >> above, g >> above, b >> above
+        row = r | g | b
+        if not row:
+            continue
+        width = row.bit_length()
+        top = 1 << width  # a sentinel bit, so that each bin has w digits
+        selectors = bytearray(3 * width)
+        selectors[0::3] = bin(r | top)[:2:-1].encode()
+        selectors[1::3] = bin(g | top)[:2:-1].encode()
+        selectors[2::3] = bin(b | top)[:2:-1].encode()
+        lines = compress(
+            table[3 * above : 3 * (above + width)], selectors.translate(_SELECTORS)
+        )
+        name = str(u)
+        yield name + name.join(lines)
 
 
 # Builders and views that only the tests use; the library builds its graphs

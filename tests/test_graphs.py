@@ -586,10 +586,14 @@ class TestSerialization:
 
     def test_store_holds_one_row_at_a_time(self, tmp_path):
         # tracemalloc peaks of store on this 1.21 MB text, on Python 3.11:
-        # 2,505,990 bytes when it wrote dumps(cg) whole, 84,729 bytes as it
-        # streams dump_rows, whose largest chunk is 3,850 characters.  The
-        # streamed peak holds the " v " name table (37.7 kB at n = 600), the
-        # file's buffers, and one row built from a str per edge line.
+        # 2,505,990 bytes when it wrote dumps(cg) whole, and 152,269 bytes
+        # as it streams dump_rows, whose largest chunk is 3,850 characters,
+        # when every row with gaps selected its lines from the table of the
+        # 3n lines " v c" (116.7 kB at n = 600).  dump_rows picks each row's
+        # encoding by the row alone: this text's last four rows are
+        # complete, so it also builds the templates of the table's red
+        # lines (4.1 kB), and the peak is 152,341 bytes.  The streamed peak
+        # holds the table, the file's buffers and one row's text.
         from monotree import store
 
         cg = criterion_instance(600, 1, "random", False)
@@ -597,6 +601,31 @@ class TestSerialization:
         text = dumps(cg)
         assert "".join(chunks) == text
         largest = max(map(len, chunks))
+        path = tmp_path / "g.txt"
+        tracemalloc.start()
+        try:
+            store(str(path), cg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.read_text(encoding="utf-8") == text
+        assert 40 * largest < len(text) / 7
+        assert peak <= 40 * largest
+
+    def test_store_of_complete_rows_holds_one_row_at_a_time(self, tmp_path):
+        # tracemalloc peaks of store on this 1.73 MB closure, the complete
+        # graph on 600 vertices, whose largest chunk is 5,212 characters,
+        # on Python 3.11: 151,378 bytes when every row selected its lines
+        # from the table, and 151,649 bytes with every row written from the
+        # templates, which add 4.1 kB to the table's 116.7 kB.
+        from monotree import store
+
+        cg = criterion_instance(600, 1, "random", True)
+        assert all(complete_rows(cg))
+        chunks = list(dump_rows(cg))
+        text = "".join(chunks)
+        largest = max(map(len, chunks))
+        del chunks
         path = tmp_path / "g.txt"
         tracemalloc.start()
         try:
@@ -1288,6 +1317,95 @@ def test_rows_of_both_kinds_in_one_text():
     sparse = [SPARSE_ROW * up.bit_count() < up.bit_length() for up in uppers if up]
     assert (sparse.count(True), sparse.count(False)) == (222, 34)
     assert dumps(cg) == support.reference_dumps(cg)
+
+
+def without_edges(cg: ColouredGraph, pairs) -> ColouredGraph:
+    """cg less the edges (u, v) of pairs."""
+    colour_adj = [list(rows) for rows in cg.colour_adj]
+    for u, v in pairs:
+        for rows in colour_adj:
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
+    adj = tuple(r | g | b for r, g, b in zip(*colour_adj))
+    return ColouredGraph(SimpleGraph(cg.n, adj), tuple(map(tuple, colour_adj)))
+
+
+def complete_rows(cg: ColouredGraph) -> list[bool]:
+    """For each row with an edge above its vertex, whether it has an edge
+    to every higher vertex."""
+    uppers = [row >> (u + 1) for u, row in enumerate(cg.graph.adj)]
+    return [up == (1 << (cg.n - u - 1)) - 1 for u, up in enumerate(uppers) if up]
+
+
+class TestCompleteRows:
+    """A complete row is written from templates of the table's lines, a row
+    with gaps by selecting them; the chunks are those of the selector
+    writer that complete rows took before (`support.selector_rows`)."""
+
+    @staticmethod
+    def assert_written_as_selected(cg: ColouredGraph) -> None:
+        assert list(dump_rows(cg)) == list(support.selector_rows(cg))
+        assert dumps(cg) == support.reference_dumps(cg)
+
+    # every digit-width edge, and rows 9, 99 and 999, whose lines start at
+    # v = 10, 100 and 1000
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 10, 11, 12, 99, 100, 101, 999, 1000, 1001])
+    def test_random_colourings_of_complete_graphs(self, n):
+        self.assert_written_as_selected(colour_random(support.complete_graph(n), seed=n))
+
+    # The closure of a random colouring is the complete graph; that of three
+    # stars keeps a few rows with gaps among its complete rows.
+    @pytest.mark.parametrize(
+        "n, colouring, complete",
+        [(300, "random", 299), (600, "random", 599), (300, "stars", 293), (600, "stars", 590)],
+    )
+    def test_closures_of_criterion_instances(self, n, colouring, complete):
+        cg = criterion_instance(n, 1, colouring, True)
+        rows = complete_rows(cg)
+        assert (len(rows), rows.count(True)) == (n - 1, complete)
+        self.assert_written_as_selected(cg)
+
+    @pytest.mark.parametrize("n", [12, 120, 1001])
+    def test_complete_rows_beside_rows_missing_one_column(self, n):
+        # Row u keeps every column when u % 4 == 0, and otherwise loses its
+        # first column, its last, or the first power of ten above u, where
+        # the names gain a digit (rows past the last power stay complete).
+        powers = [10**k for k in range(1, 4) if 10**k < n]
+        gaps = []
+        for u in range(n - 2):
+            above = [p for p in powers if p > u]
+            missing = {0: None, 1: u + 1, 2: n - 1, 3: above[0] if above else None}[u % 4]
+            if missing is not None:
+                gaps.append((u, missing))
+        cg = without_edges(colour_random(support.complete_graph(n), seed=n), gaps)
+        rows = complete_rows(cg)
+        assert rows.count(False) == len(gaps) and rows.count(True) >= n // 4
+        self.assert_written_as_selected(cg)
+
+    def test_closure_rows_take_templates_and_sample_rows_do_not(self, monkeypatch):
+        # Each row written from templates iterates their list once.
+        built = []
+
+        class Runs(list):
+            rows = 0
+
+            def __iter__(self):
+                self.rows += 1
+                return super().__iter__()
+
+        def spy(table, n, templates=graphs._templates):
+            built.append(Runs(templates(table, n)))
+            return built[-1]
+
+        monkeypatch.setattr(graphs, "_templates", spy)
+        closure = criterion_instance(300, 1, "random", True)
+        assert dumps(closure) == support.reference_dumps(closure)
+        assert [runs.rows for runs in built] == [299]
+        # Of the sample's 299 rows, only the last, one edge wide, is complete.
+        sample = colour_random(generate_gnp(300, 0.7, seed=3), seed=4)
+        assert complete_rows(sample) == [False] * 298 + [True]
+        assert dumps(sample) == support.reference_dumps(sample)
+        assert [runs.rows for runs in built] == [299, 1]
 
 
 def test_colouring_at_the_vertex_limit_stays_cheap():

@@ -29,6 +29,7 @@ from .graphs import (
     COLOURS,
     LETTER_TO_COLOUR,
     GraphFormatError,
+    SimpleGraph,
     colour_random,
     colour_three_stars,
     dump_rows,
@@ -225,7 +226,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_check_pseudo(args) -> int:
     if args.file is not None:
         cg = load(args.file)
-        g = cg.graph
+        g = SimpleGraph(cg.n, tuple(r | g | b for r, g, b in zip(*cg.colour_adj)))
     else:
         g = generate_gnp(args.n, args.p, args.seed)
     cfg = PseudorandomConfig(

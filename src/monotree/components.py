@@ -115,13 +115,13 @@ def shortcut_graph(cg: ColouredGraph) -> ColouredGraph:
     lab = monochromatic_components(cg)
     closure = lab.closure()
     rows: tuple[list[int], list[int], list[int]] = ([], [], [])
-    for v in range(cg.n):
-        new = closure.adj[v] & ~cg.graph.adj[v]
+    for v, r, g, b in zip(range(cg.n), *cg.colour_adj):
+        new = closure.adj[v] & ~(r | g | b)
         for c in COLOURS:
             joined = new & lab.members[c][lab.comp_id[c][v]]
             rows[c].append(cg.colour_adj[c][v] | joined)
             new &= ~joined
-    return ColouredGraph(closure, tuple(tuple(r) for r in rows))  # type: ignore[arg-type]
+    return ColouredGraph(cg.n, tuple(tuple(r) for r in rows))  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
 from itertools import chain, compress, pairwise
-from operator import lt, or_
+from operator import lt
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .rng import SplitMix64
@@ -300,31 +300,30 @@ def _sample_sparse(n: int, p: float, rng: SplitMix64) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ColouredGraph:
-    """A simple graph with a total 3-colouring of its edges.
+    """A simple graph on vertices 0..n-1 with a total 3-colouring of its
+    edges, held as its three colour rows: `colour_adj[c][v]` is the bitset
+    of c-coloured neighbours of v, and the edges are their union.  The
+    constructor rejects a negative n, a colour without n rows, a pair with
+    two colours, and a union row with a self-loop or a bit at or above n."""
 
-    `colour_adj[c][v]` is the bitset of c-coloured neighbours of v; the
-    three rows of a vertex are disjoint and union to its adjacency row.
-    """
-
-    graph: SimpleGraph
+    n: int
     colour_adj: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
     def __post_init__(self):
-        if len(self.colour_adj) != 3 or any(
-            len(rows) != self.graph.n for rows in self.colour_adj
-        ):
+        if self.n < 0:
+            raise ValueError("vertex count must be non-negative")
+        if len(self.colour_adj) != 3 or any(len(rows) != self.n for rows in self.colour_adj):
             raise ValueError("colour adjacency shape does not match graph")
         red, green, blue = self.colour_adj
-        for v in range(self.graph.n):
+        for v in range(self.n):
             r, g, b = red[v], green[v], blue[v]
             if (r & g) or (r & b) or (g & b):
                 raise ValueError(f"vertex {v} has an edge with two colours")
-            if (r | g | b) != self.graph.adj[v]:
-                raise ValueError(f"vertex {v}: colouring does not match edge set")
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
+            row = r | g | b
+            if (row >> v) & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+            if row >> self.n:
+                raise ValueError(f"adjacency row {v} has out-of-range bits")
 
     def colour_of(self, u: int, v: int) -> Colour:
         for c in COLOURS:
@@ -333,7 +332,7 @@ class ColouredGraph:
         raise ValueError(f"({u}, {v}) is not an edge")
 
     def edge_count(self) -> int:
-        return self.graph.edge_count()
+        return sum(row.bit_count() for rows in self.colour_adj for row in rows) // 2
 
 
 def colour_random(g: SimpleGraph, seed: int) -> ColouredGraph:
@@ -365,7 +364,7 @@ def colour_random(g: SimpleGraph, seed: int) -> ColouredGraph:
     by_edges = 2 * m * BAND < n * (EDGE_DEGREE * BAND + EDGE_SLOPE * n)
     regime = _colour_edges if by_edges else _colour_rows
     red, green, blue = regime(g, SplitMix64(seed).residues(m))
-    return ColouredGraph(g, (tuple(red), tuple(green), tuple(blue)))
+    return ColouredGraph(g.n, (tuple(red), tuple(green), tuple(blue)))
 
 
 def _colour_edges(g: SimpleGraph, colours) -> tuple[list[int], list[int], list[int]]:
@@ -454,7 +453,7 @@ def colour_three_stars(
         colour_rows[x1] = colour_rows[x2] = colour_rows[x3] = 0
         colour_rows[x] = g.adj[x]
         rows.append(tuple(colour_rows))
-    return ColouredGraph(g, tuple(rows))  # type: ignore[arg-type]
+    return ColouredGraph(g.n, tuple(rows))  # type: ignore[arg-type]
 
 
 class GraphFormatError(ValueError):
@@ -672,10 +671,8 @@ def _read(blocks: Callable[[], Iterator[str]]) -> ColouredGraph:
             if any(row & ((2 << u) - 1) for u, row in enumerate(colour_rows)):
                 raise _first_fault(blocks, n)
             _mirror(colour_rows)
-    red, green, blue = rows
-    adj = tuple(map(or_, map(or_, red, green), blue))
     try:
-        return ColouredGraph(SimpleGraph(n, adj), (tuple(red), tuple(green), tuple(blue)))
+        return ColouredGraph(n, tuple(map(tuple, rows)))  # type: ignore[arg-type]
     except ValueError:
         # Every edge was validated, so only a pair listed with two colours,
         # which sets its bit in two colour rows, can be rejected here.

@@ -223,18 +223,17 @@ def strategy_alpha_ge3(
         # Sharing a component of some colour is adjacency in the closure.
         if any(ids[a] == ids[b] for ids in lab.comp_id):
             raise ValueError(f"vertices {a} and {b} are adjacent in the closure graph")
-    common = cg.graph.common_neighbourhood(triple)
-    if common == 0:
-        return _finish(trace, None, failure="triple has no common neighbour")
-    # Every pattern is rainbow: a common neighbour sending one colour c to two
-    # triple vertices would put both in its c-component, making them adjacent
-    # in the closure, which was ruled out above.
+    # A common neighbour sending one colour c to two triple vertices would
+    # put both in its c-component, adjacent in the closure, ruled out above;
+    # so the six rainbow groups split the common neighbourhood by pattern.
     ca = cg.colour_adj
     groups = {
         (c1, c2, c3): mask
         for c1, c2, c3 in permutations(COLOURS)
-        if (mask := common & ca[c1][v1] & ca[c2][v2] & ca[c3][v3])
+        if (mask := ca[c1][v1] & ca[c2][v2] & ca[c3][v3])
     }
+    if not groups:
+        return _finish(trace, None, failure="triple has no common neighbour")
     pattern = min(groups, key=lambda p: (-groups[p].bit_count(), p))
     x_mask = groups[pattern]
     c1, c2, c3 = pattern
@@ -250,7 +249,7 @@ def strategy_alpha_ge3(
         ]
     )
     winner = _covering_candidate(
-        lab, cg.graph.full_mask, combinations(five, min(3, len(five)))
+        lab, (1 << cg.n) - 1, combinations(five, min(3, len(five)))
     )
     return _finish(
         trace, winner, BRANCH_ALPHA3,
@@ -479,7 +478,7 @@ def _cover_holds(cg: ColouredGraph, tc: TreeCover) -> bool:
                 return False
     except TypeError:
         return False
-    return covered == cg.graph.full_mask
+    return covered == (1 << cg.n) - 1
 
 
 def _cover_faults(cg: ColouredGraph, tc: TreeCover) -> list[str]:
@@ -534,7 +533,7 @@ def _cover_faults(cg: ColouredGraph, tc: TreeCover) -> list[str]:
                 continue
             if not (inside(v) and inside(p)):
                 continue
-            if not cg.graph.has_edge(p, v):
+            if not any((rows[p] >> v) & 1 for rows in cg.colour_adj):
                 issues.append(f"{label}: missing edge ({p}, {v})")
             elif colour is not None and cg.colour_of(p, v) != colour:
                 issues.append(
@@ -556,7 +555,7 @@ def _cover_faults(cg: ColouredGraph, tc: TreeCover) -> list[str]:
         for v in verts:
             if inside(v):
                 covered |= 1 << v
-    uncovered = cg.graph.full_mask & ~covered
+    uncovered = ((1 << cg.n) - 1) & ~covered
     for v in iter_bits(uncovered):
         issues.append(f"uncovered vertex {v}")
     return issues

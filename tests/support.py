@@ -274,8 +274,9 @@ def reference_trees(
     parents are compared against."""
     refs = tuple(sorted(_dedupe(comps)))
     union = _union_mask(lab, refs)
-    if union != cg.graph.full_mask:
-        missing = next(iter_bits(cg.graph.full_mask & ~union))
+    full = (1 << cg.n) - 1
+    if union != full:
+        missing = next(iter_bits(full & ~union))
         raise ValueError(f"components do not cover vertex {missing}")
     trees = []
     for c, cid in refs:
@@ -452,8 +453,13 @@ def graph_edges(g: SimpleGraph) -> Iterator[tuple[int, int]]:
     return ((u, u + 1 + off) for u in range(g.n) for off in iter_bits(g.adj[u] >> (u + 1)))
 
 
+def adjacency(cg: ColouredGraph) -> SimpleGraph:
+    """The uncoloured graph of cg: the union of its three colour rows."""
+    return SimpleGraph(cg.n, tuple(r | g | b for r, g, b in zip(*cg.colour_adj)))
+
+
 def coloured_edges(cg: ColouredGraph) -> Iterator[tuple[int, int, Colour]]:
-    return ((u, v, cg.colour_of(u, v)) for u, v in graph_edges(cg.graph))
+    return ((u, v, cg.colour_of(u, v)) for u, v in graph_edges(adjacency(cg)))
 
 
 def complete_graph(n: int) -> SimpleGraph:
@@ -490,10 +496,7 @@ def from_edge_colours(n: int, items: Iterable[tuple[int, int, Colour]]) -> Colou
         adj[v] |= 1 << u
         rows[c][u] |= 1 << v
         rows[c][v] |= 1 << u
-    return ColouredGraph(
-        SimpleGraph(n, tuple(adj)),
-        tuple(tuple(r) for r in rows),  # type: ignore[arg-type]
-    )
+    return ColouredGraph(n, tuple(tuple(r) for r in rows))  # type: ignore[arg-type]
 
 
 def bipartite_from_edges(left: Iterable[int], pairs: Iterable[tuple[int, int]]) -> BipartiteGraph:

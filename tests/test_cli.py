@@ -86,7 +86,7 @@ class TestShortcut:
         code, out = run(capsys, "shortcut", str(src))
         assert code == 0
         closure = loads(out)
-        assert closure.graph.edge_count() == 3
+        assert support.adjacency(closure).edge_count() == 3
         assert closure.colour_of(0, 2) == R
 
 
@@ -257,6 +257,16 @@ class TestCheckPseudo:
         assert density["status"] == "vacuous"
         assert density["passes"] == 0
         assert density["notes"] == [note]
+
+    def test_file_reports_as_the_sampled_graph(self, capsys, tmp_path):
+        # --file checks the union of the text's colour rows, which is the
+        # graph that the same --n, --p and --seed sample
+        path = str(tmp_path / "g.txt")
+        assert main(["gen", "--n", "300", "--p", "0.3", "--seed", "4", "--out", path]) == 0
+        sampled = run(capsys, "check-pseudo", "--n", "300", "--p", "0.3", "--seed", "4")
+        from_file = run(capsys, "check-pseudo", "--file", path, "--p", "0.3", "--seed", "4")
+        assert sampled[0] == 0
+        assert from_file == sampled
 
     def test_size_factor_flag_is_unrecognised(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -22,7 +22,6 @@ import pytest
 from monotree import (
     COLOURS,
     ColouredGraph,
-    SimpleGraph,
     alpha_class,
     build_component_hypergraph,
     colour_random,
@@ -85,8 +84,7 @@ def relabelled(cg: ColouredGraph, perm: list[int]) -> ColouredGraph:
         for v, row in enumerate(old):
             new[perm[v]] = int("".join(pick(format(row, f"0{n}b")[::-1])), 2)
         rows.append(tuple(new))
-    graph = SimpleGraph(n, tuple(r | g | b for r, g, b in zip(*rows)))
-    return ColouredGraph(graph, tuple(rows))
+    return ColouredGraph(n, tuple(rows))
 
 
 CELLS = [
@@ -105,7 +103,7 @@ LARGE_CELLS = [
 
 
 def recoloured(cg: ColouredGraph, sigma: tuple[int, int, int]) -> ColouredGraph:
-    return ColouredGraph(cg.graph, tuple(cg.colour_adj[s] for s in sigma))
+    return ColouredGraph(cg.n, tuple(cg.colour_adj[s] for s in sigma))
 
 
 def assert_profiles_invariant(cgs: list[ColouredGraph]) -> None:

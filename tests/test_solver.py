@@ -287,7 +287,7 @@ class TestStrategyAlpha2:
             mask = 0
             for c, cid in refs:
                 mask |= lab.members[c][cid]
-            assert mask == cg.graph.full_mask
+            assert mask == support.adjacency(cg).full_mask
             tau_cover = tau_exact(h)
             assert tau_cover is not None and len(tau_cover) <= len(refs)
 
@@ -603,10 +603,11 @@ def _corrupt(cg, cover, kind, rng):
         parent[v] = None
     else:
         row = cg.colour_adj[tree.colour][v]
+        graph = support.adjacency(cg)
         mask = {
-            "other-colour": cg.graph.adj[v] & ~row,
-            "non-neighbour": cg.graph.full_mask & ~cg.graph.adj[v] & ~(1 << v),
-            "outside-tree": cg.graph.full_mask & ~inside,
+            "other-colour": graph.adj[v] & ~row,
+            "non-neighbour": graph.full_mask & ~graph.adj[v] & ~(1 << v),
+            "outside-tree": graph.full_mask & ~inside,
             "in-tree": row & inside,
         }[kind]
         u = _pick(rng, iter_bits(mask))
@@ -776,7 +777,7 @@ def test_closure_and_outputs_pinned():
     digest = hashlib.sha256()
     for cg in _gate_instances():
         closure = shortcut_graph(cg)
-        assert monochromatic_components(cg).closure() == closure.graph
+        assert monochromatic_components(cg).closure() == support.adjacency(closure)
         cover, trace = solve_cover(cg)
         _check_against_reference(cg, trace)
         trees = [[support.letter(t.colour), t.root, sorted(t.parent.items())] for t in cover.trees]

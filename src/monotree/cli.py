@@ -226,7 +226,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_check_pseudo(args) -> int:
     if args.file is not None:
         cg = load(args.file)
-        g = SimpleGraph(cg.n, tuple(r | g | b for r, g, b in zip(*cg.colour_adj)))
+        g = SimpleGraph(cg.n, tuple(r | gr | b for r, gr, b in zip(*cg.colour_adj)))
     else:
         g = generate_gnp(args.n, args.p, args.seed)
     cfg = PseudorandomConfig(

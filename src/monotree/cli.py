@@ -116,7 +116,7 @@ def _csv_floats(text: str) -> tuple[float, ...]:
 def _cmd_gen(args) -> int:
     g = generate_gnp(args.n, args.p, args.seed)
     if args.colouring == "three-star":
-        triple = first_nonadjacent_triple(g)
+        triple = first_nonadjacent_triple(g.adj)
         if triple is None:
             raise ValueError("no pairwise non-adjacent triple in the sample")
         cg = colour_three_stars(g, *triple, base=LETTER_TO_COLOUR[args.base])

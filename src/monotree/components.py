@@ -5,22 +5,16 @@ connected components of each colour class (isolated vertices count as
 singleton components in every colour), found by one breadth-first walk
 per component that keeps its spanning tree, the closure of a coloured graph
 under single-colour connectivity, read off that labelling, and the
-independence-number trichotomy on the closure.  The closure's inherited
-colouring is built only on request, by `shortcut_graph`.
+independence-number trichotomy on the closure, which builds only the rows
+it reads.  The whole closure and its inherited colouring are built only
+on request, by `shortcut_graph`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (
-    COLOURS,
-    Colour,
-    ColouredGraph,
-    SimpleGraph,
-    first_nonadjacent_triple,
-    iter_bits,
-)
+from .graphs import COLOURS, Colour, ColouredGraph, SimpleGraph, first_nonadjacent_triple
 
 
 @dataclass(frozen=True)
@@ -93,10 +87,13 @@ def _colour_components(
             if novel:
                 unseen ^= novel
                 comp |= novel
-                for v in iter_bits(novel):
+                while novel:
+                    low = novel & -novel
+                    v = low.bit_length() - 1
                     ids[v] = root
                     parent[v] = u
                     queue.append(v)
+                    novel ^= low
         members[root] = comp
     return tuple(ids), members, tuple(parent)
 
@@ -137,14 +134,33 @@ class AlphaClass:
     witness: tuple[int, int, int] | None = None
 
 
+class _ClosureRows:
+    """The closure's rows, each built on its first read and then kept.
+    Row v is the union of v's three components, so it holds v's own bit."""
+
+    def __init__(self, lab: ComponentLabelling):
+        self.lab, self.built = lab, {}
+
+    def __len__(self) -> int:
+        return self.lab.n
+
+    def __getitem__(self, v: int) -> int:
+        if v not in self.built:
+            ids, members = self.lab.comp_id, self.lab.members
+            self.built[v] = members[0][ids[0][v]] | members[1][ids[1][v]] | members[2][ids[2][v]]
+        return self.built[v]
+
+
 def alpha_class(lab: ComponentLabelling) -> AlphaClass:
-    """Exact trichotomy on the independence number of the closure graph."""
-    g = lab.closure()
-    n = g.n
-    full = g.full_mask
-    if all(g.adj[v] | (1 << v) == full for v in range(n)):
+    """Exact trichotomy on the independence number of the closure graph.
+    The complete-graph test stops at the first incomplete row and the
+    triple search at the first triple, and each builds only the closure
+    rows it reads, once: a sparse closure builds a few, not n."""
+    rows = _ClosureRows(lab)
+    full = (1 << lab.n) - 1
+    if all(rows[v] == full for v in range(lab.n)):
         return AlphaClass("one")
-    triple = first_nonadjacent_triple(g)
+    triple = first_nonadjacent_triple(rows)
     if triple is not None:
         return AlphaClass("three_plus", triple)
     return AlphaClass("two")

@@ -145,7 +145,7 @@ def run_trial(cfg: ExperimentConfig, n: int, p: float, mode: str, trial: int) ->
     base_seed = trial_seed(cfg.seed, n, p, mode, trial)
     g = generate_gnp(n, p, _mix(base_seed, 0))
     if mode == MODE_THREE_STAR:
-        triple = first_nonadjacent_triple(g)
+        triple = first_nonadjacent_triple(g.adj)
         if triple is None:
             return TrialRecord(None, None, None)
         cg = colour_three_stars(g, *triple, base=Colour.RED)

@@ -60,7 +60,7 @@ from enum import IntEnum
 from functools import partial
 from itertools import chain, compress, pairwise
 from operator import lt
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .rng import SplitMix64
 
@@ -156,13 +156,16 @@ class SimpleGraph:
         return cls(n, tuple(0 for _ in range(n)))
 
 
-def first_nonadjacent_triple(g: SimpleGraph) -> tuple[int, int, int] | None:
-    """Lexicographically smallest pairwise non-adjacent triple, if any."""
-    full = g.full_mask
-    for u in range(g.n - 2):
-        non_u = ~g.adj[u] & full & ~(1 << u)
+def first_nonadjacent_triple(adj: Sequence[int]) -> tuple[int, int, int] | None:
+    """Lexicographically smallest pairwise non-adjacent triple, if any, of
+    the graph whose row of v is `adj[v]`, bit v ignored.  A row is read
+    only when the search reaches it, so `adj` may be a `SimpleGraph`'s rows
+    or an accessor that builds each row on its first read."""
+    full = (1 << len(adj)) - 1
+    for u in range(len(adj) - 2):
+        non_u = ~adj[u] & full & ~(1 << u)
         for v in iter_bits(non_u >> (u + 1) << (u + 1)):
-            third = (non_u & ~g.adj[v]) >> (v + 1)
+            third = (non_u & ~adj[v]) >> (v + 1)
             if third:
                 return (u, v, v + 1 + next(iter_bits(third)))
     return None

@@ -211,23 +211,32 @@ def min_cover(edges: Iterable[Iterable[CompRef]]) -> set[CompRef]:
     return forced.union(_branch_and_bound(kernel))
 
 
+def _edge_keys(h: ComponentHypergraph) -> tuple[int, list[tuple[int, int, int]]]:
+    """k, 1 + the largest component id, and each hyperedge's components as
+    the int keys colour * k + id, which order as the (colour, id) pairs do:
+    every sort, min and tie-break picks the same component on either."""
+    k = 1 + max(chain.from_iterable(h.parts), default=-1)
+    return k, [(r, k + g, 2 * k + b) for r, g, b in h.edges]
+
+
 def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> tuple[CompRef, ...] | None:
     """Minimum vertex cover, sorted; None iff the optimum τ exceeds k_max.
 
     When a greedy packing finds more than k_max pairwise disjoint
     hyperedges, that settles k_max without τ.  The cover is `min_cover`'s:
     the canonical one that the fixed-order reductions and the branch and
-    bound on their kernel leave, the same on every platform.
+    bound on their kernel leave, the same on every platform, searched on
+    `_edge_keys` and decoded once, at the end.
     """
     if k_max is not None and k_max < 0:
         raise ValueError("k_max must be non-negative")
-    edge_refs = [h.refs_of(e) for e in h.edges]
-    if k_max is not None and _greedy_disjoint(edge_refs, range(len(edge_refs))) > k_max:
+    k, edge_keys = _edge_keys(h)
+    if k_max is not None and _greedy_disjoint(edge_keys, range(len(edge_keys))) > k_max:
         return None
-    cover = min_cover(edge_refs)
+    cover = min_cover(edge_keys)
     if k_max is not None and len(cover) > k_max:
         return None
-    return tuple(sorted(cover))
+    return tuple(divmod(key, k) for key in sorted(cover))
 
 
 def nu_exact(h: ComponentHypergraph) -> tuple[tuple[int, int, int], ...]:
@@ -241,32 +250,33 @@ def nu_exact(h: ComponentHypergraph) -> tuple[tuple[int, int, int], ...]:
     closes all-disjoint pieces at once, then their cover number (ν ≤ τ).  A
     pruned subtree holds no larger matching, so each piece yields its first
     maximum matching in branching order; their union is the whole's first.
+    Components are `_edge_keys`' int keys throughout.
     """
-    edge_refs = [h.refs_of(e) for e in h.edges]
+    _, edge_keys = _edge_keys(h)
 
     def search(free: list[int], chosen: list[int], best: list[int]) -> list[int]:
         while len(chosen) + len(free) > len(best):
             if not free:
                 return chosen
-            if len(chosen) + len(min_cover(edge_refs[j] for j in free)) <= len(best):
+            if len(chosen) + len(min_cover(edge_keys[j] for j in free)) <= len(best):
                 break
             i, *free = free
-            refs = edge_refs[i]
-            disjoint = [j for j in free if not any(r in refs for r in edge_refs[j])]
+            refs = edge_keys[i]
+            disjoint = [j for j in free if not any(r in refs for r in edge_keys[j])]
             best = search(disjoint, chosen + [i], best)
         return best
 
-    through: defaultdict[CompRef, list[int]] = defaultdict(list)
-    for i, refs in enumerate(edge_refs):
+    through: defaultdict[int, list[int]] = defaultdict(list)
+    for i, refs in enumerate(edge_keys):
         for r in refs:
             through[r].append(i)
     matching: list[int] = []
-    for start, refs in enumerate(edge_refs):
+    for start, refs in enumerate(edge_keys):
         if refs[0] in through:  # its components leave `through` with its piece
             piece, new = set(), {start}
             while new:
                 piece |= new
-                new = {j for i in new for r in edge_refs[i] for j in through.pop(r, ())} - piece
+                new = {j for i in new for r in edge_keys[i] for j in through.pop(r, ())} - piece
             matching += search(sorted(piece), [], [])
     return tuple(h.edges[i] for i in sorted(matching))
 

@@ -405,8 +405,10 @@ def components_to_trees(comps: Iterable[CompRef], lab: ComponentLabelling) -> Tr
     missing = ((1 << lab.n) - 1) & ~_union_mask(lab, refs)
     if missing:
         raise ValueError(f"components do not cover vertex {next(iter_bits(missing))}")
+    # An id is its component's least vertex: mask >> id == 1 is a singleton.
     return TreeCover(tuple(
-        Tree(COLOURS[c], cid, {v: lab.parent[c][v] for v in iter_bits(lab.members[c][cid])})
+        Tree(COLOURS[c], cid, {cid: None} if (mask := lab.members[c][cid]) >> cid == 1
+             else {v: lab.parent[c][v] for v in iter_bits(mask)})
         for c, cid in refs
     ))
 
@@ -433,11 +435,12 @@ def _cover_holds(cg: ColouredGraph, tc: TreeCover) -> bool:
     Per tree: every vertex lies in range, the root is the one vertex whose
     parent is None, and every parent is a tree vertex.  The children of
     each parent form one mask, which must lie in the parent's row of the
-    tree's colour; a walk from the root over these masks must reach every
-    parent, which rules out cycles.  The trees' vertex sets must union to
-    every vertex.  A vertex that is not an int makes it return False.
-    The range test comes before any shift, so that an id far out of range
-    never builds a huge int.
+    tree's colour.  Each parent's chain of parents must reach the root: it
+    is walked up to the root or a vertex that an earlier walk reached, so
+    each vertex once, and a walk back to its own vertex is a cycle.  The
+    trees' vertex sets must union to every vertex.  A vertex that is not an
+    int makes it return False.  The range test comes before any shift, so
+    that an id far out of range never builds a huge int.
     """
     n = cg.n
     covered = 0
@@ -463,19 +466,17 @@ def _cover_holds(cg: ColouredGraph, tc: TreeCover) -> bool:
             ):
                 return False
             covered |= sum(children.values(), 1 << root)
-            inner = 0
-            for p in children:
-                inner |= 1 << p
             rows = cg.colour_adj[tree.colour]
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                kids = children.pop(u, 0)
-                if kids & ~rows[u]:
+            walk_of: dict[int, int | None] = {root: None}  # vertex -> the walk that reached it
+            for start, kids in children.items():
+                if kids & ~rows[start]:
                     return False
-                stack.extend(iter_bits(kids & inner))
-            if children:
-                return False
+                u = start
+                while u not in walk_of:
+                    walk_of[u] = start
+                    u = parent[u]
+                if walk_of[u] == start:
+                    return False
     except TypeError:
         return False
     return covered == (1 << cg.n) - 1

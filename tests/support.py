@@ -8,6 +8,7 @@ enumeration, independence from nested loops over adjacency sets.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, compress
 from typing import Iterable, Iterator
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from monotree import (
     COLOURS,
+    AlphaClass,
     BipartiteGraph,
     CheckOutcome,
     CheckReport,
@@ -22,6 +24,9 @@ from monotree import (
     ColouredGraph,
     GraphFormatError,
     SimpleGraph,
+    colour_random,
+    colour_three_stars,
+    generate_gnp,
 )
 from monotree.components import ComponentLabelling
 from monotree.graphs import BAND, LETTER_TO_COLOUR, MAX_VERTICES, iter_bits
@@ -302,6 +307,53 @@ def reference_trees(
             )
         trees.append(Tree(COLOURS[c], root, parent))
     return TreeCover(tuple(trees))
+
+
+# The trichotomy of the parent of the closure rows read on demand, verbatim
+# apart from its name and docstring, with the triple search it called then,
+# which took the whole closure graph.
+
+
+def _first_nonadjacent_triple(g: SimpleGraph) -> tuple[int, int, int] | None:
+    full = g.full_mask
+    for u in range(g.n - 2):
+        non_u = ~g.adj[u] & full & ~(1 << u)
+        for v in iter_bits(non_u >> (u + 1) << (u + 1)):
+            third = (non_u & ~g.adj[v]) >> (v + 1)
+            if third:
+                return (u, v, v + 1 + next(iter_bits(third)))
+    return None
+
+
+def reference_alpha_class(lab: ComponentLabelling) -> AlphaClass:
+    """Exact trichotomy on the independence number of the closure graph,
+    read off all n closure rows built at once as a `SimpleGraph`: the
+    classifier that reading rows on demand replaced, kept as the oracle
+    `alpha_class` is compared against."""
+    g = lab.closure()
+    n = g.n
+    full = g.full_mask
+    if all(g.adj[v] | (1 << v) == full for v in range(n)):
+        return AlphaClass("one")
+    triple = _first_nonadjacent_triple(g)
+    if triple is not None:
+        return AlphaClass("three_plus", triple)
+    return AlphaClass("two")
+
+
+def parity_instances() -> Iterator[ColouredGraph]:
+    """Seeded instances on which rewritten searches are compared with their
+    references: G(n, p) at the criterion-1 density p = 1.5 (ln n / n)^(1/6)
+    for n = 300 and 600, coloured at random and by three stars, then 12
+    random colourings of each sparse-exact benchmark cell."""
+    for n in (300, 600):
+        for seed in range(2):
+            g = generate_gnp(n, 1.5 * (math.log(n) / n) ** (1 / 6), seed=31 * n + seed)
+            yield colour_random(g, seed=seed + 1)
+            yield colour_three_stars(g, *_first_nonadjacent_triple(g), base=COLOURS[seed])
+    for n, p in ((100, 0.03), (100, 0.05), (100, 0.08), (60, 0.1)):
+        for seed in range(12):
+            yield colour_random(generate_gnp(n, p, seed=7 * n + seed), seed=seed + 40)
 
 
 # The text reader and writer of the parent of the block tokeniser, verbatim

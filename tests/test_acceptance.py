@@ -77,7 +77,7 @@ def test_criterion_1_desk_scale_probe():
         for trial in range(50):
             seed = derive_seed(MASTER_SEED, n * 1000 + 500 + trial)
             g = generate_gnp(n, p, seed)
-            triple = first_nonadjacent_triple(g)
+            triple = first_nonadjacent_triple(g.adj)
             if triple is None:
                 failures.append((n, "three-star", trial, "no triple"))
                 continue
@@ -112,7 +112,7 @@ def test_criterion_2_three_star_lower_bound():
     for trial in range(50):
         seed = derive_seed(MASTER_SEED, 10_000 + trial)
         g = generate_gnp(300, 0.5, seed)
-        triple = first_nonadjacent_triple(g)
+        triple = first_nonadjacent_triple(g.adj)
         if triple is None:
             failures.append((trial, "no triple"))
             continue

@@ -230,7 +230,7 @@ class TestRunTrial:
         assert rec.size == 3
         base = trial_seed(7, 200, 0.6, MODE_THREE_STAR, 0)
         g = generate_gnp(200, 0.6, _mix(base, 0))
-        triple = first_nonadjacent_triple(g)
+        triple = first_nonadjacent_triple(g.adj)
         cg = colour_three_stars(g, *triple, base=Colour.RED)
         cover = tau_exact(build_component_hypergraph(monochromatic_components(cg)))
         assert cover is not None and len(cover) == 3
@@ -238,16 +238,16 @@ class TestRunTrial:
 
 class TestFirstNonadjacentTriple:
     def test_complete_graph_has_none(self):
-        assert first_nonadjacent_triple(support.complete_graph(8)) is None
+        assert first_nonadjacent_triple(support.complete_graph(8).adj) is None
 
     def test_empty_graph_lex_smallest(self):
-        assert first_nonadjacent_triple(SimpleGraph.empty(5)) == (0, 1, 2)
+        assert first_nonadjacent_triple(SimpleGraph.empty(5).adj) == (0, 1, 2)
 
     def test_found_triple_is_nonadjacent(self):
         from monotree import generate_gnp
 
         g = generate_gnp(40, 0.5, seed=9)
-        t = first_nonadjacent_triple(g)
+        t = first_nonadjacent_triple(g.adj)
         assert t is not None
         x, y, z = t
         assert not g.has_edge(x, y) and not g.has_edge(x, z) and not g.has_edge(y, z)

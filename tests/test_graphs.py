@@ -365,7 +365,7 @@ class TestColourThreeStars:
 
     def test_stars_are_monochromatic_and_distinct(self):
         g = generate_gnp(30, 0.5, seed=21)
-        triple = first_nonadjacent_triple(g)
+        triple = first_nonadjacent_triple(g.adj)
         assert triple is not None
         cg = colour_three_stars(g, *triple, base=Colour.BLUE)
         seen = []
@@ -503,7 +503,7 @@ class TestGoldenStreams:
     @pytest.mark.parametrize("n, p, seed, base, triple, digest", THREE_STARS)
     def test_colour_three_stars(self, n, p, seed, base, triple, digest):
         g = generate_gnp(n, p, seed)
-        assert first_nonadjacent_triple(g) == triple
+        assert first_nonadjacent_triple(g.adj) == triple
         cg = colour_three_stars(g, *triple, base=base)
         assert rows_digest(*cg.colour_adj) == digest
 
@@ -814,7 +814,7 @@ def criterion_instance(n: int, seed: int, colouring: str, closure: bool) -> Colo
     if colouring == "random":
         cg = colour_random(g, seed + 1000)
     else:
-        cg = colour_three_stars(g, *first_nonadjacent_triple(g), base=Colour.GREEN)
+        cg = colour_three_stars(g, *first_nonadjacent_triple(g.adj), base=Colour.GREEN)
     return shortcut_graph(cg) if closure else cg
 
 

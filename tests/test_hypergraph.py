@@ -128,7 +128,7 @@ def seeded_coloured_graphs(draw):
     p = draw(st.sampled_from((0.05, 0.1, 0.2, 0.35, 0.6)))
     seed = draw(st.integers(0, 2**32 - 1))
     g = generate_gnp(n, p, seed=seed)
-    triple = first_nonadjacent_triple(g)
+    triple = first_nonadjacent_triple(g.adj)
     if draw(st.booleans()) and triple is not None:
         return colour_three_stars(g, *triple, base=Colour(seed % 3))
     return colour_random(g, seed=seed + 1)
@@ -282,10 +282,39 @@ def _canonical_instances():
         yield colour_random(g, seed=seed + 3)
 
 
+class TestIntegerKeys:
+    """`tau_exact` searches on the int keys colour * k + id and decodes its
+    cover at the end; it returns the cover that `min_cover` leaves on the
+    (colour, id) references, whatever k_max is."""
+
+    @staticmethod
+    def check(h):
+        reference = tuple(sorted(min_cover(h.refs_of(e) for e in h.edges)))
+        tau = len(reference)
+        assert tau_exact(h) == reference
+        assert tau_exact(h, tau) == reference
+        if tau:
+            assert tau_exact(h, tau - 1) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeded_coloured_graphs())
+    def test_seeded_samples(self, cg):
+        self.check(build_component_hypergraph(monochromatic_components(cg)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(support.coloured_graphs(max_n=12))
+    def test_coloured_graphs(self, cg):
+        self.check(build_component_hypergraph(monochromatic_components(cg)))
+
+    def test_parity_instances(self):
+        for cg in support.parity_instances():
+            self.check(build_component_hypergraph(monochromatic_components(cg)))
+
+
 def test_cover_does_not_depend_on_hashes(monkeypatch):
-    # `min_cover` and `tau_exact` return the same cover whatever the hash of
-    # a component reference is, since no work queue is drained in hash
-    # order, and `tau_exact` returns the sorted `min_cover`.
+    # `min_cover` returns the same cover whatever the hash of a component
+    # reference is, since no work queue is drained in hash order, and
+    # `tau_exact`, which searches on int keys, returns it sorted.
     refs_of = ComponentHypergraph.refs_of
     hypergraphs = [
         build_component_hypergraph(monochromatic_components(cg)) for cg in _canonical_instances()
@@ -317,7 +346,7 @@ def _matching_instances():
             for seed in range(8):
                 g = generate_gnp(n, p, seed=1009 * n + seed)
                 yield n, p, seed, "random", colour_random(g, seed=seed + 5)
-                triple = first_nonadjacent_triple(g)
+                triple = first_nonadjacent_triple(g.adj)
                 if triple is not None:
                     cg = colour_three_stars(g, *triple, base=Colour(seed % 3))
                     yield n, p, seed, "three-star", cg

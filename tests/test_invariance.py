@@ -55,7 +55,7 @@ def instances(n: int, p: float, colouring: str, seeds: range = SEEDS) -> list[Co
         g = generate_gnp(n, p, seed=1000 * n + seed)
         if colouring == "random":
             out.append(colour_random(g, seed=seed))
-        elif (triple := first_nonadjacent_triple(g)) is not None:
+        elif (triple := first_nonadjacent_triple(g.adj)) is not None:
             out.append(colour_three_stars(g, *triple, base=COLOURS[seed % 3]))
     return out
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -92,7 +93,7 @@ class TestSolveCover:
         # not run, so the trace carries no exact size.
         for seed in range(3):
             g = generate_gnp(300, 0.2, seed=seed)
-            cg = colour_three_stars(g, *first_nonadjacent_triple(g), base=R)
+            cg = colour_three_stars(g, *first_nonadjacent_triple(g.adj), base=R)
             cover, trace = solve_cover(cg)
             assert (trace.branch, cover.size) == (BRANCH_ALPHA3, 3)
             assert 471 <= trace.component_count <= 485
@@ -498,6 +499,21 @@ class TestVerifyCover:
         assert not _cover_holds(cg, bad)
         assert verify_cover(cg, bad) == ["tree 1 (red, root 4): vertex 4 out of range"]
 
+    def test_long_path_checks_in_linear_time(self):
+        # A red path of 20,000 vertices rooted at one end, listed from the
+        # far end first, so that the first parent's chain is the whole
+        # path: each later chain stops at a vertex an earlier one reached,
+        # so the check takes about 0.05 s on a 2-vCPU machine, where
+        # walking every chain to the root would take some 2 * 10^8 steps.
+        n = 20000
+        cg = cg_from(n, [(v, v + 1, R) for v in range(n - 1)])
+        for order in (range(n - 1, -1, -1), range(n)):
+            cover = TreeCover((Tree(R, 0, {v: v - 1 if v else None for v in order}),))
+            start = time.perf_counter()
+            assert _cover_holds(cg, cover)
+            assert verify_cover(cg, cover) == []
+            assert time.perf_counter() - start < 2.0
+
     def test_bitset_check_takes_only_the_three_colours(self):
         # colour_adj[-2] is the green rows, where (0, 3) lies
         cg = cg_from(4, [(0, 1, R), (1, 2, R), (2, 3, R), (0, 3, G)])
@@ -521,6 +537,7 @@ class TestVerifyCover:
         per-vertex scan finds nothing, and verify_cover words it as the
         scan does."""
         rejected = 0
+        cycles = dict.fromkeys(CYCLES, 0)
         for seed in seeds:
             cg = colour_random(generate_gnp(n, p, seed), seed + 100)
             cover, _ = solve_cover(cg)
@@ -537,7 +554,19 @@ class TestVerifyCover:
                     if kind in ALWAYS_INVALID:
                         assert faults, (kind, bad)
                     rejected += bool(faults)
+            for kind in CYCLES:
+                bad = _with_cycle(cover, kind, rng)
+                if bad is None:
+                    continue
+                faults = _cover_faults(cg, bad)
+                assert faults and not _cover_holds(cg, bad), (kind, bad)
+                assert verify_cover(cg, bad) == faults
+                cycles[kind] += 1
         assert rejected >= len(seeds) * 2 * len(ALWAYS_INVALID)
+        # every cover has room for each cycle, but the dense covers' trees,
+        # whose breadth-first walks end two levels below the root
+        deep = 0 if n == 300 else len(seeds)
+        assert cycles == {"self-parent": len(seeds), "root-two-cycle": len(seeds), "deep-cycle": deep}
 
 
 CORRUPTIONS = (
@@ -615,6 +644,43 @@ def _corrupt(cg, cover, kind, rng):
             return None
         parent[v] = u
     trees[index] = Tree(tree.colour, root, parent)
+    return TreeCover(tuple(trees))
+
+
+# Cycles in one tree, whose root stays the one vertex without a parent.  In
+# the last two every parent edge is an edge of the tree's colour, so only the
+# chain walk of `_cover_holds` rejects them; a vertex that is its own parent
+# also fails the row test, since no row holds its own bit.
+CYCLES = ("self-parent", "root-two-cycle", "deep-cycle")
+
+
+def _with_cycle(cover, kind, rng):
+    """`cover` with one tree made cyclic: a vertex that is its own parent
+    ("self-parent"), or a child at which its parent points back, along the
+    tree edge they share, where that parent is a child of the root
+    ("root-two-cycle") or lies deeper, below a valid subtree of at least
+    two vertices ("deep-cycle").  None when no tree has room for it."""
+    fits = {"self-parent": lambda depth: depth >= 1, "root-two-cycle": lambda depth: depth == 2,
+            "deep-cycle": lambda depth: depth >= 3}[kind]
+    places = []
+    for index, tree in enumerate(cover.trees):
+        for v in tree.parent:
+            depth, u = 0, v
+            while tree.parent[u] is not None:
+                depth, u = depth + 1, tree.parent[u]
+            if fits(depth):
+                places.append((index, v))
+    if not places:
+        return None
+    index, v = _pick(rng, places)
+    tree = cover.trees[index]
+    parent = dict(tree.parent)
+    if kind == "self-parent":
+        parent[v] = v
+    else:
+        parent[parent[v]] = v
+    trees = list(cover.trees)
+    trees[index] = Tree(tree.colour, tree.root, parent)
     return TreeCover(tuple(trees))
 
 
@@ -761,13 +827,13 @@ def _gate_instances():
             for seed in range(8):
                 g = generate_gnp(n, p, seed=1000 * n + seed)
                 yield colour_random(g, seed=seed + 7)
-                triple = first_nonadjacent_triple(g)
+                triple = first_nonadjacent_triple(g.adj)
                 if triple is not None:
                     yield colour_three_stars(g, *triple, base=Colour(seed % 3))
     n = 300
     g = generate_gnp(n, 1.5 * (math.log(n) / n) ** (1 / 6), seed=5)
     yield colour_random(g, seed=6)
-    yield colour_three_stars(g, *first_nonadjacent_triple(g), base=Colour.RED)
+    yield colour_three_stars(g, *first_nonadjacent_triple(g.adj), base=Colour.RED)
 
 
 def test_closure_and_outputs_pinned():

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import COLOURS, Colour, ColouredGraph, SimpleGraph, first_nonadjacent_triple
+from .graphs import COLOURS, Colour, ColouredGraph, first_nonadjacent_triple
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,6 @@ class ComponentLabelling:
 
     def component_count(self) -> int:
         return sum(len(self.members[c]) for c in range(3))
-
-    def closure(self) -> SimpleGraph:
-        """The closure graph: u and v are adjacent iff some colour puts
-        them in one component."""
-        (red, green, blue), (m_red, m_green, m_blue) = self.comp_id, self.members
-        return SimpleGraph(
-            self.n,
-            tuple(
-                (m_red[red[v]] | m_green[green[v]] | m_blue[blue[v]]) & ~(1 << v)
-                for v in range(self.n)
-            ),
-        )
 
 
 def _colour_components(
@@ -108,14 +96,16 @@ def shortcut_graph(cg: ColouredGraph) -> ColouredGraph:
     """The single-colour-connectivity closure of cg with its inherited
     colouring: a direct edge keeps its input colour, a new edge takes the
     smallest colour whose component joins the pair.  With that rule the
-    per-colour component partitions of the closure and cg coincide."""
+    per-colour component partitions of the closure and cg coincide.  The
+    new edges at v join it to the rest of its three components outside
+    its three colour rows."""
     lab = monochromatic_components(cg)
-    closure = lab.closure()
     rows: tuple[list[int], list[int], list[int]] = ([], [], [])
     for v, r, g, b in zip(range(cg.n), *cg.colour_adj):
-        new = closure.adj[v] & ~(r | g | b)
+        comps = [lab.members[c][lab.comp_id[c][v]] for c in COLOURS]
+        new = (comps[0] | comps[1] | comps[2]) & ~(r | g | b | 1 << v)
         for c in COLOURS:
-            joined = new & lab.members[c][lab.comp_id[c][v]]
+            joined = new & comps[c]
             rows[c].append(cg.colour_adj[c][v] | joined)
             new &= ~joined
     return ColouredGraph(cg.n, tuple(tuple(r) for r in rows))  # type: ignore[arg-type]

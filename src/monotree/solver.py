@@ -414,152 +414,97 @@ def components_to_trees(comps: Iterable[CompRef], lab: ComponentLabelling) -> Tr
 
 
 def verify_cover(cg: ColouredGraph, tc: TreeCover) -> list[str]:
-    """All violations of the tree-cover contract; empty list means valid.
+    """The first violation of the tree-cover contract alone, or else one
+    message per vertex that no tree covers; an empty list means valid.
 
-    Checks, per tree: vertices in range, a unique root, every parent edge
-    present in the host graph with the tree's colour, and no cycles in the
-    parent relation.  Globally: the tree vertex sets cover the graph.
-
-    Two stages, each deciding validity on its own: `_cover_holds` accepts
-    a valid cover on bitsets, and only a cover it rejects goes to
-    `_cover_faults`, the per-vertex scan that words every violation.
-    """
-    if _cover_holds(cg, tc):
-        return []
-    return _cover_faults(cg, tc)
-
-
-def _cover_holds(cg: ColouredGraph, tc: TreeCover) -> bool:
-    """True iff `tc` is a valid tree cover of cg, read on bitsets.
-
-    Per tree: every vertex lies in range, the root is the one vertex whose
-    parent is None, and every parent is a tree vertex.  The children of
-    each parent form one mask, which must lie in the parent's row of the
-    tree's colour.  Each parent's chain of parents must reach the root: it
-    is walked up to the root or a vertex that an earlier walk reached, so
-    each vertex once, and a walk back to its own vertex is a cycle.  The
-    trees' vertex sets must union to every vertex.  A vertex that is not an
-    int makes it return False.  The range test comes before any shift, so
-    that an id far out of range never builds a huge int.
+    Trees are checked in order, on bitsets.  Per tree: the colour is red,
+    green or blue, the root is the one vertex whose parent is None, every
+    vertex is an int in range and every parent a tree vertex.  The
+    children of each parent form one mask, which must lie in the parent's
+    row of the tree's colour.  Each parent's chain of parents must reach
+    the root: it is walked up to the root or a vertex that an earlier walk
+    reached, so each vertex once, and a walk back to its own vertex is a
+    cycle.  The range test comes before any shift, so that an id far out
+    of range never builds a huge int.  A violation names its tree as
+    `tree i (colour, root r)`.
     """
     n = cg.n
     covered = 0
     try:
-        for tree in tc.trees:
+        for index, tree in enumerate(tc.trees):
             parent, root = tree.parent, tree.root
-            if (
-                tree.colour not in COLOURS
-                or parent.get(root, 0) is not None
-                or min(parent) < 0
-                or max(parent) >= n
-            ):
-                return False
+            if tree.colour not in COLOURS:
+                what = f"colour {tree.colour!r} is not red, green or blue"
+                return _fault(index, tree, what)
+            if parent.get(root, 0) is not None:
+                what = "root has a parent" if root in parent else "root missing from vertex set"
+                return _fault(index, tree, what)
+            low, high = min(parent), max(parent)
+            if low < 0 or high >= n:
+                v = low if low < 0 else high
+                what = f"vertex {v} out of range" if isinstance(v, int) else _non_int(tree)
+                return _fault(index, tree, what)
             if len(parent) == 1:
                 covered |= 1 << root
                 continue
             children: dict[int | None, int] = {}
             for v, p in parent.items():
                 children[p] = children.get(p, 0) | 1 << v
-            if (
-                children.pop(None) != 1 << root
-                or not children.keys() <= parent.keys()
-            ):
-                return False
+            if (roots := children.pop(None)) != 1 << root:
+                return _fault(index, tree, f"second root {next(iter_bits(roots ^ 1 << root))}")
+            if not children.keys() <= parent.keys():
+                v = next(v for v, p in parent.items() if p is not None and p not in parent)
+                return _fault(index, tree, f"parent {parent[v]} of {v} outside tree")
             covered |= sum(children.values(), 1 << root)
             rows = cg.colour_adj[tree.colour]
             walk_of: dict[int, int | None] = {root: None}  # vertex -> the walk that reached it
             for start, kids in children.items():
-                if kids & ~rows[start]:
-                    return False
+                if stray := kids & ~rows[start]:
+                    return _fault(index, tree, _edge_fault(cg, start, next(iter_bits(stray))))
                 u = start
                 while u not in walk_of:
                     walk_of[u] = start
                     u = parent[u]
                 if walk_of[u] == start:
-                    return False
+                    return _fault(index, tree, f"cycle through vertex {u}")
     except TypeError:
-        return False
-    return covered == (1 << cg.n) - 1
+        return _fault(index, tree, _non_int(tree))
+    return [f"uncovered vertex {v}" for v in iter_bits(((1 << n) - 1) & ~covered)]
 
 
-def _cover_faults(cg: ColouredGraph, tc: TreeCover) -> list[str]:
-    """Every violation of the tree-cover contract, vertex by vertex, in
-    tree order, then the uncovered vertices.
+def _fault(index: int, tree: Tree, what: str) -> list[str]:
+    """The one violation `what`, headed by its tree's index, colour and
+    root."""
+    name = Colour(tree.colour).name.lower() if tree.colour in COLOURS else repr(tree.colour)
+    return [f"tree {index} ({name}, root {tree.root}): {what}"]
 
-    A tree colour other than the three and a vertex that is not an int are
-    violations too.  Such a colour is compared with no edge, and such a
-    vertex takes no part in the edge and coverage checks.  A root or
-    parent that cannot be hashed lies outside every tree.
-    """
-    n = cg.n
 
-    def inside(v) -> bool:
-        return isinstance(v, int) and 0 <= v < n
+def _edge_fault(cg: ColouredGraph, p: int, v: int) -> str:
+    """Why (p, v) is not an edge of its tree's colour, as a violation."""
+    for c in COLOURS:
+        if cg.colour_adj[c][p] >> v & 1:
+            return f"edge ({p}, {v}) is {c.name.lower()}"
+    return f"missing edge ({p}, {v})"
 
-    def in_tree(v) -> bool:
-        try:
-            return v in verts
-        except TypeError:
-            return False
 
-    issues: list[str] = []
-    covered = 0
-    for t_index, tree in enumerate(tc.trees):
-        colour = Colour(tree.colour) if tree.colour in COLOURS else None
-        name = repr(tree.colour) if colour is None else colour.name.lower()
-        label = f"tree {t_index} ({name}, root {tree.root})"
-        if colour is None:
-            issues.append(f"{label}: colour {tree.colour!r} is not red, green or blue")
-        verts = set(tree.parent)
-        ints = sorted(v for v in verts if isinstance(v, int))
-        order = ints + sorted(verts.difference(ints), key=repr)
-        for v in order:
-            if not isinstance(v, int):
-                issues.append(f"{label}: vertex {v!r} is not an int")
-            elif not 0 <= v < n:
-                issues.append(f"{label}: vertex {v} out of range")
-        if not in_tree(tree.root):
-            issues.append(f"{label}: root missing from vertex set")
-            continue
-        if tree.parent[tree.root] is not None:
-            issues.append(f"{label}: root has a parent")
-        for v in order:
-            p = tree.parent[v]
-            if p is None:
-                if v != tree.root:
-                    issues.append(f"{label}: second root {v}")
-                continue
-            if not in_tree(p):
-                issues.append(f"{label}: parent {p} of {v} outside tree")
-                continue
-            if not (inside(v) and inside(p)):
-                continue
-            if not any((rows[p] >> v) & 1 for rows in cg.colour_adj):
-                issues.append(f"{label}: missing edge ({p}, {v})")
-            elif colour is not None and cg.colour_of(p, v) != colour:
-                issues.append(
-                    f"{label}: edge ({p}, {v}) is {cg.colour_of(p, v).name.lower()}"
-                )
-        state: dict[int, int] = {}  # 0 walking, 1 reaches root
-        for v in order:
-            path = []
-            u: int | None = v
-            while u is not None and in_tree(u) and u not in state:
-                state[u] = 0
-                path.append(u)
-                u = tree.parent[u]
-            if u is not None and in_tree(u) and state.get(u) == 0:
-                issues.append(f"{label}: cycle through vertex {u}")
-                break
-            for w in path:
-                state[w] = 1
-        for v in verts:
-            if inside(v):
-                covered |= 1 << v
-    uncovered = ((1 << cg.n) - 1) & ~covered
-    for v in iter_bits(uncovered):
-        issues.append(f"uncovered vertex {v}")
-    return issues
+def _non_int(tree: Tree) -> str:
+    """A value of `tree` that should be an int and is not, as a violation:
+    its first such vertex, or else its root, or else a parent.  Such a
+    root or parent lies outside the tree unless it equals a vertex; `in`
+    on a list compares without hashing, so one that cannot be hashed
+    equals none."""
+    parent, root = tree.parent, tree.root
+    odd = [v for v in parent if not isinstance(v, int)]
+    if odd:
+        return f"vertex {odd[0]!r} is not an int"
+    if not isinstance(root, int):
+        if root in list(parent):
+            return f"root {root!r} is not an int"
+        return "root missing from vertex set"
+    v, p = next((v, p) for v, p in parent.items() if p is not None and not isinstance(p, int))
+    if p in list(parent):
+        return f"parent {p!r} of {v} is not an int"
+    return f"parent {p} of {v} outside tree"
 
 
 def solve_cover(cg: ColouredGraph) -> tuple[TreeCover, TraceReport]:

@@ -310,8 +310,9 @@ def reference_trees(
 
 
 # The trichotomy of the parent of the closure rows read on demand, verbatim
-# apart from its name and docstring, with the triple search it called then,
-# which took the whole closure graph.
+# apart from its name, its docstring and its call of `closure_graph`, a
+# method of the labelling then, with the triple search it called then, which
+# took the whole closure graph.
 
 
 def _first_nonadjacent_triple(g: SimpleGraph) -> tuple[int, int, int] | None:
@@ -330,7 +331,7 @@ def reference_alpha_class(lab: ComponentLabelling) -> AlphaClass:
     read off all n closure rows built at once as a `SimpleGraph`: the
     classifier that reading rows on demand replaced, kept as the oracle
     `alpha_class` is compared against."""
-    g = lab.closure()
+    g = closure_graph(lab)
     n = g.n
     full = g.full_mask
     if all(g.adj[v] | (1 << v) == full for v in range(n)):
@@ -339,6 +340,92 @@ def reference_alpha_class(lab: ComponentLabelling) -> AlphaClass:
     if triple is not None:
         return AlphaClass("three_plus", triple)
     return AlphaClass("two")
+
+
+# The per-vertex scan that worded every violation of a cover the bitset
+# check rejected, verbatim apart from its name and docstring.
+
+
+def reference_cover_faults(cg: ColouredGraph, tc: TreeCover) -> list[str]:
+    """Every violation of the tree-cover contract, vertex by vertex, in
+    tree order, then the uncovered vertices: the scan that `verify_cover`
+    ran on the covers its bitset check rejected, until that check came to
+    word the first fault itself, kept as the oracle it is compared against.
+
+    A tree colour other than the three and a vertex that is not an int are
+    violations too.  Such a colour is compared with no edge, and such a
+    vertex takes no part in the edge and coverage checks.  A root or
+    parent that cannot be hashed lies outside every tree.
+    """
+    n = cg.n
+
+    def inside(v) -> bool:
+        return isinstance(v, int) and 0 <= v < n
+
+    def in_tree(v) -> bool:
+        try:
+            return v in verts
+        except TypeError:
+            return False
+
+    issues: list[str] = []
+    covered = 0
+    for t_index, tree in enumerate(tc.trees):
+        colour = Colour(tree.colour) if tree.colour in COLOURS else None
+        name = repr(tree.colour) if colour is None else colour.name.lower()
+        label = f"tree {t_index} ({name}, root {tree.root})"
+        if colour is None:
+            issues.append(f"{label}: colour {tree.colour!r} is not red, green or blue")
+        verts = set(tree.parent)
+        ints = sorted(v for v in verts if isinstance(v, int))
+        order = ints + sorted(verts.difference(ints), key=repr)
+        for v in order:
+            if not isinstance(v, int):
+                issues.append(f"{label}: vertex {v!r} is not an int")
+            elif not 0 <= v < n:
+                issues.append(f"{label}: vertex {v} out of range")
+        if not in_tree(tree.root):
+            issues.append(f"{label}: root missing from vertex set")
+            continue
+        if tree.parent[tree.root] is not None:
+            issues.append(f"{label}: root has a parent")
+        for v in order:
+            p = tree.parent[v]
+            if p is None:
+                if v != tree.root:
+                    issues.append(f"{label}: second root {v}")
+                continue
+            if not in_tree(p):
+                issues.append(f"{label}: parent {p} of {v} outside tree")
+                continue
+            if not (inside(v) and inside(p)):
+                continue
+            if not any((rows[p] >> v) & 1 for rows in cg.colour_adj):
+                issues.append(f"{label}: missing edge ({p}, {v})")
+            elif colour is not None and cg.colour_of(p, v) != colour:
+                issues.append(
+                    f"{label}: edge ({p}, {v}) is {cg.colour_of(p, v).name.lower()}"
+                )
+        state: dict[int, int] = {}  # 0 walking, 1 reaches root
+        for v in order:
+            path = []
+            u: int | None = v
+            while u is not None and in_tree(u) and u not in state:
+                state[u] = 0
+                path.append(u)
+                u = tree.parent[u]
+            if u is not None and in_tree(u) and state.get(u) == 0:
+                issues.append(f"{label}: cycle through vertex {u}")
+                break
+            for w in path:
+                state[w] = 1
+        for v in verts:
+            if inside(v):
+                covered |= 1 << v
+    uncovered = ((1 << cg.n) - 1) & ~covered
+    for v in iter_bits(uncovered):
+        issues.append(f"uncovered vertex {v}")
+    return issues
 
 
 def parity_instances() -> Iterator[ColouredGraph]:
@@ -508,6 +595,19 @@ def graph_edges(g: SimpleGraph) -> Iterator[tuple[int, int]]:
 def adjacency(cg: ColouredGraph) -> SimpleGraph:
     """The uncoloured graph of cg: the union of its three colour rows."""
     return SimpleGraph(cg.n, tuple(r | g | b for r, g, b in zip(*cg.colour_adj)))
+
+
+def closure_graph(lab: ComponentLabelling) -> SimpleGraph:
+    """The closure graph read off a labelling: u and v are adjacent iff
+    some colour puts them in one component."""
+    (red, green, blue), (m_red, m_green, m_blue) = lab.comp_id, lab.members
+    return SimpleGraph(
+        lab.n,
+        tuple(
+            (m_red[red[v]] | m_green[green[v]] | m_blue[blue[v]]) & ~(1 << v)
+            for v in range(lab.n)
+        ),
+    )
 
 
 def coloured_edges(cg: ColouredGraph) -> Iterator[tuple[int, int, Colour]]:

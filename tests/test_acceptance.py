@@ -279,7 +279,7 @@ def test_criterion_7_hypergraph_inequalities():
             if nu > 2:
                 failures.append((trial, "nu above independence", nu))
         verts = support.matching_to_independent_set(h, matching)
-        closure = lab.closure()
+        closure = support.closure_graph(lab)
         for i, u in enumerate(verts):
             for v in verts[i + 1 :]:
                 if closure.has_edge(u, v):

@@ -501,3 +501,12 @@ def test_readme_lists_every_subcommand():
 def test_readme_command_parses(argv):
     # a flag that the parser no longer knows exits with status 2
     build_parser().parse_args(argv)
+
+
+def test_readme_library_block_runs(capsys):
+    # the Library section's python block, as it stands, asserts its own
+    # cover valid and prints the cover's size, branch and exact size
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out == "1 egp 1\n"

@@ -253,7 +253,7 @@ class TestAlphaClass:
         items = [(0, v, Colour.RED) for v in (2, 3, 4)]
         items += [(1, v, Colour.GREEN) for v in (2, 3, 4)]
         lab = monochromatic_components(cg_from(5, items))
-        closure = lab.closure()
+        closure = support.closure_graph(lab)
         assert closure.edge_count() == 9
         assert not closure.has_edge(0, 1)
         assert alpha_class(lab).kind == "two"
@@ -307,7 +307,7 @@ class TestAlphaClass:
     def test_agrees_with_naive_trichotomy(self, cg):
         lab = monochromatic_components(cg)
         ours = alpha_class(lab)
-        closure = lab.closure()
+        closure = support.closure_graph(lab)
         theirs = support.independence_trichotomy(
             closure.n, support.adjacency_sets(closure.adj)
         )

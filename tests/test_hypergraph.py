@@ -554,7 +554,7 @@ class TestMatchingToIndependentSet:
         h = build_component_hypergraph(lab)
         m = nu_exact(h)
         verts = support.matching_to_independent_set(h, m)
-        closure = lab.closure()
+        closure = support.closure_graph(lab)
         for i, u in enumerate(verts):
             for v in verts[i + 1 :]:
                 assert not closure.has_edge(u, v)

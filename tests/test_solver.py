@@ -40,8 +40,6 @@ from monotree.solver import (
     BRANCH_KONIG,
     BRANCHES,
     TreeCover,
-    _cover_faults,
-    _cover_holds,
 )
 
 import support
@@ -429,10 +427,7 @@ class TestVerifyCover:
             ),
             pytest.param(
                 (Tree(R, 0, {0: 1, 1: None, 2: 1, 3: 2}),),
-                [
-                    "tree 0 (red, root 0): root has a parent",
-                    "tree 0 (red, root 0): second root 1",
-                ],
+                ["tree 0 (red, root 0): root has a parent"],
                 id="root-has-parent",
             ),
             pytest.param(
@@ -457,7 +452,7 @@ class TestVerifyCover:
             ),
             pytest.param(
                 (Tree(R, 0, {0: None, 1: 2, 2: 1, 3: 2}),),
-                ["tree 0 (red, root 0): cycle through vertex 1"],
+                ["tree 0 (red, root 0): cycle through vertex 2"],
                 id="cycle",
             ),
             pytest.param(
@@ -476,6 +471,21 @@ class TestVerifyCover:
                 id="not-an-int",
             ),
             pytest.param(
+                (Tree(R, 0, MESSAGE_PATH), Tree(R, 0, {0: None, 1: 0, 4.5: 1})),
+                ["tree 1 (red, root 0): vertex 4.5 is not an int"],
+                id="not-an-int-past-the-range",
+            ),
+            pytest.param(
+                (Tree(R, 0, MESSAGE_PATH), Tree(R, 0.0, {0: None})),
+                ["tree 1 (red, root 0.0): root 0.0 is not an int"],
+                id="root-not-an-int",
+            ),
+            pytest.param(
+                (Tree(R, 0, MESSAGE_PATH), Tree(R, 0, {0: None, 1: 0.0})),
+                ["tree 1 (red, root 0): parent 0.0 of 1 is not an int"],
+                id="parent-not-an-int",
+            ),
+            pytest.param(
                 (Tree(R, 0, MESSAGE_PATH), Tree(R, 0, {0: None, 1: [0]})),
                 ["tree 1 (red, root 0): parent [0] of 1 outside tree"],
                 id="unhashable-parent",
@@ -484,6 +494,11 @@ class TestVerifyCover:
                 (Tree(R, 0, MESSAGE_PATH), Tree(R, [0], {0: None})),
                 ["tree 1 (red, root [0]): root missing from vertex set"],
                 id="unhashable-root",
+            ),
+            pytest.param(
+                (Tree(R, 0, {0: None, 1: 0}), Tree(G, 0, {0: None, 2: 0})),
+                ["tree 1 (green, root 0): missing edge (0, 2)"],
+                id="bad-tree-beside-an-uncovered-vertex",
             ),
         ],
     )
@@ -496,7 +511,6 @@ class TestVerifyCover:
     def test_bitset_check_reads_no_row_out_of_range(self):
         cg = cg_from(4, [(0, 1, R), (1, 2, R), (2, 3, R), (0, 3, G)])
         bad = TreeCover((Tree(R, 0, MESSAGE_PATH), Tree(R, 4, {4: None, 0: 4})))
-        assert not _cover_holds(cg, bad)
         assert verify_cover(cg, bad) == ["tree 1 (red, root 4): vertex 4 out of range"]
 
     def test_long_path_checks_in_linear_time(self):
@@ -510,7 +524,6 @@ class TestVerifyCover:
         for order in (range(n - 1, -1, -1), range(n)):
             cover = TreeCover((Tree(R, 0, {v: v - 1 if v else None for v in order}),))
             start = time.perf_counter()
-            assert _cover_holds(cg, cover)
             assert verify_cover(cg, cover) == []
             assert time.perf_counter() - start < 2.0
 
@@ -518,7 +531,7 @@ class TestVerifyCover:
         # colour_adj[-2] is the green rows, where (0, 3) lies
         cg = cg_from(4, [(0, 1, R), (1, 2, R), (2, 3, R), (0, 3, G)])
         bad = TreeCover((Tree(R, 0, MESSAGE_PATH), Tree(-2, 0, {0: None, 3: 0})))
-        assert not _cover_holds(cg, bad)
+        assert verify_cover(cg, bad) == ["tree 1 (-2, root 0): colour -2 is not red, green or blue"]
 
     @pytest.mark.parametrize(
         "n, p, seeds",
@@ -533,24 +546,24 @@ class TestVerifyCover:
         ],
     )
     def test_stages_agree_on_corrupted_covers(self, n, p, seeds):
-        """The bitset check accepts a corrupted cover exactly when the
-        per-vertex scan finds nothing, and verify_cover words it as the
-        scan does."""
+        """verify_cover rejects a corrupted cover exactly when the per-vertex
+        scan of `support.reference_cover_faults` finds a fault, and returns
+        one fault that the scan words too, or the scan's uncovered
+        vertices."""
         rejected = 0
         cycles = dict.fromkeys(CYCLES, 0)
         for seed in seeds:
             cg = colour_random(generate_gnp(n, p, seed), seed + 100)
             cover, _ = solve_cover(cg)
-            assert _cover_holds(cg, cover) and _cover_faults(cg, cover) == []
+            assert verify_cover(cg, cover) == support.reference_cover_faults(cg, cover) == []
             rng = SplitMix64(seed + 200)
             for kind in CORRUPTIONS:
                 for _ in range(2):
                     bad = _corrupt(cg, cover, kind, rng)
                     if bad is None:
                         continue
-                    faults = _cover_faults(cg, bad)
-                    assert _cover_holds(cg, bad) == (faults == []), (kind, bad)
-                    assert verify_cover(cg, bad) == faults
+                    faults = support.reference_cover_faults(cg, bad)
+                    _check_against_scan(bad, verify_cover(cg, bad), faults)
                     if kind in ALWAYS_INVALID:
                         assert faults, (kind, bad)
                     rejected += bool(faults)
@@ -558,9 +571,9 @@ class TestVerifyCover:
                 bad = _with_cycle(cover, kind, rng)
                 if bad is None:
                     continue
-                faults = _cover_faults(cg, bad)
-                assert faults and not _cover_holds(cg, bad), (kind, bad)
-                assert verify_cover(cg, bad) == faults
+                faults = support.reference_cover_faults(cg, bad)
+                assert faults, (kind, bad)
+                _check_against_scan(bad, verify_cover(cg, bad), faults)
                 cycles[kind] += 1
         assert rejected >= len(seeds) * 2 * len(ALWAYS_INVALID)
         # every cover has room for each cycle, but the dense covers' trees,
@@ -590,6 +603,30 @@ CORRUPTIONS = (
 ALWAYS_INVALID = frozenset(CORRUPTIONS) - {
     "drop-vertex", "drop-tree", "in-tree", "recolour"
 }
+
+
+def _check_against_scan(cover, issues, faults):
+    """verify_cover's `issues` on `cover` read against the per-vertex scan's
+    `faults`: one tree's violation alone, which the scan lists too, or else
+    the scan's whole list, which is then empty or the uncovered vertices.
+    The walk may meet a cycle at another vertex than the scan does, so a
+    cycle needs only that the scan finds one in the same tree and that the
+    named vertex's parent chain comes back to it."""
+    if not (issues and issues[0].startswith("tree ")):
+        assert issues == faults, (cover, faults)
+        return
+    assert len(issues) == 1, issues
+    label, _, fault = issues[0].partition(": ")
+    if not fault.startswith("cycle through vertex "):
+        assert issues[0] in faults, (cover, issues, faults)
+        return
+    assert any(f.startswith(f"{label}: cycle through vertex ") for f in faults), faults
+    parent = cover.trees[int(label.split()[1])].parent
+    v = int(fault.rsplit(" ", 1)[1])
+    chain = [parent[v]]
+    while chain[-1] not in (None, v) and len(chain) <= len(parent):
+        chain.append(parent[chain[-1]])
+    assert chain[-1] == v, (cover, issues)
 
 
 def _pick(rng, items):
@@ -649,7 +686,7 @@ def _corrupt(cg, cover, kind, rng):
 
 # Cycles in one tree, whose root stays the one vertex without a parent.  In
 # the last two every parent edge is an edge of the tree's colour, so only the
-# chain walk of `_cover_holds` rejects them; a vertex that is its own parent
+# chain walk of `verify_cover` rejects them; a vertex that is its own parent
 # also fails the row test, since no row holds its own bit.
 CYCLES = ("self-parent", "root-two-cycle", "deep-cycle")
 
@@ -843,7 +880,7 @@ def test_closure_and_outputs_pinned():
     digest = hashlib.sha256()
     for cg in _gate_instances():
         closure = shortcut_graph(cg)
-        assert monochromatic_components(cg).closure() == support.adjacency(closure)
+        assert support.closure_graph(monochromatic_components(cg)) == support.adjacency(closure)
         cover, trace = solve_cover(cg)
         _check_against_reference(cg, trace)
         trees = [[support.letter(t.colour), t.root, sorted(t.parent.items())] for t in cover.trees]

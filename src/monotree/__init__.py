@@ -37,6 +37,7 @@ from .graphs import (
     generate_gnp,
     load,
     loads,
+    random_coloured_gnp,
     store,
 )
 from .hypergraph import (

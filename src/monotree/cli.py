@@ -30,13 +30,13 @@ from .graphs import (
     LETTER_TO_COLOUR,
     GraphFormatError,
     SimpleGraph,
-    colour_random,
     colour_three_stars,
     dump_rows,
     first_nonadjacent_triple,
     generate_gnp,
     iter_bits,
     load,
+    random_coloured_gnp,
 )
 from .hypergraph import (
     build_component_hypergraph,
@@ -114,14 +114,14 @@ def _csv_floats(text: str) -> tuple[float, ...]:
 
 
 def _cmd_gen(args) -> int:
-    g = generate_gnp(args.n, args.p, args.seed)
     if args.colouring == "three-star":
+        g = generate_gnp(args.n, args.p, args.seed)
         triple = first_nonadjacent_triple(g.adj)
         if triple is None:
             raise ValueError("no pairwise non-adjacent triple in the sample")
         cg = colour_three_stars(g, *triple, base=LETTER_TO_COLOUR[args.base])
     else:
-        cg = colour_random(g, derive_seed(args.seed, 1))
+        cg = random_coloured_gnp(args.n, args.p, args.seed, derive_seed(args.seed, 1))
     _write_text(args.out, dump_rows(cg))
     return 0
 

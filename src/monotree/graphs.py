@@ -10,6 +10,8 @@ take their splitmix64 draws in draw order from `rng.py`, whose module
 docstring gives the lane blocks that compute them: sparse G(n, p) reads
 raw draws (`SplitMix64.words`), dense G(n, p) and the colouring one
 outcome byte per draw (`SplitMix64.coins`, `SplitMix64.residues`).
+`random_coloured_gnp` colours sparse G(n, p) as its edges are drawn,
+in the one loop that samples them.
 Dense rows are rebuilt from binary digit strings with int(..., 2)
 (linear time for base 2), and the upper triangle is mirrored into the
 lower one by a transpose of 8x8 bit blocks, packed in bytes and run on
@@ -59,10 +61,11 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
 from itertools import chain, compress, pairwise
+from math import log
 from operator import lt
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
-from .rng import SplitMix64
+from .rng import Outcomes, SplitMix64
 
 
 class Colour(IntEnum):
@@ -92,6 +95,8 @@ _TRANSPOSE_STEPS = [
     (shift, int.from_bytes(mask.to_bytes(8, "little") * (BAND * _ROW_BLOCK // 64), "little"))
     for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0))
 ]
+# `generate_gnp` samples p below SPARSE_P by geometric gaps.
+SPARSE_P = 0.1
 # `colour_random` colours edge by edge below a mean degree of
 # EDGE_DEGREE + EDGE_SLOPE * n / BAND; its docstring gives the measured
 # break-even.
@@ -192,26 +197,53 @@ def generate_gnp(n: int, p: float, seed: int) -> SimpleGraph:
     iff its draw is below floor(p * 2^64): the rows read those outcomes
     as digits from one `SplitMix64.coins` reader of n(n - 1) / 2 coins,
     and the upper triangle is then mirrored by `_mirror`.  Sparse p
-    (below 0.1) skips geometric gaps along the pair sequence, one draw
-    and one float `log` per edge, reading raw draws a block at a time
-    (`SplitMix64.words`), as many as it expects to need.  Both paths are
-    pure functions of (n, p, seed).
+    (below SPARSE_P) skips geometric gaps along the pair sequence, one
+    draw and one float `log` per edge (`_sample_sparse`, which
+    `random_coloured_gnp` shares).  Both paths are pure functions of (n,
+    p, seed).
 
     A p so small that 1 - p rounds to 1 (p <= 2^-54) gives the empty
     graph, as p = 0 does: the gaps' log(1 - p) would be 0, and the
     expected edge count is below 2^-54 * MAX_VERTICES^2 / 2 = 2^-23, about
     1.2e-7.
     """
+    _check_gnp(n, p)
+    if n < 2 or 1.0 - p == 1.0:
+        return SimpleGraph.empty(n)
+    if p < SPARSE_P:
+        (rows,) = _sample_sparse(n, p, SplitMix64(seed))
+        return SimpleGraph(n, tuple(rows))
+    return SimpleGraph(n, tuple(_mirror(_bernoulli_rows(n, p, SplitMix64(seed)))))
+
+
+def random_coloured_gnp(n: int, p: float, seed: int, colour_seed: int) -> ColouredGraph:
+    """`colour_random(generate_gnp(n, p, seed), colour_seed)`, with the
+    same rows and the same errors.
+
+    Sparse G(n, p), which `generate_gnp` samples edge by edge, is
+    coloured as it is drawn: `_sample_sparse` sets each edge's bits in
+    the rows of its colour, read in edge order from one
+    `SplitMix64.residues` reader of `colour_seed`, sized by the expected
+    edge count.  No uncoloured graph is built, and the edges are not
+    counted or walked a second time.  Any other (n, p) is sampled and
+    then coloured.
+    """
+    _check_gnp(n, p)
+    if n < 2 or 1.0 - p == 1.0 or p >= SPARSE_P:
+        return colour_random(generate_gnp(n, p, seed), colour_seed)
+    colours = SplitMix64(colour_seed).residues(int(p * (n * (n - 1) // 2)) + 1)
+    rows = _sample_sparse(n, p, SplitMix64(seed), colours)
+    return ColouredGraph(n, tuple(map(tuple, rows)))  # type: ignore[arg-type]
+
+
+def _check_gnp(n: int, p: float) -> None:
+    """Raise ValueError unless G(n, p) can be sampled: p in [0, 1] and
+    0 <= n <= MAX_VERTICES."""
     check_probability(p)
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
-    if n < 2 or 1.0 - p == 1.0:
-        return SimpleGraph.empty(n)
-    if p < 0.1:
-        return SimpleGraph(n, _sample_sparse(n, p, SplitMix64(seed)))
-    return SimpleGraph(n, tuple(_mirror(_bernoulli_rows(n, p, SplitMix64(seed)))))
 
 
 def _bernoulli_rows(n: int, p: float, rng: SplitMix64) -> list[int]:
@@ -279,26 +311,43 @@ def _mirror_block(rows: list[int], top: int) -> None:
                 rows[top + c] |= column << top
 
 
-def _sample_sparse(n: int, p: float, rng: SplitMix64) -> tuple[int, ...]:
-    from math import log
+def _sample_sparse(
+    n: int, p: float, rng: SplitMix64, colours: Outcomes | None = None
+) -> list[list[int]]:
+    """The rows of G(n, p), for n >= 2 and 0 < 1 - p < 1, by geometric
+    gaps (Batagelj and Brandes, Phys. Rev. E 71, 036113, 2005): one list
+    of rows, or, given `colours`, a `SplitMix64.residues` reader, the red,
+    green and blue rows, edge k in pair order taking outcome k.
 
-    rows = [0] * n
+    Each raw draw w of `rng` gives the gap to the next edge along the
+    row-major order of the n(n - 1) / 2 pairs, int(log(1 - (w >> 11) *
+    2^-53) / log(1 - p)) + 1.  The draws come a block at a time
+    (`SplitMix64.words`), as many as the edges still expected, and every
+    draw of a block but the last block's tail is an edge, so the block's
+    colours are taken with it, one per draw: the colours of edges in draw
+    order, whatever the block sizes (`Outcomes`).  Each edge's pair is
+    decoded from its index and its two bits set, with no second walk.
+    """
+    rows = [[0] * n for _ in range(1 if colours is None else 3)]
     total = n * (n - 1) // 2
     ln_q = log(1.0 - p)
     index = -1  # the pair index of the last edge, in row-major order
-    u, start = 0, 0  # the row of pair `index`, and the index of pair (u, u + 1)
+    u, end = 0, n - 1  # the row of pair `index`, and the index of row u + 1's first pair
     while True:
         # the draws still wanted are not known; expect one per edge to come
-        for w in rng.words(int(p * (total - index)) + 1):
+        words = rng.words(int(p * (total - index)) + 1)
+        outcomes = bytes(len(words)) if colours is None else colours.take(len(words))
+        for w, c in zip(words, outcomes):
             index += int(log(1.0 - (w >> 11) * 1.1102230246251565e-16) / ln_q) + 1  # 2**-53
             if index >= total:
-                return tuple(rows)
-            while index >= start + n - 1 - u:
-                start += n - 1 - u
+                return rows
+            while index >= end:
                 u += 1
-            v = u + 1 + (index - start)
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+                end += n - 1 - u
+            v = index - end + n
+            colour_rows = rows[c]
+            colour_rows[u] |= 1 << v
+            colour_rows[v] |= 1 << u
 
 
 @dataclass(frozen=True)
@@ -342,6 +391,9 @@ def colour_random(g: SimpleGraph, seed: int) -> ColouredGraph:
     """Colour every edge of g independently and uniformly with one of the
     three colours; deterministic for a given seed.  Edges are drawn in
     (u, v) lexicographic order, each taking `SplitMix64.randrange(3)`.
+    `random_coloured_gnp` gives the same colouring of a G(n, p) sample
+    that it draws, and colours a sparse one as its edges are drawn,
+    without building g, counting its edges or walking them again.
 
     Both regimes take those outcomes from one `SplitMix64.residues`
     reader of m outcomes, m the edge count of g, in the same order, so

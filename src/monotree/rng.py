@@ -27,8 +27,9 @@ reader computes the outcome of each draw of sub-block i lane-wise into
 byte i of its lane (`_at_byte`), so one `to_bytes` of the block gives up
 to 16 outcomes per lane in draw order, and one `translate` maps them and
 drops the bytes that hold none (`Outcomes.take`).  It sizes each block by
-the outcomes it still owes, so the draws that a sampler leaves unread
-come after every draw that it reads.
+the outcomes it still expects to give, so the draws that a sampler leaves
+unread come after every draw that it reads; a sampler may size it by an
+estimate, since the outcomes come in draw order whatever the sizes.
 
 randrange(3) rejects one draw, 2^64 - 1, the draw of the state
 REJECTED_STATE, so a residue reader finds it from a block's first state,
@@ -182,15 +183,17 @@ class SplitMix64:
 
 class Outcomes:
     """The outcomes of a stream's draws in draw order, one byte each, for
-    a sampler that takes `left` more of them (`SplitMix64.coins` and
-    `SplitMix64.residues`)."""
+    a sampler that expects to take `left` more of them (`SplitMix64.coins`
+    and `SplitMix64.residues`).  `left` sizes the blocks only: the takes
+    give the outcomes in draw order whatever it is, and may add up to more
+    than it, which leaves it negative, or to fewer."""
 
     __slots__ = ("left", "_rng", "_codes", "_table", "_rejected", "_held")
 
     def __init__(
         self, rng: SplitMix64, total: int, codes: Callable, table: bytes, rejected: int | None
     ):
-        self.left = total  # outcomes not yet taken
+        self.left = total  # outcomes expected, less those taken
         self._rng = rng
         # codes(z, i): the codes of sub-block z's outcomes, in byte i of its
         # lanes (`_at_byte`), each mapped to its outcome through table
@@ -201,7 +204,8 @@ class Outcomes:
 
     def take(self, k: int) -> bytearray:
         """The next k outcomes.  Each block read for them is sized by the
-        outcomes still wanted, `left` less those already held.  A byte that
+        outcomes still expected, `left` less those already held, and is
+        one sub-block once no more are expected.  A byte that
         holds no outcome is marked 0xFF and dropped by the translate: in
         every lane, each byte past the block's sub-blocks, and the byte of
         the rejected state's draw.  A block of b sub-blocks from state s

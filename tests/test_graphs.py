@@ -23,9 +23,11 @@ from monotree import (
     generate_gnp,
     load,
     loads,
+    random_coloured_gnp,
 )
 from monotree import graphs
 from monotree.components import shortcut_graph
+from monotree.experiment import MODE_RANDOM, _mix, trial_seed
 from monotree.graphs import (
     BAND,
     BLOCK_CHARS,
@@ -500,12 +502,88 @@ class TestGoldenStreams:
         assert g.edge_count() == edges
         assert rows_digest(*colour_random(g, seed + 1000).colour_adj) == digest
 
+    @pytest.mark.parametrize("n, p, seed, edges, digest", RANDOM)
+    def test_random_coloured_gnp(self, n, p, seed, edges, digest):
+        cg = random_coloured_gnp(n, p, seed, seed + 1000)
+        assert cg.edge_count() == edges
+        assert rows_digest(*cg.colour_adj) == digest
+
     @pytest.mark.parametrize("n, p, seed, base, triple, digest", THREE_STARS)
     def test_colour_three_stars(self, n, p, seed, base, triple, digest):
         g = generate_gnp(n, p, seed)
         assert first_nonadjacent_triple(g.adj) == triple
         cg = colour_three_stars(g, *triple, base=base)
         assert rows_digest(*cg.colour_adj) == digest
+
+
+class TestRandomColouredGnp:
+    """`random_coloured_gnp` is `colour_random` of `generate_gnp`: the same
+    rows on every path, and the same errors."""
+
+    @staticmethod
+    def assert_composition(n, p, seed, colour_seed):
+        expected = colour_random(generate_gnp(n, p, seed), colour_seed)
+        assert random_coloured_gnp(n, p, seed, colour_seed) == expected, (n, p, seed)
+
+    # p = 2^-60 rounds 1 - p to 1, and 0.1 is the first dense p
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 12, 100])
+    @pytest.mark.parametrize("p", [0.0, 2**-60, 1e-9, 0.0999999, 0.1])
+    def test_small_and_boundary_inputs(self, n, p):
+        for seed in range(4):
+            self.assert_composition(n, p, seed, seed + 1000)
+
+    # 4,095, 4,096 and 4,097 edges, then 8,191, 8,192 and 8,193: the
+    # colours of a block's last edges, of a full block and of one past it
+    @pytest.mark.parametrize(
+        "n, p, seed",
+        [(400, 4096 / 79800, s) for s in (89, 66, 237)]
+        + [(600, 8192 / 179700, s) for s in (84, 214, 74)],
+    )
+    def test_block_edges(self, n, p, seed):
+        self.assert_composition(n, p, seed, seed + 1000)
+
+    # the cells of the sparse-exact benchmark, seeded as random trials are
+    @pytest.mark.parametrize("n, p", [(100, 0.03), (100, 0.05), (100, 0.08), (60, 0.1)])
+    def test_experiment_cells(self, n, p):
+        for trial in range(12):
+            base = trial_seed(42, n, p, MODE_RANDOM, trial)
+            self.assert_composition(n, p, _mix(base, 0), _mix(base, 1))
+
+    def test_vertex_limit(self):
+        self.assert_composition(MAX_VERTICES, 1e-9, 1, 2)
+
+    @pytest.mark.parametrize(
+        "n, p, message",
+        [
+            (-1, 0.05, "^vertex count must be non-negative$"),
+            (MAX_VERTICES + 1, 1e-9, f"^vertex count {MAX_VERTICES + 1} exceeds the limit"),
+            (10, -0.1, "^edge probability must lie in"),
+            (10, 1.5, "^edge probability must lie in"),
+            (10, math.nan, "^edge probability must lie in"),
+        ],
+    )
+    def test_rejects_what_generate_gnp_rejects(self, n, p, message):
+        for sample in (lambda: generate_gnp(n, p, 1), lambda: random_coloured_gnp(n, p, 1, 2)):
+            with pytest.raises(ValueError, match=message):
+                sample()
+
+
+def test_one_pass_sampling_peaks_no_higher_than_two_steps():
+    # On Python 3.11 the one pass peaked at 1.79 MB against 2.38 MB for
+    # G(2000, 0.03), 59,980 edges, and at 6.45 MB against 11.85 MB for
+    # G(20000, 1e-5), 2,082 edges: it builds no uncoloured graph
+    def peak(sample):
+        tracemalloc.start()
+        try:
+            sample()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for n, p in ((2000, 0.03), (20000, 1e-5)):
+        one_pass = peak(lambda: random_coloured_gnp(n, p, 1, 2))
+        two_steps = peak(lambda: colour_random(generate_gnp(n, p, 1), 2))
+        assert one_pass <= two_steps, (n, p, one_pass, two_steps)
 
 
 def test_sampling_memory_stays_near_the_per_pair_samplers():

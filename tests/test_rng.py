@@ -200,3 +200,16 @@ def test_reader_gives_the_outcomes_in_draw_order(name, reader, draw, seed, total
         assert b"".join(outcomes.take(k) for k in split) == expected
         assert outcomes.left == 0
         assert rng.state == (seed + -(-used // LANES) * LANES * GOLDEN) & MASK64
+
+
+@pytest.mark.parametrize("seed", [77, rejecting_seed(0), rejecting_seed(4095), rejecting_seed(4300)])
+@pytest.mark.parametrize("estimate", [0, 1, 150, 4096])
+@pytest.mark.parametrize("total", [1, 149, 4097, 9000])
+def test_residues_past_or_short_of_their_estimate(seed, estimate, total):
+    # a reader sized by an estimate of the outcomes it will give, and taken
+    # in chunks that add up to more than it, or to fewer, gives the bytes
+    # of a reader sized by the total, in draw order
+    expected = SplitMix64(seed).residues(total).take(total)
+    for split in splits(total):
+        outcomes = SplitMix64(seed).residues(estimate)
+        assert b"".join(outcomes.take(k) for k in split) == expected

@@ -1,11 +1,14 @@
 """Deterministic experiment driver for threshold probing.
 
 Sweeps a grid of (n, p, colouring-mode) cells, solves `trials` sampled
-instances per cell, and aggregates per-cell summaries.  Every trial's seed
-is derived from (master seed, n, p, mode, trial index) alone, so a trial's
-record does not depend on which trials ran before it, and the summaries
-depend only on the config.  This module does no I/O: the caller writes
-the summaries out.
+instances per cell, and aggregates per-cell summaries.  The work unit is
+(n, p, trial): it samples one G(n, p) and colours that graph in every
+mode of the config, one trial record per mode, so the random and
+three-star trials of a unit see the same graph.  A unit's seeds are
+derived from (master seed, n, p, trial index) alone, so its records do
+not depend on which units ran before it, and the summaries depend only
+on the config.  This module does no I/O: the caller writes the
+summaries out.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from dataclasses import dataclass
 from .graphs import (
     MAX_VERTICES,
     Colour,
+    ColouredGraph,
+    colour_random,
     colour_three_stars,
     first_nonadjacent_triple,
     generate_gnp,
@@ -24,12 +29,6 @@ from .graphs import (
 )
 from .rng import MASK64, finalise64
 from .solver import BRANCH_ALPHA3, BRANCHES, solve_cover
-
-# perfbench's tracer wraps `colour_random` by its name in this module.  It
-# is not called here any more: random trials sample through
-# `random_coloured_gnp`.  It stays bound until the tracer's target list is
-# brought up to date.
-from .graphs import colour_random  # noqa: F401
 
 MODE_RANDOM = "random"
 MODE_THREE_STAR = "three-star"
@@ -137,29 +136,56 @@ def _mix(seed: int, value: int) -> int:
 
 def trial_seed(master: int, n: int, p: float, mode: str, trial: int) -> int:
     """Per-trial seed: a mix chain over the cell coordinates and trial
-    index, independent of cell enumeration order."""
+    index, independent of cell enumeration order.  A unit (n, p, trial)
+    samples its graph from the random mode's seed, whatever its modes, and
+    the random mode takes its colours from that seed too; the three-star
+    colouring draws nothing, so the three-star seed is not used."""
     s = _mix(master, n)
     s = _mix(s, _float_bits(p))
     s = _mix(s, MODES.index(mode))
     return _mix(s, trial)
 
 
-def run_trial(cfg: ExperimentConfig, n: int, p: float, mode: str, trial: int) -> TrialRecord:
-    """One sampled instance of a cell, fully determined by (seed, cell,
-    trial index).  Degenerate three-star cells (no non-adjacent triple)
-    are recorded as skipped, never raised."""
-    base_seed = trial_seed(cfg.seed, n, p, mode, trial)
-    if mode == MODE_THREE_STAR:
-        g = generate_gnp(n, p, _mix(base_seed, 0))
-        triple = first_nonadjacent_triple(g.adj)
-        if triple is None:
-            return TrialRecord(None, None, None)
-        cg = colour_three_stars(g, *triple, base=Colour.RED)
-    else:
-        cg = random_coloured_gnp(n, p, _mix(base_seed, 0), _mix(base_seed, 1))
+def _solved(cg: ColouredGraph) -> TrialRecord:
     cover, trace = solve_cover(cg)
     small = trace.component_count <= REPORTED_EXACT_MAX_COMPONENTS
     return TrialRecord(cover.size, trace.branch, trace.exact_size if small else None)
+
+
+def _run_unit(
+    cfg: ExperimentConfig, n: int, p: float, trial: int, modes: tuple[str, ...]
+) -> list[TrialRecord]:
+    """One sampled G(n, p), coloured and solved in each of `modes`: one
+    record per mode, in the order given.  The graph comes from
+    `_mix(seed, 0)` and the random colours from `_mix(seed, 1)`, seed the
+    random mode's trial seed.  A random-only unit samples and colours in
+    `random_coloured_gnp`'s one pass, which gives the same coloured graph;
+    a three-star-only unit draws no colours.  A three-star trial with no
+    non-adjacent triple is recorded as skipped, never raised."""
+    seed = trial_seed(cfg.seed, n, p, MODE_RANDOM, trial)
+    if modes == (MODE_RANDOM,):
+        return [_solved(random_coloured_gnp(n, p, _mix(seed, 0), _mix(seed, 1)))]
+    g = generate_gnp(n, p, _mix(seed, 0))
+    records = []
+    for mode in modes:
+        if mode == MODE_RANDOM:
+            cg = colour_random(g, _mix(seed, 1))
+        else:
+            triple = first_nonadjacent_triple(g.adj)
+            if triple is None:
+                records.append(TrialRecord(None, None, None))
+                continue
+            cg = colour_three_stars(g, *triple, base=Colour.RED)
+        records.append(_solved(cg))
+    return records
+
+
+def run_trial(cfg: ExperimentConfig, n: int, p: float, mode: str, trial: int) -> TrialRecord:
+    """One mode's trial of the unit (n, p, trial), fully determined by
+    (seed, n, p, trial index): the record that `probe_threshold` keeps for
+    that mode, whichever other modes the config has."""
+    (record,) = _run_unit(cfg, n, p, trial, (mode,))
+    return record
 
 
 @dataclass(frozen=True)
@@ -225,11 +251,12 @@ def _summarise(n: int, p: float, mode: str, records: list[TrialRecord]) -> CellS
 
 
 def probe_threshold(cfg: ExperimentConfig) -> list[CellSummary]:
-    """Run the grid one cell at a time, trials in index order, and return
+    """Run the grid one (n, p) at a time, units in trial order, and return
     per-cell summaries sorted by (n, p, mode).  They depend only on the
     config."""
+    modes = tuple(sorted(cfg.modes))
     rows = []
-    for n, p, mode in cfg.cells():
-        records = [run_trial(cfg, n, p, mode, t) for t in range(cfg.trials)]
-        rows.append(_summarise(n, p, mode, records))
+    for n, p in sorted({(n, p) for n, p, _ in cfg.cells()}):
+        units = [_run_unit(cfg, n, p, t, modes) for t in range(cfg.trials)]
+        rows += [_summarise(n, p, mode, [u[i] for u in units]) for i, mode in enumerate(modes)]
     return rows

@@ -10,12 +10,13 @@ from monotree import (
     ExperimentConfig,
     SimpleGraph,
     first_nonadjacent_triple,
+    generate_gnp,
     probe_threshold,
     run_trial,
 )
 from monotree import experiment
 from monotree.cli import main
-from monotree.experiment import MODE_RANDOM, MODE_THREE_STAR, trial_seed
+from monotree.experiment import MODE_RANDOM, MODE_THREE_STAR, MODES, _mix, _run_unit, trial_seed
 from monotree.graphs import MAX_VERTICES
 from monotree.solver import solve_cover
 
@@ -211,16 +212,15 @@ class TestRunTrial:
 
     def test_three_star_trial_size_and_exact_minimum(self):
         # the trial reports a 3-tree cover; the exact search, run directly
-        # on the identically seeded instance, confirms 3 is the minimum
+        # on the unit's graph, sampled from the random mode's seed, confirms
+        # 3 is the minimum
         from monotree import (
             Colour,
             build_component_hypergraph,
             colour_three_stars,
-            generate_gnp,
             monochromatic_components,
             tau_exact,
         )
-        from monotree.experiment import _mix
 
         cfg = ExperimentConfig(
             n_values=(200,), trials=1, seed=7, p_values=(0.6,),
@@ -228,7 +228,7 @@ class TestRunTrial:
         )
         rec = run_trial(cfg, 200, 0.6, MODE_THREE_STAR, 0)
         assert rec.size == 3
-        base = trial_seed(7, 200, 0.6, MODE_THREE_STAR, 0)
+        base = trial_seed(7, 200, 0.6, MODE_RANDOM, 0)  # the unit's graph seed
         g = generate_gnp(200, 0.6, _mix(base, 0))
         triple = first_nonadjacent_triple(g.adj)
         cg = colour_three_stars(g, *triple, base=Colour.RED)
@@ -293,11 +293,11 @@ class TestProbeThreshold:
     def test_unwritable_path_fails_before_running(self, tmp_path, monkeypatch, capsys):
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return run_trial(*args)
+        def counted(cg):
+            calls.append(cg)
+            return solve_cover(cg)
 
-        monkeypatch.setattr(experiment, "run_trial", counted)
+        monkeypatch.setattr(experiment, "solve_cover", counted)
         out = str(tmp_path / "missing" / "out.csv")
         assert main([*SMALL_ARGV, "--out", out]) == 2
         assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
@@ -324,6 +324,86 @@ class TestProbeThreshold:
         assert all(0.0 <= f <= 1.0 for f in fracs)
         if fracs != sorted(fracs):
             print(f"note: fraction(<=3) not monotone in p: {fracs}")
+
+
+def _union_rows(cg):
+    return [r | g | b for r, g, b in zip(*cg.colour_adj)]
+
+
+class TestPairedTrials:
+    """A unit (n, p, trial) samples one graph and colours it in every mode."""
+
+    @pytest.mark.parametrize("n, p", [(60, 0.5), (100, 0.05)], ids=["dense", "sparse"])
+    def test_modes_of_a_unit_colour_one_graph(self, monkeypatch, n, p):
+        solved = []
+
+        def keep(cg):
+            solved.append(cg)
+            return solve_cover(cg)
+
+        monkeypatch.setattr(experiment, "solve_cover", keep)
+        cfg = small_config(n_values=(n,), p_values=(p,), trials=3)
+        probe_threshold(cfg)
+        # per unit, in mode order: random, then three-star
+        assert len(solved) == 2 * cfg.trials
+        for t in range(cfg.trials):
+            random_cg, star_cg = solved[2 * t : 2 * t + 2]
+            assert random_cg.colour_adj != star_cg.colour_adj
+            base = trial_seed(cfg.seed, n, p, MODE_RANDOM, t)
+            sampled = list(generate_gnp(n, p, _mix(base, 0)).adj)
+            assert _union_rows(random_cg) == _union_rows(star_cg) == sampled
+
+    def test_one_mode_gives_that_modes_rows_of_both(self, capsys):
+        argv = ["probe", "--n", "60,100", "--p", "0.03,0.05,0.08", "--trials", "8", "--seed", "42",
+                "--out", "-"]
+        outputs = {}
+        for mode in ("both", MODE_RANDOM, MODE_THREE_STAR):
+            assert main([*argv, "--mode", mode]) == 0
+            outputs[mode] = capsys.readouterr().out.splitlines()
+        header, *rows = outputs["both"]
+        assert len(rows) == 12
+        for mode in (MODE_RANDOM, MODE_THREE_STAR):
+            assert outputs[mode] == [header, *(row for row in rows if row.split(",")[2] == mode)]
+
+    # the cells of the sparse-exact benchmark, which calls run_trial
+    @pytest.mark.parametrize("n, p", [(100, 0.03), (100, 0.05), (100, 0.08), (60, 0.1)])
+    def test_run_trial_is_the_units_record(self, n, p):
+        cfg = ExperimentConfig(n_values=(n,), trials=12, seed=42, p_values=(p,), modes=MODES)
+        for t in range(cfg.trials):
+            random_rec, star_rec = _run_unit(cfg, n, p, t, MODES)
+            assert run_trial(cfg, n, p, MODE_RANDOM, t) == random_rec
+            assert run_trial(cfg, n, p, MODE_THREE_STAR, t) == star_rec
+
+    def test_three_star_only_unit_draws_no_colours(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("three-star trials draw no colours")
+
+        monkeypatch.setattr(experiment, "colour_random", refuse)
+        monkeypatch.setattr(experiment, "random_coloured_gnp", refuse)
+        cfg = small_config(modes=(MODE_THREE_STAR,))
+        assert [row.mode for row in probe_threshold(cfg)] == [MODE_THREE_STAR] * 4
+
+    def test_random_only_unit_samples_in_one_pass(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a random-only unit samples through random_coloured_gnp")
+
+        monkeypatch.setattr(experiment, "generate_gnp", refuse)
+        monkeypatch.setattr(experiment, "colour_random", refuse)
+        cfg = small_config(modes=(MODE_RANDOM,))
+        assert [row.mode for row in probe_threshold(cfg)] == [MODE_RANDOM] * 4
+
+
+class TestGoldenProbe:
+    """Pinned probe bytes.  The three-star rows are those of one graph per
+    unit, sampled from the random mode's seed; the random rows are those
+    that random trials gave before units shared their graph."""
+
+    def test_sparse_grid_both_modes(self, capsys):
+        argv = ["probe", "--n", "60,100", "--p", "0.03,0.05,0.08", "--trials", "8",
+                "--mode", "both", "--seed", "42", "--out", "-"]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "fa22617cf18797c7fa650ae1e08b633db4edae83f05972afd676f7734b1cb943"
 
 
 def _rows_with_records(cfg):

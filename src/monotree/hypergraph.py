@@ -11,9 +11,8 @@ have made another fire, followed by one branch and bound on the reduced
 kernel.  The reductions are sound in any order, but which cover they leave
 depends on the order, so they run in one that no hash decides, and
 `tau_exact` returns the canonical cover that they and the branch and bound
-leave.  A maximum matching comes from an include/exclude search on each
-piece of linked hyperedges.  Both searches hand a call only what is still
-open and take back the best found.  The module also carries the bipartite
+leave.  A maximum matching is found by branch and reduce on the hyperedges'
+clash graph.  The module also carries the bipartite
 machinery: the union of link graphs over one colour class, maximum matching
 by Hopcroft-Karp, and the matching-sized vertex cover given by König's
 theorem, read from the alternating layering of the last phase.
@@ -24,7 +23,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .components import ComponentLabelling
 from .graphs import COLOURS, Colour
@@ -156,12 +155,12 @@ def _kernel(
                 continue
             if len(e) == 1:
                 forced |= e
-                for j in list(through[next(iter(e))]):
+                for j in sorted(through[next(iter(e))]):
                     drop(j)
                 continue
             containing = set.intersection(*[through[r] for r in e])
             containing.discard(i)
-            for j in containing:
+            for j in sorted(containing):
                 drop(j)
             continue
         a, _ = thinned.popitem()
@@ -172,7 +171,7 @@ def _kernel(
             other = through[b]
             if b != a and own <= other and (len(other) > len(own) or b < a):
                 del through[a]
-                for i in own:
+                for i in sorted(own):
                     members[i].discard(a)
                     shrunk.append(i)
                 break
@@ -205,18 +204,9 @@ def _branch_and_bound(edges: list[tuple[CompRef, ...]]) -> list[CompRef]:
 def min_cover(edges: Iterable[Iterable[CompRef]]) -> set[CompRef]:
     """A minimum set of components meeting every edge: the components the
     reductions force plus the branch-and-bound optimum of the kernel they
-    leave.  Unlike ν's search, this one is not split into pieces: after the
-    reductions the kernel is almost always empty and was never seen split."""
+    leave, which is almost always empty."""
     forced, kernel = _kernel(edges)
     return forced.union(_branch_and_bound(kernel))
-
-
-def _edge_keys(h: ComponentHypergraph) -> tuple[int, list[tuple[int, int, int]]]:
-    """k, 1 + the largest component id, and each hyperedge's components as
-    the int keys colour * k + id, which order as the (colour, id) pairs do:
-    every sort, min and tie-break picks the same component on either."""
-    k = 1 + max(chain.from_iterable(h.parts), default=-1)
-    return k, [(r, k + g, 2 * k + b) for r, g, b in h.edges]
 
 
 def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> tuple[CompRef, ...] | None:
@@ -225,12 +215,15 @@ def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> tuple[CompRef
     When a greedy packing finds more than k_max pairwise disjoint
     hyperedges, that settles k_max without τ.  The cover is `min_cover`'s:
     the canonical one that the fixed-order reductions and the branch and
-    bound on their kernel leave, the same on every platform, searched on
-    `_edge_keys` and decoded once, at the end.
+    bound on their kernel leave, the same on every platform.  It is searched
+    on the int keys colour * k + id, k being 1 + the largest component id,
+    which order as the (colour, id) pairs do, so every sort, min and
+    tie-break picks the same component on either; it is decoded at the end.
     """
     if k_max is not None and k_max < 0:
         raise ValueError("k_max must be non-negative")
-    k, edge_keys = _edge_keys(h)
+    k = 1 + max(chain.from_iterable(h.parts), default=-1)
+    edge_keys = [(r, k + g, 2 * k + b) for r, g, b in h.edges]
     if k_max is not None and _greedy_disjoint(edge_keys, range(len(edge_keys))) > k_max:
         return None
     cover = min_cover(edge_keys)
@@ -239,46 +232,52 @@ def tau_exact(h: ComponentHypergraph, k_max: int | None = None) -> tuple[CompRef
     return tuple(divmod(key, k) for key in sorted(cover))
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of mask's set bits, in ascending order."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 def nu_exact(h: ComponentHypergraph) -> tuple[tuple[int, int, int], ...]:
     """Maximum matching, as hyperedges in `h.edges` order.
 
-    ν adds up over the pieces that hyperedges sharing a component link, so
-    each is searched on its own.  A node branches on its first free
-    hyperedge, one disjoint from the partial matching: a call takes it, then
-    the node's loop leaves it out, so no call recurses deeper than the
-    matching it builds.  The bounds are the count of free hyperedges, which
-    closes all-disjoint pieces at once, then their cover number (ν ≤ τ).  A
-    pruned subtree holds no larger matching, so each piece yields its first
-    maximum matching in branching order; their union is the whole's first.
-    Components are `_edge_keys`' int keys throughout.
+    A matching is an independent set of the clash graph, where hyperedges
+    clash when they share a component; `clash[i]` is the bitset of i and
+    the hyperedges it clashes with.  A call applies two rules that keep a
+    maximum matching to its free hyperedges, those clashing with none taken:
+    it takes one that clashes with at most one other free one, and drops one
+    whose free clashes contain all of some free neighbour's.  When neither
+    fires, a nested call takes the most-clashing free hyperedge, the first
+    on ties, and the loop leaves it out; the larger matching wins, the
+    nested one on a tie.  So no call recurses deeper than its matching.
     """
-    _, edge_keys = _edge_keys(h)
+    through: defaultdict[CompRef, int] = defaultdict(int)
+    for i, e in enumerate(h.edges):
+        for r in h.refs_of(e):
+            through[r] |= 1 << i
+    clash = [through[a] | through[b] | through[c] for a, b, c in map(h.refs_of, h.edges)]
 
-    def search(free: list[int], chosen: list[int], best: list[int]) -> list[int]:
-        while len(chosen) + len(free) > len(best):
-            if not free:
-                return chosen
-            if len(chosen) + len(min_cover(edge_keys[j] for j in free)) <= len(best):
-                break
-            i, *free = free
-            refs = edge_keys[i]
-            disjoint = [j for j in free if not any(r in refs for r in edge_keys[j])]
-            best = search(disjoint, chosen + [i], best)
-        return best
+    def search(free: int, chosen: list[int]) -> list[int]:
+        best: list[int] = []
+        while free:
+            start = free
+            for i in _bits(start):
+                near = clash[i] & free
+                if not near >> i & 1:  # taken out earlier in this pass
+                    continue
+                if near.bit_count() <= 2:
+                    chosen.append(i)
+                    free &= ~near
+                elif any(not clash[j] & free & ~near for j in _bits(near ^ 1 << i)):
+                    free ^= 1 << i
+            if free == start:
+                widest = max(_bits(free), key=lambda i: (clash[i] & free).bit_count())
+                best = max(best, search(free & ~clash[widest], chosen + [widest]), key=len)
+                free ^= 1 << widest
+        return max(best, chosen, key=len)
 
-    through: defaultdict[int, list[int]] = defaultdict(list)
-    for i, refs in enumerate(edge_keys):
-        for r in refs:
-            through[r].append(i)
-    matching: list[int] = []
-    for start, refs in enumerate(edge_keys):
-        if refs[0] in through:  # its components leave `through` with its piece
-            piece, new = set(), {start}
-            while new:
-                piece |= new
-                new = {j for i in new for r in edge_keys[i] for j in through.pop(r, ())} - piece
-            matching += search(sorted(piece), [], [])
-    return tuple(h.edges[i] for i in sorted(matching))
+    return tuple(h.edges[i] for i in sorted(search((1 << len(h.edges)) - 1, [])))
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,7 @@ class TestHyper:
                 assert len(cover) == tau
                 digest.update(out.encode())
         assert digest.hexdigest() == (
-            "e2d65293c86362c209a2505a167c5d78fefb68e75caf3d2a47c65378caa2cd2b"
+            "d16063e90b493552cc38f421a81b57aaaafa424aefcadde87c2544efbb8ded14"
         )
 
 

@@ -20,7 +20,8 @@ from monotree import (
     nu_exact,
     tau_exact,
 )
-from monotree.experiment import first_nonadjacent_triple
+from monotree.experiment import _mix, first_nonadjacent_triple, trial_seed
+from monotree.graphs import random_coloured_gnp
 from monotree.hypergraph import _greedy_cover, _kernel, min_cover
 from monotree.rng import SplitMix64, derive_seed
 
@@ -243,12 +244,17 @@ class TestAgainstReferenceSearch:
         # generated with the earlier `tau_exact`, which returned the covers
         # a plain depth-first search finds, and of the canonical covers.
         # The reference search finished only 5 of the 36 within 5 s, and
-        # agreed on their sizes.
+        # agreed on their sizes.  A matching as large as a cover proves the
+        # cover minimum without the digest: that holds on all but one, where
+        # τ = 39 and ν = 38.
         sizes, covers = hashlib.sha256(), hashlib.sha256()
         for n, c, seed, cg in _large_sparse_instances():
             h = build_component_hypergraph(monochromatic_components(cg))
             cover = tau_exact(h)
             assert support.is_cover(h, cover)
+            nu = len(nu_exact(h))
+            assert nu <= len(cover)
+            assert nu == len(cover) - ((n, c, seed) == (150, 3.0, 0))
             sizes.update(json.dumps([n, c, seed, len(cover)]).encode())
             covers.update(json.dumps([n, c, seed, [list(r) for r in cover]]).encode())
         assert sizes.hexdigest() == (
@@ -337,6 +343,22 @@ def test_cover_does_not_depend_on_hashes(monkeypatch):
     assert all(cover == tau for cover, tau in expected)
 
 
+def test_reductions_walk_edge_ids_in_order():
+    # `_kernel` drops the edges through a forced component, the edges
+    # containing a shrunk edge, and a dominated component from its edges, in
+    # ascending edge id.  On this random-mode probe trial, walking those
+    # sets in their set order left (green, 0) where this cover has (red, 67).
+    seed = trial_seed(7, 100, 0.03, "random", 171)
+    cg = random_coloured_gnp(100, 0.03, _mix(seed, 0), _mix(seed, 1))
+    h = build_component_hypergraph(monochromatic_components(cg))
+    red = (0, 8, 13, 18, 22, 27, 29, 39, 47, 54, 55, 62, 63, 65, 67, 92)
+    green = (1, 2, 4, 6, 24, 40, 43)
+    blue = (1, 3, 4, 9, 10, 14, 21, 37)
+    assert tau_exact(h) == tuple(
+        (colour, cid) for colour, ids in enumerate((red, green, blue)) for cid in ids
+    )
+
+
 def _matching_instances():
     # Seeded samples at n = 6..60, p = 0.05..0.4, 8 seeds per cell, each
     # coloured at random and, where a non-adjacent triple exists, by three
@@ -378,10 +400,8 @@ class TestNuExact:
         assert len(matching) == support.naive_nu(h)
 
     def test_matchings_pinned(self):
-        # SHA-256 of the matchings of 384 seeded instances but one, generated
-        # with the disjoint-count bound alone, which took up to 46 s on the
-        # sparsest of them and did not finish the one left out within 60 s.
-        unfinished = (60, 0.05, 6, "random")
+        # SHA-256 of the matchings of 384 seeded instances; their sizes are
+        # those of the earlier include/exclude search bounded by τ.
         digest = hashlib.sha256()
         count = 0
         for n, p, seed, mode, cg in _matching_instances():
@@ -390,12 +410,10 @@ class TestNuExact:
             refs = [r for e in matching for r in h.refs_of(e)]
             assert len(refs) == len(set(refs))
             count += 1
-            if (n, p, seed, mode) == unfinished:
-                continue
             digest.update(json.dumps([n, p, seed, mode, [list(e) for e in matching]]).encode())
         assert count == 384
         assert digest.hexdigest() == (
-            "d646b1d6cfd57b7c4094bb31a43e2c9b0ff16b5b35ffb209aec4aee6d9c44002"
+            "7dff3f1ad71bf66ea44ebb8a3509e7e62cdf5e02b4941c79e32a7e38877518ea"
         )
 
     @pytest.mark.parametrize(
@@ -407,8 +425,11 @@ class TestNuExact:
             # 1,500 hyperedges, most sharing no component, where one nested
             # call per left-out hyperedge raised RecursionError.
             (1500, 0.0002, 1, 1301),
+            # 98 hyperedges, 92 of them linked, where the include/exclude
+            # search bounded by τ took 6.7 s.
+            (100, 0.03, 3, 33),
         ],
-        ids=["n90", "n1500"],
+        ids=["n90", "n1500", "n100"],
     )
     def test_sparse_matching_finishes(self, n, p, seed, nu):
         # the instance that `monotree gen --n <n> --p <p> --seed <seed>` writes
